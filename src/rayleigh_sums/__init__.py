@@ -2,9 +2,9 @@
 
 sigma(p, nu) = sum_k xi_{nu,k}**(-2p), with xi_{nu,k} the k-th positive zero
 of J_nu, admits an exact closed form as a ratio of integer polynomials in nu
-for every integer p >= 1. This package derives those closed forms by solving
-a triangular linear system, verifies them against a floating-point zero
-summation oracle, and specializes them at nu = 1/2 to exact even-argument
+for every integer p >= 1. This package derives those closed forms with
+Kishore's convolution recurrence, checks them against the source paper's
+triangular linear system and a floating-point zero summation oracle, and specializes them at nu = 1/2 to exact even-argument
 Riemann zeta values zeta(2p) = pi**(2p) * sigma(p, 1/2).
 """
 
@@ -22,6 +22,7 @@ from .rayleigh_core import (
     SigmaTable,
     build_ratio_expansion,
     derive_sigma,
+    derive_sigma_triangular,
     eval_sigma_exact,
     gamma_ratio_poly,
     q_max,
@@ -64,6 +65,7 @@ __all__ = [
     "bessel_zeros",
     "build_ratio_expansion",
     "derive_sigma",
+    "derive_sigma_triangular",
     "eval_sigma_exact",
     "factor_shifts",
     "gamma_ratio_poly",

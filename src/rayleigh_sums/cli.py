@@ -213,6 +213,8 @@ def _format_zeta(z: ZetaValue) -> str:
 def cmd_zeta(args: argparse.Namespace) -> int:
     if args.p < 1:
         raise UsageError("p must be >= 1")
+    if not 1 <= args.digits <= 45:
+        raise UsageError("digits must be in 1..45")
     z = zeta_even(args.p, SigmaTable())
     print(_format_zeta(z))
     if args.float:

@@ -1,8 +1,8 @@
 """Closed forms for sigma(p, nu) = sum_k xi_{nu,k}**(-2p) over the positive
 zeros xi_{nu,k} of the Bessel function J_nu.
 
-Two exact ingredients combine here. First, at any zero xi of J_nu the ratio
-J_{nu+p}(xi)/J_{nu+1}(xi) expands as a polynomial in 2/xi,
+The paper's method combines two exact ingredients. First, at any zero xi of
+J_nu the ratio J_{nu+p}(xi)/J_{nu+1}(xi) expands as a polynomial in 2/xi,
 
     sum_{q=0}^{q_M} (-1)^q [(p-1)-q]! / ([(p-1)-2q]! q!)
                     * prod_{i=q+1}^{p-q-1}(nu+i) * (2/xi)**((p-1)-2q),
@@ -16,11 +16,25 @@ to a Gamma-function constant:
     c_q(nu) = [(p-1)-q]! / ([(p-1)-2q]! q!) * prod_{i=q+1}^{p-q-1}(nu+i).
 
 Each new p introduces exactly one new unknown, so the system is triangular
-and solves iteratively; every sigma(p, nu) comes out as a ratio of integer
-polynomials in nu whose denominator factors as 2**a * prod (nu+m)**e_m.
+and solves iteratively (derive_sigma_triangular). That solve is kept as the
+reproduced method and as the oracle of the tests. derive_sigma, which the
+CLI, zeta and the scripts call, fills the same table with Kishore's
+convolution recurrence (N. Kishore, "The Rayleigh function", Proc. AMS 14
+(1963) 527-533),
 
-The solver works on raw integer coefficient lists (exactness is unaffected,
-Python ints are arbitrary precision) and converts to the Poly-based types at
+    (nu+n) sigma(n, nu) = sum_{k=1}^{n-1} sigma(k, nu) sigma(n-k, nu),
+
+because it is the faster route: each entry is one sum of floor(n/2)
+products of lower numerators, and the table to p = 60 takes under a fifth of
+the triangular solve's time. Both routes end in one normalisation, so their
+forms are identical.
+
+Every sigma(p, nu) is a ratio of integer polynomials in nu whose reduced
+denominator is 2**a * prod_{m=1}^{p} (nu+m)**e_m with e_m = floor(p/m) for
+every shift m (checked to p = 80 by the tests).
+
+The solvers work on raw integer coefficient lists (exactness is unaffected,
+Python ints are arbitrary precision) and convert to the Poly-based types at
 the boundary; profiling showed Fraction normalization dominating otherwise.
 """
 
@@ -77,11 +91,18 @@ def _isyndiv(a: list[int], m: int) -> list[int] | None:
     return _istrip(q)
 
 
+def _imul_linear(a: list[int], m: int) -> list[int]:
+    """Multiply a by (nu + m) in place and return it."""
+    if a:
+        a[:] = [m * x + y for x, y in zip(a + [0], [0] + a)]
+    return a
+
+
 def _igamma_ratio(upper: int, lower: int) -> list[int]:
     """prod_{i=lower}^{upper-1}(nu+i) as an integer coefficient list."""
     out = [1]
     for i in range(lower, upper):
-        out = _imul(out, [i, 1])
+        _imul_linear(out, i)
     return out
 
 
@@ -202,10 +223,117 @@ def _entry_parts(f: FactoredRationalFn) -> tuple[list[int], int, dict[int, int]]
     return list(f.numerator.int_coeffs()), f.two_exponent, dict(f.shift_factors)
 
 
-def derive_sigma(table: SigmaTable, p: int) -> FactoredRationalFn:
-    """Solve the triangular system up through p and return sigma(p, nu).
+def _normal_form(num: list[int], two: int, sh: dict[int, int], p: int) -> FactoredRationalFn:
+    """Reduce num / (2**two * prod_m (nu+m)**sh[m]) to the solver normal form.
 
-    Each step isolates the newest unknown:
+    Both derivation routes end here, so the normal form is decided in one
+    place: the numerator must be nonzero with a positive leading coefficient
+    (ArithmeticError otherwise), every shift (nu+m) that divides it exactly
+    is cancelled by synthetic division, and the largest power of two shared
+    by its coefficients and the denominator is cancelled.
+    """
+    if not num or num[-1] < 0:
+        raise ArithmeticError(f"normalization failed at p={p}: bad numerator")
+    for m in sorted(sh):
+        while sh[m] > 0:
+            qt = _isyndiv(num, m)
+            if qt is None:
+                break
+            num = qt
+            sh[m] -= 1
+    g = 0
+    for c in num:
+        g = math.gcd(g, c)
+    k = min((g & -g).bit_length() - 1, two)
+    if k:
+        num = [c >> k for c in num]
+        two -= k
+    return FactoredRationalFn(
+        numerator=Poly(tuple(num)),
+        two_exponent=two,
+        shift_factors=tuple(sorted((m, e) for m, e in sh.items() if e > 0)),
+    )
+
+
+def derive_sigma(table: SigmaTable, p: int) -> FactoredRationalFn:
+    """Fill the table up through p and return sigma(p, nu), by Kishore's
+    convolution recurrence (N. Kishore, "The Rayleigh function", Proc. AMS
+    14 (1963) 527-533):
+
+        (nu+n) sigma(n) = sum_{k=1}^{n-1} sigma(k) sigma(n-k),
+        sigma(1) = 1 / (4(nu+1)).
+
+    This is the route `derive`, `table`, `eval` and `zeta` run, because it
+    is the faster one: each new entry is one sum of floor(n/2) numerator
+    products (the off-diagonal ones doubled) over a common factored
+    denominator. The paper's triangular solve is kept as
+    derive_sigma_triangular, the reproduced method and the test oracle. Both
+    routes end in the same normalisation, so they return identical forms.
+    """
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    if p in table:
+        return table[p]
+    parts = {j: _entry_parts(table[j]) for j in range(1, p + 1) if j in table}
+    for n in range(1, p + 1):
+        if n in table:
+            continue
+        if n == 1:
+            num, two, sh = [1], 2, {}
+        else:
+            num, two, sh = _convolve(parts, n)
+        sh[n] = sh.get(n, 0) + 1
+        table.entries[n] = _normal_form(num, two, sh, n)
+        parts[n] = _entry_parts(table[n])
+    return table[p]
+
+
+def _convolve(
+    parts: dict[int, tuple[list[int], int, dict[int, int]]], n: int
+) -> tuple[list[int], int, dict[int, int]]:
+    """sum_{k=1}^{n-1} sigma(k) sigma(n-k) as (numerator, two_exponent,
+    shifts) over a common denominator.
+
+    Term k (k <= n-k) is brought over the common denominator by a multiplier
+    that includes prod_{n-k<m<n}(nu+m): the common denominator is built to
+    hold at least one more (nu+m) than term k does for each such m. That
+    shared product grows by the one factor (nu+n-k) from term k to term k+1,
+    so the sum is accumulated Horner-style from k = n//2 down, one (nu+n-k)
+    per step, and each term is multiplied only by the rest of its multiplier.
+    """
+    terms: list[tuple[list[int], int, dict[int, int]]] = []
+    for k in range(1, n // 2 + 1):
+        num_a, a_a, sh_a = parts[k]
+        num_b, a_b, sh_b = parts[n - k]
+        tsh = dict(sh_a)
+        for m, e in sh_b.items():
+            tsh[m] = tsh.get(m, 0) + e
+        terms.append((_imul(num_a, num_b), a_a + a_b, tsh))
+    two = max(ta for _, ta, _ in terms)
+    sh: dict[int, int] = {}
+    for k, (_, _, tsh) in enumerate(terms, 1):
+        for m, e in tsh.items():
+            sh[m] = max(sh.get(m, 0), e)
+        for m in range(n - k + 1, n):
+            sh[m] = max(sh.get(m, 0), tsh.get(m, 0) + 1)
+    num: list[int] = []
+    for k in range(n // 2, 0, -1):
+        tnum, ta, tsh = terms[k - 1]
+        _imul_linear(num, n - k)
+        for m, e in sh.items():
+            for _ in range(e - tsh.get(m, 0) - (n - k < m < n)):
+                _imul_linear(tnum, m)
+        # over 2**two, and doubled unless k == n-k
+        shift = two - ta + (k != n - k)
+        num = _iadd(num, [c << shift for c in tnum])
+    return num, two, sh
+
+
+def derive_sigma_triangular(table: SigmaTable, p: int) -> FactoredRationalFn:
+    """Solve the paper's triangular system up through p and return sigma(p, nu).
+
+    This is the reproduced method, kept as the oracle for derive_sigma. Each
+    step isolates the newest unknown:
 
         sigma(p) = [ 4**(-p) / prod_{i=1}^{p}(nu+i)
                      - sum_{q=1}^{q_M} (-1)^q 4**(-q) c_q(nu) sigma(p-q) ]
@@ -213,9 +341,7 @@ def derive_sigma(table: SigmaTable, p: int) -> FactoredRationalFn:
 
     carried out over a common factored denominator so that the only
     divisions are exact: synthetic division by the shifts (nu+m) and
-    cancellation of a shared power of two. The result is fully reduced with
-    an integer, content-1, positive-leading numerator; if that normal form
-    ever failed to hold the function would raise rather than return.
+    cancellation of a shared power of two.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -242,35 +368,12 @@ def derive_sigma(table: SigmaTable, p: int) -> FactoredRationalFn:
             mult = [2 ** (two - ta)]
             for m, e in sorted(sh.items()):
                 for _ in range(e - tsh.get(m, 0)):
-                    mult = _imul(mult, [m, 1])
+                    _imul_linear(mult, m)
             num = _iadd(num, _imul(tnum, mult))
         # divide by prod_{i=1}^{j-1}(nu+i): push the factors into the denominator
         for i in range(1, j):
             sh[i] = sh.get(i, 0) + 1
-        # reduce shifts that divide the numerator exactly
-        for m in sorted(sh):
-            while sh[m] > 0:
-                qt = _isyndiv(num, m)
-                if qt is None:
-                    break
-                num = qt
-                sh[m] -= 1
-        sh = {m: e for m, e in sh.items() if e > 0}
-        # cancel the shared power of two; leading coefficient must be positive
-        if not num or num[-1] < 0:
-            raise ArithmeticError(f"normalization failed at p={j}: bad numerator")
-        g = 0
-        for c in num:
-            g = math.gcd(g, c)
-        k = min((g & -g).bit_length() - 1, two)
-        if k:
-            num = [c >> k for c in num]
-            two -= k
-        table.entries[j] = FactoredRationalFn(
-            numerator=Poly(tuple(num)),
-            two_exponent=two,
-            shift_factors=tuple(sorted(sh.items())),
-        )
+        table.entries[j] = _normal_form(num, two, sh, j)
     return table[p]
 
 
@@ -305,7 +408,7 @@ def sums_identity_defect(table: SigmaTable, p: int) -> Poly:
         den = [2**a_q]
         for m, e in sorted(sh_q.items()):
             for _ in range(e):
-                den = _imul(den, [m, 1])
+                _imul_linear(den, m)
         c = (-1) ** q * math.comb((p - 1) - q, q)
         cpoly = _iscale(_igamma_ratio(p - q, q + 1), c * 4 ** (p - q))
         nums.append(_imul(cpoly, num_q))

@@ -137,6 +137,17 @@ def test_zeta_float_line(capsys):
     assert lines[1] == "zeta(2) ~= 1.64493406684822643647241516665"
 
 
+def test_zeta_digits_out_of_range_is_usage_error(capsys):
+    for digits in ("60", "0"):
+        rc, out, err = run(capsys, "zeta", "--p", "3", "--float", "--digits", digits)
+        assert rc == 2
+        assert out == ""
+        assert err == "error: digits must be in 1..45\n"
+    rc, out, _ = run(capsys, "zeta", "--p", "1", "--float", "--digits", "45")
+    assert rc == 0
+    assert out.splitlines()[1] == "zeta(2) ~= 1.64493406684822643647241516664602518921894990"
+
+
 def test_zeros_output(capsys):
     rc, out, _ = run(capsys, "zeros", "--nu", "0", "--count", "3")
     assert rc == 0

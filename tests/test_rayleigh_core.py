@@ -1,6 +1,7 @@
-"""Ratio expansion coefficients and the triangular sigma solver."""
+"""Ratio expansion coefficients and the two exact sigma solvers."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from rayleigh_sums import (
     SigmaTable,
     build_ratio_expansion,
     derive_sigma,
+    derive_sigma_triangular,
     eval_sigma_exact,
     gamma_ratio_poly,
     numeric_sigma,
@@ -105,6 +107,8 @@ def test_table_extends_contiguously():
 def test_derive_rejects_bad_p():
     with pytest.raises(ValueError):
         derive_sigma(SigmaTable(), 0)
+    with pytest.raises(ValueError):
+        derive_sigma_triangular(SigmaTable(), 0)
 
 
 def test_derive_deterministic():
@@ -171,3 +175,43 @@ def test_unprinted_orders_match_numeric_oracle(table15, zero_cache):
             exact = float(eval_sigma_exact(table15[p], nu_q))
             got = numeric_sigma(nu_f, p, zeros).value
             assert abs(got - exact) <= 1e-12 * abs(exact)
+
+
+@pytest.fixture(scope="module")
+def table80():
+    t = SigmaTable()
+    derive_sigma(t, 80)
+    return t
+
+
+def test_kishore_route_matches_triangular_solve_to_p40():
+    fast, oracle = SigmaTable(), SigmaTable()
+    derive_sigma(fast, 40)
+    derive_sigma_triangular(oracle, 40)
+    for p in range(1, 41):
+        assert json.dumps(fast[p].to_json_dict(), sort_keys=True) == json.dumps(
+            oracle[p].to_json_dict(), sort_keys=True
+        ), p
+
+
+@pytest.mark.parametrize("nu", [Fraction(0), Fraction(1, 2), Fraction(27, 10)])
+def test_residue_identity_holds_exactly_to_p80(table80, nu):
+    # sum_{q=0}^{q_M} (-1)^q 4^(-q) c_q(nu) sigma(p-q, nu) = 4^(-p) / prod_{i<=p}(nu+i)
+    # in exact scalars, with c_q(nu) = C(p-1-q, q) prod_{i=q+1}^{p-q-1}(nu+i)
+    # written out here rather than taken from either polynomial route
+    sigma = {p: table80[p].evaluate(nu) for p in range(1, 81)}
+    rising = [Fraction(1)]  # rising[i] = prod_{i'=1}^{i}(nu+i')
+    for i in range(1, 81):
+        rising.append(rising[-1] * (nu + i))
+    for p in range(1, 81):
+        lhs = sum(
+            (-1) ** q * Fraction(math.comb(p - 1 - q, q), 4**q)
+            * (rising[p - q - 1] / rising[q]) * sigma[p - q]
+            for q in range((p - 1) // 2 + 1)
+        )
+        assert lhs == 1 / (4**p * rising[p]), p
+
+
+def test_denominator_exponents_are_floor_p_over_m_to_p80(table80):
+    for p in range(1, 81):
+        assert dict(table80[p].shift_factors) == {m: p // m for m in range(1, p + 1)}, p
