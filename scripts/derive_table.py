@@ -3,8 +3,7 @@
 
 Prints one row per p: numerator degree, decimal digits of the largest
 numerator coefficient, the power of two and the largest shift in the
-denominator, and cumulative wall time. Optionally writes the table to a
-JSON cache usable by `rayleigh derive --cache` / `rayleigh table --cache`.
+denominator, and cumulative wall time.
 """
 
 from __future__ import annotations
@@ -14,27 +13,24 @@ import time
 from dataclasses import dataclass
 
 from rayleigh_sums import SigmaTable, derive_sigma
-from rayleigh_sums.cli import save_table
 
 
 @dataclass(frozen=True)
 class Config:
     pmax: int
-    cache: str | None
     show_forms: bool
 
 
 def parse_args(argv: list[str] | None = None) -> Config:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pmax", type=int, default=40, help="largest p to derive")
-    parser.add_argument("--cache", help="write the table to this JSON cache file")
     parser.add_argument(
         "--show-forms", action="store_true", help="also print each closed form"
     )
     args = parser.parse_args(argv)
     if args.pmax < 1:
         parser.error("--pmax must be >= 1")
-    return Config(pmax=args.pmax, cache=args.cache, show_forms=args.show_forms)
+    return Config(pmax=args.pmax, show_forms=args.show_forms)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -51,9 +47,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         if cfg.show_forms:
             print(f"    sigma({p}) = {f.to_text()}")
-    if cfg.cache:
-        save_table(cfg.cache, table)
-        print(f"table written to {cfg.cache}")
     return 0
 
 

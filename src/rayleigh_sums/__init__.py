@@ -13,8 +13,6 @@ from .exact_algebra import (
     PoleError,
     Poly,
     Rational,
-    factor_shifts,
-    poly_arith,
     poly_gcd,
 )
 from .rayleigh_core import (
@@ -24,7 +22,6 @@ from .rayleigh_core import (
     derive_sigma,
     derive_sigma_triangular,
     eval_sigma_exact,
-    gamma_ratio_poly,
     q_max,
     ratio_by_recurrence,
     ratio_coefficient,
@@ -67,10 +64,7 @@ __all__ = [
     "derive_sigma",
     "derive_sigma_triangular",
     "eval_sigma_exact",
-    "factor_shifts",
-    "gamma_ratio_poly",
     "numeric_sigma",
-    "poly_arith",
     "poly_gcd",
     "q_max",
     "ratio_at_zero",

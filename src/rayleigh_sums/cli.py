@@ -4,15 +4,15 @@ Subcommands: derive, eval, verify (residues | ratio | sigma), zeta, zeros,
 table. Text output is UTF-8, one result per line; closed forms render with
 'v' for nu in text mode and in display math in latex mode. Exit codes:
 0 success or verification pass, 1 verification failure, 2 usage error,
-3 evaluation at a pole, 4 numeric breakdown (including a cache that fails
-its determinism check).
+3 evaluation at a pole, 4 numeric breakdown (a zero that cannot be
+certified, or an exact value that binary64 cannot carry).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from fractions import Fraction
 
@@ -34,15 +34,9 @@ EXIT_USAGE = 2
 EXIT_POLE = 3
 EXIT_NUMERIC = 4
 
-CACHE_FORMAT_VERSION = 1
-
 
 class UsageError(Exception):
     """Bad argument values that argparse's type checks cannot catch."""
-
-
-class CacheError(Exception):
-    """Unreadable cache or a cache that disagrees with fresh derivation."""
 
 
 def _parse_rational(s: str) -> Fraction:
@@ -54,60 +48,17 @@ def _parse_rational(s: str) -> Fraction:
         raise UsageError(f"cannot parse rational {s!r}: {e}") from None
 
 
-def _entry_json(f: FactoredRationalFn) -> str:
-    return json.dumps(f.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-
-def load_table(path: str) -> SigmaTable:
-    """Load a cache file, re-deriving its range to confirm determinism.
-
-    Every cached entry must serialize byte-identically to a freshly derived
-    one; a mismatch means the file is stale or corrupt and raises CacheError.
-    """
-    table = SigmaTable()
-    if not os.path.exists(path):
-        return table
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise CacheError(f"cannot read cache {path}: {e}") from None
-    if not isinstance(data, dict) or data.get("format_version") != CACHE_FORMAT_VERSION:
-        raise CacheError(f"cache {path}: unsupported or missing format_version")
-    entries = data.get("entries")
-    if not isinstance(entries, dict):
-        raise CacheError(f"cache {path}: missing entries")
-    try:
-        loaded = {int(k): FactoredRationalFn.from_json_dict(v) for k, v in entries.items()}
-    except (KeyError, TypeError, ValueError) as e:
-        raise CacheError(f"cache {path}: malformed entry: {e}") from None
-    if loaded and sorted(loaded) != list(range(1, max(loaded) + 1)):
-        raise CacheError(f"cache {path}: entries are not contiguous from 1")
-    if loaded:
-        fresh = SigmaTable()
-        derive_sigma(fresh, max(loaded))
-        for k, f in loaded.items():
-            if _entry_json(f) != _entry_json(fresh[k]):
-                raise CacheError(f"cache {path}: entry p={k} differs from fresh derivation")
-    table.entries.update(loaded)
-    return table
-
-
-def save_table(path: str, table: SigmaTable) -> None:
-    data = {
-        "format_version": CACHE_FORMAT_VERSION,
-        "entries": {str(p): f.to_json_dict() for p, f in sorted(table.entries.items())},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _require_finite(**values: float) -> None:
+    for name, x in values.items():
+        if not math.isfinite(x):
+            raise UsageError(f"{name} must be finite, got {x}")
 
 
 def _render(f: FactoredRationalFn, fmt: str) -> str:
     if fmt == "text":
         return f.to_text()
     if fmt == "json":
-        return _entry_json(f)
+        return json.dumps(f.to_json_dict(), sort_keys=True, separators=(",", ":"))
     if fmt == "latex":
         return f.to_latex()
     raise UsageError(f"unknown format {fmt!r}")
@@ -116,11 +67,7 @@ def _render(f: FactoredRationalFn, fmt: str) -> str:
 def cmd_derive(args: argparse.Namespace) -> int:
     if args.p < 1:
         raise UsageError("p must be >= 1")
-    table = load_table(args.cache) if args.cache else SigmaTable()
-    f = derive_sigma(table, args.p)
-    print(_render(f, args.format))
-    if args.cache:
-        save_table(args.cache, table)
+    print(_render(derive_sigma(SigmaTable(), args.p), args.format))
     return EXIT_OK
 
 
@@ -148,11 +95,16 @@ def cmd_verify_sigma(args: argparse.Namespace) -> int:
     nu = _parse_rational(args.nu)
     if nu < 0:
         raise UsageError("nu must be >= 0")
-    table = SigmaTable()
-    exact = eval_sigma_exact(derive_sigma(table, args.p), nu)
-    zeros = bessel_zeros(float(nu), args.terms)
-    ts = numeric_sigma(float(nu), float(args.p), zeros)
+    try:
+        nu_f = float(nu)
+    except OverflowError:
+        raise UsageError(f"nu={args.nu} is out of binary64 range") from None
+    exact = eval_sigma_exact(derive_sigma(SigmaTable(), args.p), nu)
     exact_f = float(exact)
+    if exact_f == 0.0:
+        raise NumericError(f"sigma(p={args.p}, nu={nu}) underflows binary64")
+    zeros = bessel_zeros(nu_f, args.terms)
+    ts = numeric_sigma(nu_f, float(args.p), zeros)
     residual = abs(ts.value - exact_f)
     rel = residual / abs(exact_f)
     print(f"lhs = {exact_f!r} (exact {exact})")
@@ -165,6 +117,7 @@ def cmd_verify_sigma(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_residues(args: argparse.Namespace) -> int:
+    _require_finite(p=args.p, nu=args.nu)
     if args.p <= 0:
         raise UsageError("p must be > 0")
     if args.nu < 0:
@@ -186,6 +139,7 @@ def cmd_verify_residues(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_ratio(args: argparse.Namespace) -> int:
+    _require_finite(nu=args.nu)
     if args.p < 1:
         raise UsageError("p must be >= 1")
     if args.nu < 0:
@@ -223,6 +177,7 @@ def cmd_zeta(args: argparse.Namespace) -> int:
 
 
 def cmd_zeros(args: argparse.Namespace) -> int:
+    _require_finite(nu=args.nu)
     if args.nu < 0:
         raise UsageError("nu must be >= 0")
     if args.count < 1:
@@ -238,7 +193,7 @@ def cmd_zeros(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.pmax < 1:
         raise UsageError("pmax must be >= 1")
-    table = load_table(args.cache) if args.cache else SigmaTable()
+    table = SigmaTable()
     derive_sigma(table, args.pmax)
     if args.format == "json":
         doc = [
@@ -251,8 +206,6 @@ def cmd_table(args: argparse.Namespace) -> int:
                 print(f"\\sigma({p},\\nu) = {table[p].to_latex()}")
             else:
                 print(f"sigma({p}) = {table[p].to_text()}")
-    if args.cache:
-        save_table(args.cache, table)
     return EXIT_OK
 
 
@@ -268,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_derive = sub.add_parser("derive", help="derive the closed form of sigma(p, nu)")
     p_derive.add_argument("--p", type=int, required=True)
     p_derive.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    p_derive.add_argument("--cache", help="JSON cache file to reuse and extend")
     p_derive.set_defaults(func=cmd_derive)
 
     p_eval = sub.add_parser("eval", help="evaluate sigma(p, nu) at a rational nu")
@@ -316,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="closed forms for p = 1..pmax")
     p_table.add_argument("--pmax", type=int, required=True)
     p_table.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    p_table.add_argument("--cache", help="JSON cache file to reuse and extend")
     p_table.set_defaults(func=cmd_table)
 
     return parser
@@ -336,9 +287,6 @@ def main(argv: list[str] | None = None) -> int:
     except PoleError as e:
         print(f"pole at nu={e.nu}", file=sys.stderr)
         return EXIT_POLE
-    except CacheError as e:
-        print(f"cache error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
     except NumericError as e:
         print(f"numeric breakdown: {e}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -1,16 +1,22 @@
-"""Exact rational scalars, dense univariate polynomials in nu, and rational
+"""Exact rational scalars, integer-coefficient polynomials in nu, and rational
 functions kept in factored-denominator normal form.
 
-Everything here is pure and exact: scalars are arbitrary-precision fractions,
-polynomials are dense coefficient tuples over those fractions, and the
-rational functions that the sigma solver produces are stored as an
-integer-coefficient numerator over a denominator of the shape
+Everything here is pure and exact. Scalars are arbitrary-precision
+fractions. Polynomials have Python int coefficients: every closed form the
+solver produces is an integer, content-free numerator over a denominator of
+the shape
 
     2**a * prod_m (nu + m)**e_m * residual(nu).
 
 The residual factor records any denominator part that does not split into
 integer shifts; every value produced by the solver is expected to have
 residual == 1, and the test suite checks that rather than assuming it.
+
+Each polynomial operation has one implementation, the underscore kernels
+below, which work on plain lists of ints (dense, ascending powers, no
+trailing zero, [] == zero). The solvers in rayleigh_core call them directly
+in their inner loops; Poly, the immutable public type, calls the same
+kernels from its operators.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
 
 # Arbitrary-precision exact scalar. fractions.Fraction already maintains the
 # invariants this package needs (positive denominator, gcd-reduced after
@@ -34,21 +39,96 @@ class PoleError(ZeroDivisionError):
         super().__init__(f"evaluation at pole nu={nu}")
 
 
+# ---------------------------------------------------------------------------
+# integer coefficient-list kernels
+
+
+def _istrip(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _iadd(a: list[int], b: list[int]) -> list[int]:
+    n = max(len(a), len(b))
+    return _istrip([
+        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+        for i in range(n)
+    ])
+
+
+def _imul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return _istrip(out)
+
+
+def _iscale(a: list[int], c: int) -> list[int]:
+    return _istrip([c * x for x in a])
+
+
+def _isyndiv(a: list[int], m: int) -> list[int] | None:
+    """Quotient of a by (nu + m) if the division is exact, else None."""
+    q = [0] * (len(a) - 1)
+    rem = a[-1]
+    for i in range(len(a) - 2, -1, -1):
+        q[i] = rem
+        rem = a[i] - m * rem
+    if rem != 0:
+        return None
+    return _istrip(q)
+
+
+def _imul_linear(a: list[int], m: int) -> list[int]:
+    """Multiply a by (nu + m) in place and return it."""
+    if a:
+        a[:] = [m * x + y for x, y in zip(a + [0], [0] + a)]
+    return a
+
+
+def _igamma_ratio(upper: int, lower: int) -> list[int]:
+    """prod_{i=lower}^{upper-1}(nu+i) as an integer coefficient list."""
+    out = [1]
+    for i in range(lower, upper):
+        _imul_linear(out, i)
+    return out
+
+
+def _iprimitive(a: list[int]) -> list[int]:
+    """a divided by its content, signed so the leading coefficient is positive."""
+    if not a:
+        return a
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return [c // g for c in a]
+
+
+# ---------------------------------------------------------------------------
+# polynomials
+
+
 @dataclass(frozen=True)
 class Poly:
-    """Dense univariate polynomial; coeffs[i] is the coefficient of nu**i.
+    """Dense univariate polynomial with int coefficients; coeffs[i] is the
+    coefficient of nu**i.
 
     The zero polynomial is the empty tuple. Trailing zero coefficients are
-    stripped on construction, so equal polynomials compare equal.
+    stripped on construction, so equal polynomials compare equal; any
+    coefficient that is not an int raises ValueError.
     """
 
-    coeffs: tuple[Rational, ...] = ()
+    coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        cs = tuple(Fraction(c) for c in self.coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+        if any(type(c) is not int for c in self.coeffs):
+            raise ValueError(f"non-integer coefficient in {self.coeffs!r}")
+        object.__setattr__(self, "coeffs", tuple(_istrip(list(self.coeffs))))
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -57,15 +137,6 @@ class Poly:
     @classmethod
     def one(cls) -> "Poly":
         return cls((1,))
-
-    @classmethod
-    def constant(cls, c: Rational | int) -> "Poly":
-        return cls((c,))
-
-    @classmethod
-    def shift(cls, m: int) -> "Poly":
-        """The linear factor nu + m."""
-        return cls((m, 1))
 
     @property
     def is_zero(self) -> bool:
@@ -76,87 +147,17 @@ class Poly:
         """Degree, with the convention degree(0) == -1."""
         return len(self.coeffs) - 1
 
-    @property
-    def leading(self) -> Rational:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __iter__(self) -> Iterator[Rational]:
-        return iter(self.coeffs)
-
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a, b = self.coeffs, other.coeffs
-        return Poly(tuple(
-            (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-            for i in range(n)
-        ))
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly(tuple(_iadd(list(self.coeffs), list(other.coeffs))))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return Poly(tuple(_iadd(list(self.coeffs), _iscale(list(other.coeffs), -1))))
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero or other.is_zero:
-            return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci:
-                for j, cj in enumerate(other.coeffs):
-                    out[i + j] += ci * cj
-        return Poly(tuple(out))
+        return Poly(tuple(_imul(list(self.coeffs), list(other.coeffs))))
 
-    def scale(self, c: Rational | int) -> "Poly":
-        return Poly(tuple(Fraction(c) * x for x in self.coeffs))
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact rational Euclidean division."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn, dd = other.degree, other.leading
-        if len(rem) - 1 < dn:
-            return Poly.zero(), self
-        quot = [Fraction(0)] * (len(rem) - dn)
-        for i in range(len(rem) - 1, dn - 1, -1):
-            c = rem[i] / dd
-            if c:
-                quot[i - dn] = c
-                for j, oc in enumerate(other.coeffs):
-                    rem[i - dn + j] -= c * oc
-        return Poly(tuple(quot)), Poly(tuple(rem[:dn]))
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
-    def div_shift(self, m: int) -> tuple["Poly", Rational]:
-        """Synthetic division by (nu + m); returns (quotient, remainder)."""
-        if self.is_zero:
-            return Poly.zero(), Fraction(0)
-        q = [Fraction(0)] * (len(self.coeffs) - 1)
-        rem = self.coeffs[-1]
-        for i in range(len(self.coeffs) - 2, -1, -1):
-            q[i] = rem
-            rem = self.coeffs[i] - m * rem
-        return Poly(tuple(q)), rem
+    def scale(self, c: int) -> "Poly":
+        return Poly(tuple(_iscale(list(self.coeffs), c)))
 
     def evaluate(self, x: Rational | int) -> Rational:
         v = Fraction(0)
@@ -170,120 +171,63 @@ class Poly:
             v = v * x + float(c)
         return v
 
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        return self.scale(1 / self.leading)
-
     def content(self) -> int:
-        """gcd of the coefficients; valid only for integer coefficients."""
-        g = 0
-        for c in self.coeffs:
-            if c.denominator != 1:
-                raise ValueError("content of non-integer polynomial")
-            g = math.gcd(g, abs(c.numerator))
-        return g
+        """gcd of the coefficients (0 for the zero polynomial)."""
+        return math.gcd(*self.coeffs)
 
     def int_coeffs(self) -> tuple[int, ...]:
-        """Coefficients as plain ints; raises if any is non-integer."""
-        out = []
-        for c in self.coeffs:
-            if c.denominator != 1:
-                raise ValueError(f"non-integer coefficient {c}")
-            out.append(c.numerator)
-        return tuple(out)
-
-
-def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
-    """Dispatch form of +, -, *; op is one of 'add', 'sub', 'mul'."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
+        """Coefficients as plain ints."""
+        return self.coeffs
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor via exact rational Euclid."""
+    """Greatest common divisor over the integers, up to content: Euclid on
+    primitive pseudo-remainders. The result has content 1 and a positive
+    leading coefficient, so coprime inputs give Poly.one()."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd undefined for two zero polynomials")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    x, y = list(a.coeffs), list(b.coeffs)
+    while y:
+        # pseudo-remainder of x by y: scale by lead(y), cancel lead(x)
+        while len(x) >= len(y):
+            shift = [0] * (len(x) - len(y))
+            x = _iadd(_iscale(x, y[-1]), shift + _iscale(y, -x[-1]))
+        x, y = y, _iprimitive(x)
+    return Poly(tuple(_iprimitive(x)))
 
 
-def factor_shifts(
-    den: Poly, max_shift: int
-) -> tuple[int, tuple[tuple[int, int], ...], Poly]:
-    """Split a denominator into (two_exponent, shift_factors, residual).
-
-    Extracts the exact multiplicity of each (nu + m) for 1 <= m <= max_shift
-    by repeated synthetic division, then pulls the largest power of 2 out of
-    the remaining part when that part is a positive integer constant.
-    Whatever is left lands in the residual polynomial, so the call never
-    fails on a nonzero input; re-expanding the three parts always reproduces
-    the input exactly.
-    """
-    if den.is_zero:
-        raise ValueError("cannot factor the zero polynomial")
-    shifts: list[tuple[int, int]] = []
-    rem = den
-    for m in range(1, max_shift + 1):
-        e = 0
-        while True:
-            q, r = rem.div_shift(m)
-            if r != 0:
-                break
-            rem = q
-            e += 1
-        if e:
-            shifts.append((m, e))
-    two = 0
-    residual = rem
-    if rem.degree == 0:
-        c = rem.coeffs[0]
-        if c.denominator == 1 and c > 0:
-            n = c.numerator
-            two = (n & -n).bit_length() - 1
-            residual = Poly.constant(n >> two)
-    return two, tuple(shifts), residual
-
-
-def _poly_terms_text(p: Poly, var: str, pow_fmt: str, mul: str) -> str:
-    # descending powers; integer coefficients render without denominators
-    parts: list[tuple[str, str]] = []
+def _poly_terms(p: Poly, var: str, pow_fmt: str, sign_fmt: str) -> str:
+    # descending powers; sign_fmt places the sign between terms
+    out = ""
     for i in range(p.degree, -1, -1):
         c = p.coeffs[i]
         if c == 0:
             continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        mag_s = str(mag.numerator) if mag.denominator == 1 else str(mag)
         if i == 0:
-            body = mag_s
+            body = str(abs(c))
         else:
             v = var if i == 1 else var + pow_fmt.format(i)
-            body = v if mag == 1 else mag_s + mul + v
-        parts.append((sign, body))
-    if not parts:
-        return "0"
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+            body = v if abs(c) == 1 else f"{abs(c)}{v}"
+        sign = "-" if c < 0 else "+"
+        if out:
+            out += sign_fmt.format(sign) + body
+        else:
+            out = ("-" if c < 0 else "") + body
+    return out or "0"
+
+
+_TEXT = ("v", "^{}", " {} ")
+_LATEX = (r"\nu", "^{{{}}}", "{}")
 
 
 def poly_text(p: Poly) -> str:
     """Plain-text rendering with 'v' for nu, e.g. '21v^3 + 181v^2 + 513v + 473'."""
-    return _poly_terms_text(p, "v", "^{}", "")
+    return _poly_terms(p, *_TEXT)
 
 
 def poly_latex(p: Poly) -> str:
     """LaTeX rendering with \\nu, braced exponents, no spaces."""
-    return _poly_terms_text(p, r"\nu", "^{{{}}}", "").replace(" + ", "+").replace(" - ", "-")
+    return _poly_terms(p, *_LATEX)
 
 
 @dataclass(frozen=True)
@@ -291,10 +235,10 @@ class FactoredRationalFn:
     """numerator / (2**two_exponent * prod (nu+m)**e_m * residual).
 
     shift_factors is sorted by m with distinct entries. In the normal form
-    emitted by the solver the numerator has integer coefficients with
-    content 1 and positive leading coefficient, numerator and denominator
-    are coprime, and residual == 1; those are verified properties of the
-    outputs, not constructor requirements.
+    emitted by the solver the numerator has content 1 and positive leading
+    coefficient, numerator and denominator are coprime, and residual == 1;
+    those are verified properties of the outputs, not constructor
+    requirements.
     """
 
     numerator: Poly
@@ -312,10 +256,11 @@ class FactoredRationalFn:
             raise ValueError("shift multiplicities must be positive")
 
     def denominator_expanded(self) -> Poly:
-        den = Poly.constant(Fraction(2) ** self.two_exponent)
+        den = [2**self.two_exponent]
         for m, e in self.shift_factors:
-            den = den * (Poly.shift(m) ** e)
-        return den * self.residual
+            for _ in range(e):
+                _imul_linear(den, m)
+        return Poly(tuple(_imul(den, list(self.residual.coeffs))))
 
     def evaluate(self, nu: Rational | int) -> Rational:
         """Exact value at nu; raises PoleError at a denominator root."""
@@ -328,15 +273,6 @@ class FactoredRationalFn:
             raise PoleError(nu)
         return self.numerator.evaluate(nu) / den
 
-    def evaluate_float(self, nu: float) -> float:
-        den = 2.0 ** self.two_exponent
-        for m, e in self.shift_factors:
-            den *= (nu + m) ** e
-        den *= self.residual.evaluate_float(nu)
-        if den == 0.0:
-            raise PoleError(Fraction(nu))
-        return self.numerator.evaluate_float(nu) / den
-
     def to_json_dict(self) -> dict:
         """JSON form: coefficients as decimal strings, shifts as [m, e] pairs."""
         return {
@@ -346,26 +282,17 @@ class FactoredRationalFn:
             "residual": [str(c) for c in self.residual.int_coeffs()],
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FactoredRationalFn":
-        return cls(
-            numerator=Poly(tuple(int(s) for s in d["numerator"])),
-            two_exponent=int(d["two_exponent"]),
-            shift_factors=tuple((int(m), int(e)) for m, e in d["shift_factors"]),
-            residual=Poly(tuple(int(s) for s in d["residual"])),
-        )
-
-    def _den_parts_text(self) -> list[str]:
+    def _den_parts(self, var: str, pow_fmt: str, sign_fmt: str) -> list[str]:
         parts: list[str] = []
         if self.two_exponent == 1:
             parts.append("2")
         elif self.two_exponent > 1:
-            parts.append(f"2^{self.two_exponent}")
+            parts.append("2" + pow_fmt.format(self.two_exponent))
         for m, e in self.shift_factors:
-            base = f"(v+{m})"
-            parts.append(base if e == 1 else f"{base}^{e}")
+            base = f"({var}+{m})"
+            parts.append(base if e == 1 else base + pow_fmt.format(e))
         if self.residual != Poly.one():
-            parts.append(f"({poly_text(self.residual)})")
+            parts.append(f"({_poly_terms(self.residual, var, pow_fmt, sign_fmt)})")
         return parts
 
     def to_text(self) -> str:
@@ -373,7 +300,7 @@ class FactoredRationalFn:
         num = poly_text(self.numerator)
         if self.numerator.degree >= 1:
             num = f"({num})"
-        parts = self._den_parts_text()
+        parts = self._den_parts(*_TEXT)
         if not parts:
             return num
         return f"{num} / ({' '.join(parts)})"
@@ -381,16 +308,7 @@ class FactoredRationalFn:
     def to_latex(self) -> str:
         """LaTeX, e.g. '\\frac{1}{2^{4}(\\nu+1)^{2}(\\nu+2)}'."""
         num = poly_latex(self.numerator)
-        parts: list[str] = []
-        if self.two_exponent == 1:
-            parts.append("2")
-        elif self.two_exponent > 1:
-            parts.append(f"2^{{{self.two_exponent}}}")
-        for m, e in self.shift_factors:
-            base = f"(\\nu+{m})"
-            parts.append(base if e == 1 else f"{base}^{{{e}}}")
-        if self.residual != Poly.one():
-            parts.append(f"({poly_latex(self.residual)})")
+        parts = self._den_parts(*_LATEX)
         if not parts:
             return num
         return f"\\frac{{{num}}}{{{''.join(parts)}}}"

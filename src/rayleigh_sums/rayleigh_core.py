@@ -33,78 +33,27 @@ Every sigma(p, nu) is a ratio of integer polynomials in nu whose reduced
 denominator is 2**a * prod_{m=1}^{p} (nu+m)**e_m with e_m = floor(p/m) for
 every shift m (checked to p = 80 by the tests).
 
-The solvers work on raw integer coefficient lists (exactness is unaffected,
-Python ints are arbitrary precision) and convert to the Poly-based types at
-the boundary; profiling showed Fraction normalization dominating otherwise.
+The solver loops run on plain integer coefficient lists with the kernels
+of exact_algebra, multiplying by each (nu+m) in place, and wrap only their
+results in Poly, whose operators call the same kernels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .exact_algebra import FactoredRationalFn, Poly, Rational
-
-# ---------------------------------------------------------------------------
-# integer coefficient-list helpers (dense, trailing nonzero, [] == zero)
-
-
-def _istrip(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _iadd(a: list[int], b: list[int]) -> list[int]:
-    n = max(len(a), len(b))
-    return _istrip([
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-        for i in range(n)
-    ])
-
-
-def _imul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _istrip(out)
-
-
-def _iscale(a: list[int], c: int) -> list[int]:
-    return _istrip([c * x for x in a])
-
-
-def _isyndiv(a: list[int], m: int) -> list[int] | None:
-    """Quotient of a by (nu + m) if the division is exact, else None."""
-    q = [0] * (len(a) - 1)
-    rem = a[-1]
-    for i in range(len(a) - 2, -1, -1):
-        q[i] = rem
-        rem = a[i] - m * rem
-    if rem != 0:
-        return None
-    return _istrip(q)
-
-
-def _imul_linear(a: list[int], m: int) -> list[int]:
-    """Multiply a by (nu + m) in place and return it."""
-    if a:
-        a[:] = [m * x + y for x, y in zip(a + [0], [0] + a)]
-    return a
-
-
-def _igamma_ratio(upper: int, lower: int) -> list[int]:
-    """prod_{i=lower}^{upper-1}(nu+i) as an integer coefficient list."""
-    out = [1]
-    for i in range(lower, upper):
-        _imul_linear(out, i)
-    return out
-
+from .exact_algebra import (
+    FactoredRationalFn,
+    Poly,
+    Rational,
+    _iadd,
+    _igamma_ratio,
+    _imul,
+    _imul_linear,
+    _iscale,
+    _isyndiv,
+)
 
 # ---------------------------------------------------------------------------
 # ratio expansion
@@ -117,23 +66,12 @@ def q_max(p: int) -> int:
     return (p - 1) // 2 if p % 2 == 1 else (p - 2) // 2
 
 
-def gamma_ratio_poly(upper_shift: int, lower_shift: int) -> Poly:
-    """Gamma(nu+upper_shift)/Gamma(nu+lower_shift) as the exact polynomial
-    prod_{i=lower_shift}^{upper_shift-1}(nu+i); the empty product is 1."""
-    if lower_shift < 0 or upper_shift < lower_shift:
-        raise ValueError("not a polynomial: need upper_shift >= lower_shift >= 0")
-    out = Poly.one()
-    for i in range(lower_shift, upper_shift):
-        out = out * Poly.shift(i)
-    return out
-
-
 def ratio_coefficient(p: int, q: int) -> Poly:
     """Coefficient of (2/xi)**((p-1)-2q) in the ratio expansion, sign included."""
     if not 0 <= q <= q_max(p):
         raise ValueError(f"q={q} out of range 0..{q_max(p)} for p={p}")
     c = (-1) ** q * math.comb((p - 1) - q, q)
-    return gamma_ratio_poly(p - q, q + 1).scale(c)
+    return Poly(tuple(_iscale(_igamma_ratio(p - q, q + 1), c)))
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,6 @@ from .rayleigh_core import SigmaTable, derive_sigma, eval_sigma_exact
 
 PI_50 = "3.14159265358979323846264338327950288419716939937511"
 
-# classical cross-check values kept nowhere: the zeta module has no table of
-# its own, every value is computed from the sigma closed forms on demand
-
 
 def _trial_factor(n: int, bound: int = 10**6) -> tuple[tuple[int, int], ...]:
     """Factor n > 0 by trial division with primes <= bound; any remaining

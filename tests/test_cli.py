@@ -7,7 +7,6 @@ import sys
 import pytest
 
 from rayleigh_sums.cli import main
-from rayleigh_sums.exact_algebra import FactoredRationalFn
 
 from golden_forms import golden_frf
 
@@ -37,8 +36,7 @@ def test_derive_latex_p6(capsys):
 def test_derive_json_roundtrip(capsys):
     rc, out, _ = run(capsys, "derive", "--p", "7", "--format", "json")
     assert rc == 0
-    doc = json.loads(out)
-    assert FactoredRationalFn.from_json_dict(doc) == golden_frf(7)
+    assert json.loads(out) == golden_frf(7).to_json_dict()
 
 
 def test_derive_rejects_p0(capsys):
@@ -95,6 +93,33 @@ def test_verify_sigma_fail_on_impossible_tol(capsys):
     )
     assert rc == 1
     assert "result: FAIL" in out
+
+
+def test_verify_sigma_underflow_is_numeric_breakdown(capsys):
+    rc, out, err = run(capsys, "verify", "sigma", "--p", "40", "--nu", "1000000", "--terms", "2")
+    assert rc == 4
+    assert out == ""
+    assert err == "numeric breakdown: sigma(p=40, nu=1000000) underflows binary64\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zeros", "--nu", "inf", "--count", "2"),
+        ("zeros", "--nu", "nan", "--count", "2"),
+        ("verify", "residues", "--p", "1", "--nu", "nan"),
+        ("verify", "residues", "--p", "inf", "--nu", "0"),
+        ("verify", "ratio", "--p", "2", "--nu", "nan", "--k", "1"),
+        ("verify", "sigma", "--p", "1", "--nu", "1e400"),
+    ],
+    ids=["zeros-nu-inf", "zeros-nu-nan", "residues-nu-nan", "residues-p-inf",
+         "ratio-nu-nan", "sigma-nu-overflow"],
+)
+def test_out_of_range_float_inputs_are_usage_errors(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_verify_residues_pass(capsys):
@@ -181,63 +206,12 @@ def test_table_json(capsys):
     assert [d["p"] for d in doc] == [1, 2, 3]
     for d in doc:
         p = d.pop("p")
-        assert FactoredRationalFn.from_json_dict(d) == golden_frf(p)
-
-
-def test_cache_roundtrip_and_extension(capsys, tmp_path):
-    cache = tmp_path / "sigma.json"
-    rc, _, _ = run(capsys, "derive", "--p", "3", "--cache", str(cache))
-    assert rc == 0
-    first = cache.read_bytes()
-    doc = json.loads(first)
-    assert doc["format_version"] == 1
-    assert sorted(doc["entries"]) == ["1", "2", "3"]
-    # reuse without change is byte-stable
-    rc, _, _ = run(capsys, "derive", "--p", "3", "--cache", str(cache))
-    assert rc == 0
-    assert cache.read_bytes() == first
-    # extension keeps the old entries verbatim
-    rc, _, _ = run(capsys, "derive", "--p", "5", "--cache", str(cache))
-    assert rc == 0
-    doc5 = json.loads(cache.read_bytes())
-    assert sorted(doc5["entries"]) == ["1", "2", "3", "4", "5"]
-    for k, v in doc["entries"].items():
-        assert doc5["entries"][k] == v
-
-
-def test_cache_tamper_detected(capsys, tmp_path):
-    cache = tmp_path / "sigma.json"
-    run(capsys, "derive", "--p", "3", "--cache", str(cache))
-    doc = json.loads(cache.read_text())
-    doc["entries"]["2"]["numerator"] = ["7"]
-    cache.write_text(json.dumps(doc))
-    rc, _, err = run(capsys, "derive", "--p", "2", "--cache", str(cache))
-    assert rc == 4
-    assert "cache error:" in err
-    assert "differs from fresh derivation" in err
-
-
-def test_cache_bad_format_version(capsys, tmp_path):
-    cache = tmp_path / "sigma.json"
-    cache.write_text(json.dumps({"format_version": 99, "entries": {}}))
-    rc, _, err = run(capsys, "derive", "--p", "1", "--cache", str(cache))
-    assert rc == 4
-    assert "format_version" in err
-
-
-def test_cache_noncontiguous_rejected(capsys, tmp_path):
-    cache = tmp_path / "sigma.json"
-    run(capsys, "derive", "--p", "2", "--cache", str(cache))
-    doc = json.loads(cache.read_text())
-    del doc["entries"]["1"]
-    cache.write_text(json.dumps(doc))
-    rc, _, err = run(capsys, "derive", "--p", "2", "--cache", str(cache))
-    assert rc == 4
-    assert "contiguous" in err
+        assert d == golden_frf(p).to_json_dict()
 
 
 def test_unknown_arguments_are_usage_errors(capsys):
     assert run(capsys, "derive", "--p", "1", "--bogus")[0] == 2
+    assert run(capsys, "derive", "--p", "1", "--cache", "x")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys)[0] == 2
 

@@ -1,0 +1,34 @@
+"""Smoke tests: each script in scripts/ runs to completion on a small input."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("derive_table.py", "--pmax", "5"),
+        ("crosscheck_grid.py", "--pmax", "2", "--nu-list", "0,1/2", "--terms", "500"),
+        ("residue_scan.py", "--pairs", "1.5:0.25", "--doublings", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_script_runs(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
