@@ -54,6 +54,21 @@ def _require_finite(**values: float) -> None:
             raise UsageError(f"{name} must be finite, got {x}")
 
 
+def _require_tol(tol: float | None) -> None:
+    if tol is not None:
+        _require_finite(tol=tol)
+        if tol < 0:
+            raise UsageError(f"tol must be >= 0, got {tol}")
+
+
+def _to_binary64(p: int, nu: Fraction, exact: Fraction) -> float:
+    """float(exact) for sigma(p, nu) > 0, refusing a value that underflows."""
+    value = float(exact)
+    if value == 0.0:
+        raise NumericError(f"sigma(p={p}, nu={nu}) underflows binary64")
+    return value
+
+
 def _render(f: FactoredRationalFn, fmt: str) -> str:
     if fmt == "text":
         return f.to_text()
@@ -83,7 +98,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.exact:
         print(value)
     else:
-        print(repr(float(value)))
+        print(repr(_to_binary64(args.p, nu, value)))
     return EXIT_OK
 
 
@@ -92,6 +107,7 @@ def cmd_verify_sigma(args: argparse.Namespace) -> int:
         raise UsageError("p must be >= 1")
     if args.terms < 2:
         raise UsageError("terms must be >= 2")
+    _require_tol(args.tol)
     nu = _parse_rational(args.nu)
     if nu < 0:
         raise UsageError("nu must be >= 0")
@@ -100,9 +116,7 @@ def cmd_verify_sigma(args: argparse.Namespace) -> int:
     except OverflowError:
         raise UsageError(f"nu={args.nu} is out of binary64 range") from None
     exact = eval_sigma_exact(derive_sigma(SigmaTable(), args.p), nu)
-    exact_f = float(exact)
-    if exact_f == 0.0:
-        raise NumericError(f"sigma(p={args.p}, nu={nu}) underflows binary64")
+    exact_f = _to_binary64(args.p, nu, exact)
     zeros = bessel_zeros(nu_f, args.terms)
     ts = numeric_sigma(nu_f, float(args.p), zeros)
     residual = abs(ts.value - exact_f)
@@ -118,6 +132,7 @@ def cmd_verify_sigma(args: argparse.Namespace) -> int:
 
 def cmd_verify_residues(args: argparse.Namespace) -> int:
     _require_finite(p=args.p, nu=args.nu)
+    _require_tol(args.tol)
     if args.p <= 0:
         raise UsageError("p must be > 0")
     if args.nu < 0:
@@ -140,6 +155,7 @@ def cmd_verify_residues(args: argparse.Namespace) -> int:
 
 def cmd_verify_ratio(args: argparse.Namespace) -> int:
     _require_finite(nu=args.nu)
+    _require_tol(args.tol)
     if args.p < 1:
         raise UsageError("p must be >= 1")
     if args.nu < 0:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -61,6 +62,17 @@ def test_eval_float_mode(capsys):
     assert out == "0.25\n"
 
 
+def test_eval_float_underflow_is_numeric_breakdown(capsys):
+    for p, nu in (("40", "1000000"), ("60", "100000")):
+        rc, out, err = run(capsys, "eval", "--p", p, "--nu", nu)
+        assert rc == 4
+        assert out == ""
+        assert err == f"numeric breakdown: sigma(p={p}, nu={nu}) underflows binary64\n"
+    rc, out, _ = run(capsys, "eval", "--p", "40", "--nu", "1000000", "--exact")
+    assert rc == 0
+    assert 0 < Fraction(out) < 1e-300
+
+
 def test_eval_pole_exit_code(capsys):
     rc, out, err = run(capsys, "eval", "--p", "1", "--nu", "-1", "--exact")
     assert rc == 3
@@ -111,9 +123,16 @@ def test_verify_sigma_underflow_is_numeric_breakdown(capsys):
         ("verify", "residues", "--p", "inf", "--nu", "0"),
         ("verify", "ratio", "--p", "2", "--nu", "nan", "--k", "1"),
         ("verify", "sigma", "--p", "1", "--nu", "1e400"),
+        ("verify", "sigma", "--p", "1", "--nu", "0", "--tol", "nan"),
+        ("verify", "sigma", "--p", "1", "--nu", "0", "--tol", "-0.5"),
+        ("verify", "ratio", "--p", "2", "--nu", "0", "--tol", "nan"),
+        ("verify", "ratio", "--p", "2", "--nu", "0", "--tol", "inf"),
+        ("verify", "residues", "--p", "1", "--nu", "0", "--tol", "nan"),
+        ("verify", "residues", "--p", "1", "--nu", "0", "--tol=-inf"),
     ],
     ids=["zeros-nu-inf", "zeros-nu-nan", "residues-nu-nan", "residues-p-inf",
-         "ratio-nu-nan", "sigma-nu-overflow"],
+         "ratio-nu-nan", "sigma-nu-overflow", "sigma-tol-nan", "sigma-tol-negative",
+         "ratio-tol-nan", "ratio-tol-inf", "residues-tol-nan", "residues-tol-neginf"],
 )
 def test_out_of_range_float_inputs_are_usage_errors(capsys, argv):
     rc, out, err = run(capsys, *argv)

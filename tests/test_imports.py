@@ -1,0 +1,63 @@
+"""The exact subcommands run without numpy or scipy.
+
+The pytest process has numpy loaded already, so each check runs a fresh
+interpreter with PYTHONPATH=src and reads its sys.modules.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_PROBE = """
+import contextlib, io, json, sys
+import rayleigh_sums
+from rayleigh_sums import cli
+
+def loaded():
+    return sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+
+seen = {"import": loaded()}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    seen[" ".join(argv)] = loaded() if rc == 0 else f"exit {rc}"
+print(json.dumps(seen))
+"""
+
+
+def _loaded_after(*argvs: list[str]) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_exact_subcommands_load_neither_numpy_nor_scipy():
+    seen = _loaded_after(
+        ["derive", "--p", "6"],
+        ["eval", "--p", "9", "--nu", "27/10"],
+        ["eval", "--p", "3", "--nu", "1/2", "--exact"],
+        ["zeta", "--p", "7", "--float"],
+        ["table", "--pmax", "8", "--format", "json"],
+    )
+    assert seen == {stage: [] for stage in seen}
+    assert len(seen) == 6
+
+
+def test_zeros_loads_numpy_and_scipy():
+    # confirms the probe sees a lazy import when one happens
+    seen = _loaded_after(["zeros", "--nu", "0", "--count", "3"])
+    assert seen == {"import": [], "zeros --nu 0 --count 3": ["numpy", "scipy"]}
