@@ -81,12 +81,19 @@ def bessel_zeros(nu: float, count: int) -> ZeroSet:
     of pi/8, then polish with Newton iterations safeguarded by the bracket
     (the sign at the bracket's low end is pinned at scan time, so a step
     that leaves the open interval falls back to bisection without ever
-    re-testing the sign at a converged point). Large k: start from the
-    asymptotic spacing formula and run a fixed number of Newton steps,
-    which converges immediately since the seeds are within a few percent
-    of the spacing. Every zero is certified against
-    |J_nu(xi)| < 1e-12 * max(1, |J'_nu(xi)|) before the set is returned,
-    with J'_nu(x) = (nu/x) J_nu(x) - J_{nu+1}(x).
+    re-testing the sign at a converged point). An order so large that a
+    step of pi/8 no longer advances x raises NumericError. Large k: start
+    from McMahon's expansion and take Newton steps, at most 6, on each zero
+    only until its step |J/J'| is within half an ulp of x; the seeds are
+    within a few percent of the spacing, so 0 to 3 steps suffice. Each
+    zero's last evaluation certifies it against
+    |J_nu(xi)| < 1e-12 * max(1, |J'_nu(xi)|), with
+    J'_nu(x) = (nu/x) J_nu(x) - J_{nu+1}(x), and gives its accuracy
+    |J/J'| + 4 eps xi. Finally the index is checked: by Sturm comparison
+    the gaps xi_{k+1} - xi_k are non-increasing for nu > 1/2,
+    non-decreasing for nu < 1/2 and constant for nu = 1/2, so a gap that
+    breaks this beyond the zeros' accuracy means a skipped or repeated
+    zero and raises NumericError.
     """
     if nu < 0:
         raise NumericError(f"nu must be >= 0, got {nu}")
@@ -96,7 +103,6 @@ def bessel_zeros(nu: float, count: int) -> ZeroSet:
     from scipy.special import jv
 
     zeros = np.empty(count)
-    step_err = np.zeros(count)
     n_scan = min(count, max(10, int(math.ceil(nu)) + 5))
 
     # bracket the first n_scan zeros by scanning
@@ -112,6 +118,11 @@ def bessel_zeros(nu: float, count: int) -> ZeroSet:
                 f"no sign change up to x={x:.3f}"
             )
         x2 = x + step
+        if x2 == x:
+            raise NumericError(
+                f"cannot scan for zeros of J_{nu}: a step of pi/8 does not "
+                f"advance x={x:.6g} in binary64"
+            )
         f2 = float(jv(nu, x2))
         if f_prev == 0.0:
             found.append((x - step / 2.0, x + step / 2.0, float(jv(nu, x - step / 2.0))))
@@ -140,28 +151,57 @@ def bessel_zeros(nu: float, count: int) -> ZeroSet:
             xk = xn
         zeros[i] = xk
 
-    # remaining zeros from asymptotic seeds, polished in parallel
-    if count > n_scan:
-        ks = np.arange(n_scan + 1, count + 1, dtype=float)
-        xs = _mcmahon(nu, ks)
-        for _ in range(6):
-            f = jv(nu, xs)
-            d = (nu / xs) * f - jv(nu + 1, xs)
-            delta = f / d
-            xs = xs - delta
-        zeros[n_scan:] = xs
-        step_err[n_scan:] = np.abs(delta)
-
+    # remaining zeros from asymptotic seeds; one pass over the whole array
+    # gives every zero its J and J', then Newton moves only the seeds whose
+    # step would still exceed half an ulp
+    zeros[n_scan:] = _mcmahon(nu, np.arange(n_scan + 1, count + 1, dtype=float))
     f = jv(nu, zeros)
     d = (nu / zeros) * f - jv(nu + 1, zeros)
+    tail = slice(n_scan, count)
+    moving = np.flatnonzero(np.abs(f[tail]) > 0.5 * _EPS * zeros[tail] * np.abs(d[tail]))
+    moving += n_scan
+    for _ in range(6):
+        if moving.size == 0:
+            break
+        xs = zeros[moving] - f[moving] / d[moving]
+        fs = jv(nu, xs)
+        ds = (nu / xs) * fs - jv(nu + 1, xs)
+        zeros[moving], f[moving], d[moving] = xs, fs, ds
+        moving = moving[np.abs(fs) > 0.5 * _EPS * xs * np.abs(ds)]
+
     if not np.all(np.abs(f) < 1e-12 * np.maximum(1.0, np.abs(d))):
         worst = int(np.argmax(np.abs(f) / np.maximum(1.0, np.abs(d))))
         raise NumericError(
             f"zero {worst + 1} of J_{nu} failed certification: "
             f"|J|={abs(f[worst]):.3e} at x={zeros[worst]:.6f}"
         )
-    accuracy = np.abs(f / d) + step_err + 4.0 * _EPS * zeros
+    accuracy = np.abs(f / d) + 4.0 * _EPS * zeros
+    _check_gaps(nu, zeros, accuracy)
     return ZeroSet(nu=float(nu), zeros=zeros, accuracy=accuracy)
+
+
+def _check_gaps(nu: float, zeros: np.ndarray, accuracy: np.ndarray) -> None:
+    """Raise NumericError unless the gaps between consecutive zeros change
+    monotonically in the direction Sturm comparison fixes for this order,
+    to within a tolerance built from the accuracy of the three zeros that
+    define two neighbouring gaps."""
+    import numpy as np
+
+    gaps = np.diff(zeros)
+    change = np.diff(gaps)  # g_{k+1} - g_k
+    tol = 2.0 * (accuracy[:-2] + 2.0 * accuracy[1:-1] + accuracy[2:])
+    if nu > 0.5:
+        bad = change > tol
+    elif nu < 0.5:
+        bad = change < -tol
+    else:
+        bad = np.abs(change) > tol
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NumericError(
+            f"zero {k + 3} of J_{nu} failed the index check: gap "
+            f"{gaps[k + 1]:.6f} after {gaps[k]:.6f} at x={zeros[k + 2]:.6f}"
+        )
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ table. Text output is UTF-8, one result per line; closed forms render with
 'v' for nu in text mode and in display math in latex mode. Exit codes:
 0 success or verification pass, 1 verification failure, 2 usage error,
 3 evaluation at a pole, 4 numeric breakdown (a zero that cannot be
-certified, or an exact value that binary64 cannot carry).
+certified or indexed, or an exact value that binary64 cannot carry).
 """
 
 from __future__ import annotations
@@ -201,8 +201,8 @@ def cmd_zeros(args: argparse.Namespace) -> int:
     if not 1 <= args.digits <= 17:
         raise UsageError("digits must be in 1..17")
     zs = bessel_zeros(args.nu, args.count)
-    for z in zs.zeros:
-        print(f"{z:.{args.digits}f}")
+    digits = args.digits
+    sys.stdout.writelines(f"{z:.{digits}f}\n" for z in zs.zeros)
     return EXIT_OK
 
 

@@ -5,6 +5,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rayleigh_sums import (
     NumericError,
@@ -98,6 +101,56 @@ def test_zeros_match_mpmath_reference(zero_cache):
             got = zs.zeros[k - 1]
             assert abs(got - ref) < ZERO_ABS_TOL
             assert abs(got - ref) <= zs.accuracy[k - 1] + np.spacing(ref)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 2.7, 50.0])
+def test_zeros_match_mpmath_at_seam_and_end(zero_cache, nu):
+    count = 10**4
+    n_scan = max(10, math.ceil(nu) + 5)
+    zs = zero_cache(nu, count)
+    with mpmath.workdps(25):
+        for k in (n_scan, n_scan + 1, count):
+            ref = float(mpmath.besseljzero(mpmath.mpf(nu), k))
+            assert abs(zs.zeros[k - 1] - ref) <= zs.accuracy[k - 1] + np.spacing(ref)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 2.7, 50.0])
+def test_newton_stops_once_a_zero_has_converged(monkeypatch, nu):
+    # a fixed 6 Newton steps plus a certification pass evaluate J_nu and
+    # J_{nu+1} at 14 points per zero; polishing only the seeds that still
+    # move needs far fewer
+    jv = scipy.special.jv
+    points = 0
+
+    def counting_jv(order, x):
+        nonlocal points
+        points += np.size(x)
+        return jv(order, x)
+
+    monkeypatch.setattr(scipy.special, "jv", counting_jv)
+    count = 10**4
+    bessel_zeros(nu, count)
+    assert points <= 6 * count
+
+
+@settings(max_examples=25, deadline=None)
+@given(nu=st.floats(0.0, 300.0), count=st.integers(1, 2000))
+def test_gaps_are_monotone_in_the_sturm_direction(nu, count):
+    zs = bessel_zeros(nu, count)
+    change = np.diff(np.diff(zs.zeros))
+    tol = 8.0 * np.max(zs.accuracy)
+    if nu > 0.5:
+        assert np.all(change <= tol)
+    elif nu < 0.5:
+        assert np.all(change >= -tol)
+    else:
+        assert np.all(np.abs(change) <= tol)
+
+
+def test_mis_indexed_zeros_raise():
+    # McMahon seeds past the scan at nu = 1000 skip a zero from k = 1006 on
+    with pytest.raises(NumericError, match="zero 1006 of J_1000.0 failed the index check"):
+        bessel_zeros(1000.0, 1010)
 
 
 def test_accuracy_estimates_are_small(zero_cache):

@@ -209,6 +209,26 @@ def test_zeros_digit_control(capsys):
     assert rc == 2
 
 
+def test_zeros_out_of_reach_fail_loudly(capsys):
+    # zero 1006 of J_1000 would come back one index ahead; the gap check
+    # turns it into a numeric breakdown
+    rc, out, err = run(capsys, "zeros", "--nu", "1000", "--count", "1010")
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("numeric breakdown: zero 1006 of J_1000.0 failed the index check")
+    # at nu = 1e20 a scan step of pi/8 cannot advance x; in a subprocess so
+    # that a scan that never ends fails the test instead of hanging it
+    proc = subprocess.run(
+        [sys.executable, "-m", "rayleigh_sums", "zeros", "--nu", "1e20", "--count", "1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("numeric breakdown: cannot scan for zeros of J_1e+20")
+
+
 def test_table_text(capsys):
     rc, out, _ = run(capsys, "table", "--pmax", "3")
     assert rc == 0

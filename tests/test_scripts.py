@@ -16,16 +16,18 @@ ROOT = Path(__file__).resolve().parent.parent
         ("derive_table.py", "--pmax", "5"),
         ("crosscheck_grid.py", "--pmax", "2", "--nu-list", "0,1/2", "--terms", "500"),
         ("residue_scan.py", "--pairs", "1.5:0.25", "--doublings", "1"),
+        ("bench.py", "--repeats", "1", "--out", "{tmp}/bench.json"),
     ],
     ids=lambda argv: argv[0],
 )
-def test_script_runs(argv):
+def test_script_runs(argv, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    args = [a.format(tmp=tmp_path) for a in argv[1:]]
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *args],
         capture_output=True,
         text=True,
         env=env,
