@@ -9,7 +9,7 @@ Everything here is pure given its inputs; ZeroSet wraps numpy arrays that
 are treated as immutable after construction.
 
 numpy and scipy.special are imported at the top of the functions that use
-them, never inside a scan or Newton loop, so importing this module (and the
+them, never inside a Newton loop, so importing this module (and the
 package) loads neither: the exact routes, and with them the `derive`,
 `eval`, `zeta` and `table` subcommands, run on the standard library alone.
 """
@@ -30,7 +30,7 @@ _EPS = sys.float_info.epsilon
 
 
 class NumericError(RuntimeError):
-    """Numeric breakdown: bracketing failure, bad certification, bad input."""
+    """Numeric breakdown: bad seed, bad certification or index, bad input."""
 
 
 def bessel_j(order: float, x: float) -> float:
@@ -65,35 +65,67 @@ class ZeroSet:
         return len(self.zeros)
 
 
-def _mcmahon(nu: float, k) -> np.ndarray:
-    """Large-k zero approximation pi(k + nu/2 - 1/4) - (mu-1)/(8 beta)."""
+def _mcmahon(nu: float, k) -> tuple[np.ndarray, np.ndarray]:
+    """McMahon's large-k approximation to the k-th zero (DLMF 10.21.19),
+    beta - (mu-1)/(8 beta) with beta = pi(k + nu/2 - 1/4) and mu = 4 nu^2,
+    and the size of its next term, |4(mu-1)(7mu-31)| / (3 (8 beta)^3)."""
     import numpy as np
 
     mu = 4.0 * nu * nu
     beta = math.pi * (np.asarray(k, dtype=float) + nu / 2.0 - 0.25)
-    return beta - (mu - 1.0) / (8.0 * beta)
+    next_term = np.abs(4.0 * (mu - 1.0) * (7.0 * mu - 31.0)) / (3.0 * (8.0 * beta) ** 3)
+    return beta - (mu - 1.0) / (8.0 * beta), next_term
+
+
+def _seeds(nu: float, k: np.ndarray) -> np.ndarray:
+    """Starting points for the zeros of J_nu with indices k (ascending).
+
+    McMahon's expansion where nu <= 1 or its next term is below 1e-3;
+    elsewhere, which is a prefix of k since that term falls with k, the
+    leading term of Olver's uniform expansion (DLMF 10.20, 10.21(viii)):
+    nu z(zeta) with zeta = nu^(-2/3) a_k, a_k the k-th Airy zero from its
+    asymptotic series (DLMF 9.9.6). With q = sqrt(z^2 - 1), z solves
+    q - arctan q = w, w = (2/3)(-zeta)^(3/2), whose left side is convex and
+    increasing; Newton from q = (3w)^(1/3), below the root, crosses it in
+    one step and then falls onto it, to rounding in four steps.
+    """
+    import numpy as np
+
+    seeds, next_term = _mcmahon(nu, k)
+    if nu > 1.0:
+        n = int(np.count_nonzero(next_term >= 1e-3))
+        # (2/3)(-zeta)^(3/2) = (2/3) t T(t)^(3/2) / nu with a_k = -T(t),
+        # t = (3 pi/8)(4k - 1), and (2/3) t = pi(k - 1/4)
+        t2 = (3.0 * math.pi / 8.0 * (4.0 * k[:n] - 1.0)) ** -2
+        series = 1.0 + t2 * (5.0 / 48.0 + t2 * (-5.0 / 36.0 + t2 * (77125.0 / 82944.0)))
+        w = math.pi * (k[:n] - 0.25) * series**1.5 / nu
+        q = np.cbrt(3.0 * w)
+        for _ in range(4):
+            q -= (q - np.arctan(q) - w) * (1.0 + q * q) / (q * q)
+        seeds[:n] = nu * np.hypot(1.0, q)
+    return seeds
 
 
 def bessel_zeros(nu: float, count: int) -> ZeroSet:
     """First `count` positive zeros of J_nu.
 
-    Small k: bracket by scanning for sign changes from max(nu, 1) in steps
-    of pi/8, then polish with Newton iterations safeguarded by the bracket
-    (the sign at the bracket's low end is pinned at scan time, so a step
-    that leaves the open interval falls back to bisection without ever
-    re-testing the sign at a converged point). An order so large that a
-    step of pi/8 no longer advances x raises NumericError. Large k: start
-    from McMahon's expansion and take Newton steps, at most 6, on each zero
-    only until its step |J/J'| is within half an ulp of x; the seeds are
-    within a few percent of the spacing, so 0 to 3 steps suffice. Each
+    Every zero starts from an asymptotic seed (`_seeds`): McMahon's
+    expansion where it is accurate, the leading term of Olver's uniform
+    expansion elsewhere, both well within a quarter of the spacing of the
+    true zero. Newton steps, at most 6, polish each zero only until its
+    step |J/J'| is within half an ulp of x, typically 0 to 3 steps. Each
     zero's last evaluation certifies it against
     |J_nu(xi)| < 1e-12 * max(1, |J'_nu(xi)|), with
     J'_nu(x) = (nu/x) J_nu(x) - J_{nu+1}(x), and gives its accuracy
-    |J/J'| + 4 eps xi. Finally the index is checked: by Sturm comparison
-    the gaps xi_{k+1} - xi_k are non-increasing for nu > 1/2,
+    |J/J'| + 4 eps xi. Then the index is checked twice. By Sturm
+    comparison the gaps xi_{k+1} - xi_k are non-increasing for nu > 1/2,
     non-decreasing for nu < 1/2 and constant for nu = 1/2, so a gap that
     breaks this beyond the zeros' accuracy means a skipped or repeated
-    zero and raises NumericError.
+    zero. And since j_{nu,1} > nu (DLMF 10.21(i)), J_nu must stay positive
+    from max(nu, 1) up to xi_1, which one J_nu evaluation on a grid of step
+    pi/8 (less than any gap) confirms. Either failure, a seed that is not
+    finite, or an order so large that a step of pi/8 no longer advances x
+    in binary64, raises NumericError.
     """
     if nu < 0:
         raise NumericError(f"nu must be >= 0, got {nu}")
@@ -102,64 +134,16 @@ def bessel_zeros(nu: float, count: int) -> ZeroSet:
     import numpy as np
     from scipy.special import jv
 
-    zeros = np.empty(count)
-    n_scan = min(count, max(10, int(math.ceil(nu)) + 5))
+    with np.errstate(all="ignore"):  # an order past binary64 seeds inf or nan
+        zeros = _seeds(nu, np.arange(1, count + 1, dtype=float))
+    if not np.all(np.isfinite(zeros)):
+        raise NumericError(f"the zeros of J_{nu} cannot be seeded in binary64")
 
-    # bracket the first n_scan zeros by scanning
-    found: list[tuple[float, float, float]] = []
-    x = max(nu, 1.0)
-    step = math.pi / 8.0
-    f_prev = float(jv(nu, x))
-    limit = x + math.pi * (n_scan + nu / 2.0 + 4.0) + 16.0
-    while len(found) < n_scan:
-        if x > limit:
-            raise NumericError(
-                f"failed to bracket zero {len(found) + 1} of J_{nu}: "
-                f"no sign change up to x={x:.3f}"
-            )
-        x2 = x + step
-        if x2 == x:
-            raise NumericError(
-                f"cannot scan for zeros of J_{nu}: a step of pi/8 does not "
-                f"advance x={x:.6g} in binary64"
-            )
-        f2 = float(jv(nu, x2))
-        if f_prev == 0.0:
-            found.append((x - step / 2.0, x + step / 2.0, float(jv(nu, x - step / 2.0))))
-        elif f_prev * f2 < 0.0:
-            found.append((x, x2, f_prev))
-        x, f_prev = x2, f2
-
-    for i, (lo, hi, flo) in enumerate(found):
-        xk = 0.5 * (lo + hi)
-        for _ in range(80):
-            f = float(jv(nu, xk))
-            if f == 0.0:
-                break
-            if (f > 0.0) == (flo > 0.0):
-                lo = xk
-            else:
-                hi = xk
-            d = (nu / xk) * f - float(jv(nu + 1, xk))
-            xn = xk - f / d if d != 0.0 else 0.5 * (lo + hi)
-            if not (lo < xn < hi):
-                xn = 0.5 * (lo + hi)
-            # sub-ulp step: the iterate stopped moving at float resolution
-            if abs(xn - xk) <= 0.25 * _EPS * xk:
-                xk = xn
-                break
-            xk = xn
-        zeros[i] = xk
-
-    # remaining zeros from asymptotic seeds; one pass over the whole array
-    # gives every zero its J and J', then Newton moves only the seeds whose
-    # step would still exceed half an ulp
-    zeros[n_scan:] = _mcmahon(nu, np.arange(n_scan + 1, count + 1, dtype=float))
+    # one pass over the whole array gives every zero its J and J', then
+    # Newton moves only the seeds whose step would still exceed half an ulp
     f = jv(nu, zeros)
     d = (nu / zeros) * f - jv(nu + 1, zeros)
-    tail = slice(n_scan, count)
-    moving = np.flatnonzero(np.abs(f[tail]) > 0.5 * _EPS * zeros[tail] * np.abs(d[tail]))
-    moving += n_scan
+    moving = np.flatnonzero(np.abs(f) > 0.5 * _EPS * zeros * np.abs(d))
     for _ in range(6):
         if moving.size == 0:
             break
@@ -177,6 +161,23 @@ def bessel_zeros(nu: float, count: int) -> ZeroSet:
         )
     accuracy = np.abs(f / d) + 4.0 * _EPS * zeros
     _check_gaps(nu, zeros, accuracy)
+
+    x0 = max(nu, 1.0)
+    step = math.pi / 8.0
+    if x0 + step == x0:
+        raise NumericError(
+            f"cannot anchor the zeros of J_{nu}: a step of pi/8 does not "
+            f"advance x={x0:.6g} in binary64"
+        )
+    # the grid ends at least pi/16 short of xi_1, clear of the rounding of J there
+    grid = x0 + step * np.arange(math.ceil((zeros[0] - x0) / step - 0.5))
+    positive = jv(nu, grid) > 0.0
+    if not np.all(positive):
+        x = grid[np.argmin(positive)]
+        raise NumericError(
+            f"zero 1 of J_{nu} failed the index check: J_nu is not positive "
+            f"at x={x:.6f} below it"
+        )
     return ZeroSet(nu=float(nu), zeros=zeros, accuracy=accuracy)
 
 
@@ -240,14 +241,11 @@ def numeric_sigma(nu: float, p: float, zeros: ZeroSet, tail_terms: int = 2000) -
     partial = math.fsum(z ** (-2.0 * p))
     big_k = len(z)
     c = nu / 2.0 - 0.25
-    mu = 4.0 * nu * nu
 
     ks = np.arange(big_k + 1, big_k + tail_terms + 1, dtype=float)
-    beta = math.pi * (ks + c)
-    xt = _mcmahon(nu, ks)
+    xt, delta = _mcmahon(nu, ks)
     explicit = math.fsum(xt ** (-2.0 * p))
     # error allowance: next asymptotic correction, propagated through x**(-2p)
-    delta = np.abs(4.0 * (mu - 1.0) * (7.0 * mu - 31.0)) / (3.0 * (8.0 * beta) ** 3)
     allowance = float(np.sum(2.0 * p * xt ** (-2.0 * p - 1.0) * delta))
 
     n_rest = big_k + tail_terms

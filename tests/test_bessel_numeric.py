@@ -13,6 +13,7 @@ from rayleigh_sums import (
     NumericError,
     ZeroSet,
     bessel_j,
+    bessel_numeric,
     bessel_zeros,
     numeric_sigma,
     ratio_at_zero,
@@ -21,6 +22,8 @@ from rayleigh_sums import (
     verify_ratio_formula,
     verify_residue_identity,
 )
+
+from rayleigh_sums.bessel_numeric import _check_gaps, _mcmahon, _seeds
 
 from golden_forms import J0_ZEROS, SIGMA9_AT_0, ZERO_ABS_TOL
 
@@ -103,15 +106,47 @@ def test_zeros_match_mpmath_reference(zero_cache):
             assert abs(got - ref) <= zs.accuracy[k - 1] + np.spacing(ref)
 
 
-@pytest.mark.parametrize("nu", [0.0, 0.5, 2.7, 50.0])
+def _dense_zeros(nu, ks):
+    """Reference zeros of J_nu with indices ks: count the sign changes of
+    J_nu on a grid of step pi/32 from max(nu, 1), then bisect each bracket
+    to rounding. Neither the seeds nor Newton enter it."""
+    kmax = max(ks)
+    x = np.arange(max(nu, 1.0), math.pi * (kmax + nu / 2.0 + 1.0) + 2.0, math.pi / 32.0)
+    f = scipy.special.jv(nu, x)
+    brackets = np.flatnonzero(np.signbit(f[:-1]) != np.signbit(f[1:]))
+    assert len(brackets) >= kmax
+    idx = brackets[np.asarray(ks) - 1]
+    lo, hi, flo = x[idx], x[idx + 1], f[idx]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        same = np.signbit(scipy.special.jv(nu, mid)) == np.signbit(flo)
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _switch_index(nu, count):
+    """Number of leading zeros seeded by the uniform expansion, not McMahon's."""
+    ks = np.arange(1, count + 1, dtype=float)
+    return int(np.count_nonzero(_seeds(nu, ks) != _mcmahon(nu, ks)[0]))
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 2.7, 50.0, 200.0, 600.0, 1000.0])
 def test_zeros_match_mpmath_at_seam_and_end(zero_cache, nu):
-    count = 10**4
-    n_scan = max(10, math.ceil(nu) + 5)
+    # k = 1, the last uniform seed and the first McMahon seed after it, and
+    # the last zero; mpmath at k <= 2, the dense-grid reference everywhere
+    # (mpmath's besseljzero takes minutes at nu = 600)
+    count = {200.0: 3000, 600.0: 11000, 1000.0: 21000}.get(nu, 10**4)
+    n = _switch_index(nu, count)
+    assert (n == 0) == (nu <= 1.0) and n < count
     zs = zero_cache(nu, count)
+    ks = sorted({1, 2, max(n, 1), n + 1, count})
     with mpmath.workdps(25):
-        for k in (n_scan, n_scan + 1, count):
-            ref = float(mpmath.besseljzero(mpmath.mpf(nu), k))
+        for k in (1, 2):
+            ref = float(mpmath.findroot(lambda x: mpmath.besselj(nu, x), zs.zeros[k - 1]))
             assert abs(zs.zeros[k - 1] - ref) <= zs.accuracy[k - 1] + np.spacing(ref)
+    got = zs.zeros[np.asarray(ks) - 1]
+    ref = _dense_zeros(nu, ks)
+    assert np.all(np.abs(got - ref) <= zs.accuracy[np.asarray(ks) - 1] + 2 * np.spacing(ref))
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 2.7, 50.0])
@@ -148,9 +183,21 @@ def test_gaps_are_monotone_in_the_sturm_direction(nu, count):
 
 
 def test_mis_indexed_zeros_raise():
-    # McMahon seeds past the scan at nu = 1000 skip a zero from k = 1006 on
-    with pytest.raises(NumericError, match="zero 1006 of J_1000.0 failed the index check"):
-        bessel_zeros(1000.0, 1010)
+    # a set with zero 10 missing has one gap of about 2 pi among gaps of pi
+    zs = bessel_zeros(1000.0, 1010)
+    keep = np.arange(1010) != 9
+    with pytest.raises(NumericError, match="zero 10 of J_1000.0 failed the index check"):
+        _check_gaps(1000.0, zs.zeros[keep], zs.accuracy[keep])
+
+
+def test_first_zero_is_anchored(monkeypatch):
+    # seeds one index ahead give a set that passes certification and the gap
+    # check, but J_nu changes sign below its first zero
+    seeds = bessel_numeric._seeds
+    monkeypatch.setattr(bessel_numeric, "_seeds", lambda nu, k: seeds(nu, k + 1))
+    for nu in (0.0, 2.7, 1000.0):
+        with pytest.raises(NumericError, match=f"zero 1 of J_{nu} failed the index check"):
+            bessel_zeros(nu, 20)
 
 
 def test_accuracy_estimates_are_small(zero_cache):
