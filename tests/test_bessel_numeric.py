@@ -30,6 +30,10 @@ from golden_forms import J0_ZEROS, SIGMA9_AT_0, ZERO_ABS_TOL
 
 def test_bessel_j_near_origin():
     assert abs(bessel_j(0, 1e-8) - 1.0) < 1e-15
+    # below 1e-150, where Miller's recurrence would overflow, J is its first series term
+    assert bessel_j(0, 1e-300) == 1.0
+    assert bessel_j(1, 1e-300) == pytest.approx(5e-301, rel=1e-15)
+    assert bessel_j(0.5, 1e-149) == pytest.approx(math.sqrt(2e-149 / math.pi), rel=1e-14)
 
 
 def test_bessel_j_at_first_zero():
@@ -149,23 +153,72 @@ def test_zeros_match_mpmath_at_seam_and_end(zero_cache, nu):
     assert np.all(np.abs(got - ref) <= zs.accuracy[np.asarray(ks) - 1] + 2 * np.spacing(ref))
 
 
-@pytest.mark.parametrize("nu", [0.0, 0.5, 2.7, 50.0])
+@pytest.mark.parametrize("nu", [0.0, 0.5, 2.7, 50.0, 600.0, 1000.0])
 def test_newton_stops_once_a_zero_has_converged(monkeypatch, nu):
-    # a fixed 6 Newton steps plus a certification pass evaluate J_nu and
-    # J_{nu+1} at 14 points per zero; polishing only the seeds that still
-    # move needs far fewer
-    jv = scipy.special.jv
+    # a fixed 6 Newton steps plus a certification pass evaluate the pair
+    # J_nu, J_{nu+1} at 7 points per zero; polishing only the seeds that
+    # still move needs at most 3, the anchor grid included, also at large nu
+    jv_pair = bessel_numeric._jv_pair
     points = 0
 
-    def counting_jv(order, x):
+    def counting_jv_pair(mu, x):
         nonlocal points
         points += np.size(x)
-        return jv(order, x)
+        return jv_pair(mu, x)
 
-    monkeypatch.setattr(scipy.special, "jv", counting_jv)
+    monkeypatch.setattr(bessel_numeric, "_jv_pair", counting_jv_pair)
     count = 10**4
     bessel_zeros(nu, count)
-    assert points <= 6 * count
+    assert count <= points <= 3 * count
+
+
+# the six orders of perfbench's NU_SET, and two large ones
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.7, 10.0, 50.0, 200.0, 1000.0])
+def test_zeros_do_not_depend_on_the_count(zero_cache, nu):
+    first = bessel_zeros(nu, 3).zeros
+    assert np.array_equal(bessel_zeros(nu, 300).zeros[:3], first)
+    assert np.array_equal(zero_cache(nu, 10**4).zeros[:3], first)
+
+
+def _kernel_error(mu, xs):
+    """Worst error of _jv_pair(mu, xs) against mpmath, in units of eps times
+    the envelope sqrt(J_mu(x)^2 + J_{mu+1}(x)^2) at each x. Also checks that
+    each value is the one the kernel gives for its x alone."""
+    xs = np.asarray(xs, dtype=float)
+    ja, jb = bessel_numeric._jv_pair(mu, xs)
+    worst = 0.0
+    with mpmath.workdps(30):
+        for i, x in enumerate(xs):
+            alone = bessel_numeric._jv_pair(mu, xs[i : i + 1])
+            assert (alone[0][0], alone[1][0]) == (ja[i], jb[i])
+            ra, rb = mpmath.besselj(mu, x), mpmath.besselj(mu + 1, x)
+            err = max(abs(ja[i] - float(ra)), abs(jb[i] - float(rb)))
+            worst = max(worst, err / (np.finfo(float).eps * float(mpmath.hypot(ra, rb))))
+    return worst
+
+
+# the orders of perfbench's NU_SET
+_NU_SET = (0.0, 0.5, 1.0, 2.7, 10.0, 50.0)
+
+
+def test_jv_pair_matches_mpmath_in_every_regime():
+    # measured worst: 7.6 (Miller), 5.5 (Hankel), 4.8 (order above x), 46 (x ~ nu = 1000)
+    for mu in _NU_SET:
+        assert _kernel_error(mu, [0.1, 1.0, 2.5, 7.0, 15.0, 29.9]) < 16.0  # Miller
+        assert _kernel_error(mu, [30.0, 55.0, 100.0, 1000.3, 10000.7]) < 16.0  # Hankel
+    # order above x, as for J_{nu+p} at the first zeros in `verify residues --p 20`
+    for mu, xs in ((20.0, [2.4, 5.5, 8.7]), (22.7, [5.0, 8.6, 11.7]), (60.0, [35.0, 45.0, 59.0])):
+        assert _kernel_error(mu, xs) < 16.0
+    near = 1000.0 + np.array([-100.0, -10.0, 0.0, 1.0, 5.0, 10.0, 18.66, 40.0, 100.0])
+    assert _kernel_error(1000.0, near) < 64.0
+
+
+def test_first_zeros_are_within_an_ulp_of_mpmath():
+    with mpmath.workdps(30):
+        for nu in _NU_SET:
+            got = bessel_zeros(nu, 3).zeros
+            ref = [float(mpmath.besseljzero(mpmath.mpf(nu), k)) for k in (1, 2, 3)]
+            assert np.all(np.abs(got - ref) <= np.spacing(ref)), nu
 
 
 @settings(max_examples=25, deadline=None)

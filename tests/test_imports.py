@@ -1,4 +1,5 @@
-"""The exact subcommands run without numpy or scipy.
+"""The exact subcommands run without numpy or scipy, and the numeric ones
+without scipy below the order cap of the numpy Bessel kernel.
 
 The pytest process has numpy loaded already, so each check runs a fresh
 interpreter with PYTHONPATH=src and reads its sys.modules.
@@ -9,6 +10,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from rayleigh_sums import bessel_numeric
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,6 +61,17 @@ def test_exact_subcommands_load_neither_numpy_nor_scipy():
 
 
 def test_zeros_loads_numpy_and_scipy():
-    # confirms the probe sees a lazy import when one happens
-    seen = _loaded_after(["zeros", "--nu", "0", "--count", "3"])
-    assert seen == {"import": [], "zeros --nu 0 --count 3": ["numpy", "scipy"]}
+    # numpy for any zero, scipy only for an order above the kernel's cap;
+    # this also confirms the probe sees a lazy import when one happens
+    assert bessel_numeric._JV_ORDER_CAP < 6000
+    seen = _loaded_after(
+        ["zeros", "--nu", "0", "--count", "3"],
+        ["verify", "residues", "--p", "1.5", "--nu", "2.7", "--terms", "100"],
+        ["zeros", "--nu", "6000", "--count", "3"],
+    )
+    assert seen == {
+        "import": [],
+        "zeros --nu 0 --count 3": ["numpy"],
+        "verify residues --p 1.5 --nu 2.7 --terms 100": ["numpy"],
+        "zeros --nu 6000 --count 3": ["numpy", "scipy"],
+    }
