@@ -25,6 +25,7 @@ from .rayleigh_core import (
     q_max,
     ratio_by_recurrence,
     ratio_coefficient,
+    sigma_value,
     sums_identity_defect,
 )
 from .bessel_numeric import (
@@ -72,6 +73,7 @@ __all__ = [
     "ratio_coefficient",
     "residue_identity_lhs",
     "residue_tail_scale",
+    "sigma_value",
     "spherical_sigma",
     "sums_identity_defect",
     "verify_ratio_formula",

@@ -18,9 +18,9 @@ to a Gamma-function constant:
 Each new p introduces exactly one new unknown, so the system is triangular
 and solves iteratively (derive_sigma_triangular). That solve is kept as the
 reproduced method and as the oracle of the tests. derive_sigma, which the
-CLI, zeta and the scripts call, fills the same table with Kishore's
-convolution recurrence (N. Kishore, "The Rayleigh function", Proc. AMS 14
-(1963) 527-533),
+`derive` and `table` subcommands and the scripts call, fills the same table
+with Kishore's convolution recurrence (N. Kishore, "The Rayleigh function",
+Proc. AMS 14 (1963) 527-533),
 
     (nu+n) sigma(n, nu) = sum_{k=1}^{n-1} sigma(k, nu) sigma(n-k, nu),
 
@@ -28,6 +28,12 @@ because it is the faster route: each entry is one sum of floor(n/2)
 products of lower numerators, and the table to p = 60 takes under a fifth of
 the triangular solve's time. Both routes end in one normalisation, so their
 forms are identical.
+
+A value at one rational nu needs no closed form: sigma_value runs the same
+recurrence on exact integers, which is what `eval`, `verify sigma` and zeta
+use. At p = 60 that takes about 2 ms where deriving the form (degree 142,
+186-digit coefficients) and evaluating it takes about 270 ms (2-core
+x86-64, Python 3.11).
 
 Every sigma(p, nu) is a ratio of integer polynomials in nu whose reduced
 denominator is 2**a * prod_{m=1}^{p} (nu+m)**e_m with e_m = floor(p/m) for
@@ -42,9 +48,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .exact_algebra import (
     FactoredRationalFn,
+    PoleError,
     Poly,
     Rational,
     _iadd,
@@ -201,8 +209,8 @@ def derive_sigma(table: SigmaTable, p: int) -> FactoredRationalFn:
         (nu+n) sigma(n) = sum_{k=1}^{n-1} sigma(k) sigma(n-k),
         sigma(1) = 1 / (4(nu+1)).
 
-    This is the route `derive`, `table`, `eval` and `zeta` run, because it
-    is the faster one: each new entry is one sum of floor(n/2) numerator
+    This is the route `derive` and `table` run, because it is the faster
+    one: each new entry is one sum of floor(n/2) numerator
     products (the off-diagonal ones doubled) over a common factored
     denominator. The paper's triangular solve is kept as
     derive_sigma_triangular, the reproduced method and the test oracle. Both
@@ -316,8 +324,62 @@ def derive_sigma_triangular(table: SigmaTable, p: int) -> FactoredRationalFn:
 
 
 def eval_sigma_exact(f: FactoredRationalFn, nu: Rational | int) -> Rational:
-    """Exact rational value of a derived closed form at nu (PoleError at poles)."""
+    """Exact rational value of a derived closed form at nu (PoleError at
+    poles). The tests use it on derive_sigma's forms as the oracle for
+    sigma_value."""
     return f.evaluate(nu)
+
+
+def sigma_value(p: int, nu: Rational | int) -> Rational:
+    """Exact sigma(p, nu) at one rational nu, without deriving its closed form.
+
+    Runs Kishore's recurrence, sigma(1) = 1 / (4(nu+1)) and
+    (nu+n) sigma(n) = sum_{k=1}^{n-1} sigma(k) sigma(n-k), on exact scalars.
+    With nu = a/b in lowest terms and c_m = a + m b = b (nu+m),
+
+        sigma(n) = b**n x_n / (4**n prod_{m<=n} c_m**floor(n/m))
+
+    with integer x_n: x_1 = 1, and x_n is b times the sum over k <= n-k of
+    x_k x_{n-k} (doubled unless k == n-k) times the product of the c_m,
+    m < n, with floor(n/m) > floor(k/m) + floor((n-k)/m), which is term k's
+    share of the common denominator. Above n/2 those m are exactly
+    n-k < m < n, a product that grows by one factor from k to k+1. So the
+    loop runs on integers and only the result is reduced, 3 to 5 times
+    faster than the same recurrence on Fractions, whose every operation
+    takes a gcd.
+
+    Raises PoleError(nu) when c_n == 0 for some n <= p, i.e. exactly at the
+    poles nu in {-1..-p} of the closed form, whose every shift (nu+m),
+    m <= p, keeps exponent floor(p/m) >= 1.
+    """
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    nu = Fraction(nu)
+    a, b = nu.numerator, nu.denominator
+    c = [a + m * b for m in range(p + 1)]
+    x = [0]
+    for n in range(1, p + 1):
+        if c[n] == 0:
+            raise PoleError(nu)
+        if n == 1:
+            x.append(1)
+            continue
+        total = 0
+        upper = 1  # the shifts of term k's share above n/2: n-k < m < n
+        for k in range(1, n // 2 + 1):
+            if k > 1:
+                upper *= c[n - k + 1]
+            share = upper
+            for m in range(2, n // 2 + 1):
+                if n // m > k // m + (n - k) // m:
+                    share *= c[m]
+            term = x[k] * x[n - k] * share
+            total += term if 2 * k == n else 2 * term
+        x.append(b * total)
+    den = 4**p
+    for m in range(1, p + 1):
+        den *= c[m] ** (p // m)
+    return Fraction(b**p * x[p], den)
 
 
 def sums_identity_defect(table: SigmaTable, p: int) -> Poly:

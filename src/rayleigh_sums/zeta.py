@@ -1,9 +1,12 @@
 """Exact even-argument Riemann zeta values.
 
-The zeros of J_{1/2} are exactly k*pi, so specializing the closed form at
-nu = 1/2 turns the zero sum into zeta(2p)/pi**(2p):
+The zeros of J_{1/2} are exactly k*pi, so specializing sigma at nu = 1/2
+turns the zero sum into zeta(2p)/pi**(2p):
 
     zeta(2p) = pi**(2p) * sigma(p, 1/2).
+
+Both specializations take the exact value at the one nu they need from
+rayleigh_core.sigma_value, so no closed form is derived here.
 
 The half-integer shift likewise converts sigma into zero sums of the
 spherical Bessel functions j_nu, whose zeros are those of J_{nu+1/2}.
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_algebra import Rational
-from .rayleigh_core import SigmaTable, derive_sigma, eval_sigma_exact
+from .rayleigh_core import SigmaTable, sigma_value
 
 PI_50 = "3.14159265358979323846264338327950288419716939937511"
 
@@ -70,9 +73,13 @@ class ZetaValue:
             raise ValueError("factored denominator does not re-multiply")
 
 
-def zeta_even(p: int, table: SigmaTable) -> ZetaValue:
-    """Exact zeta(2p) from the closed form at nu = 1/2."""
-    coeff = eval_sigma_exact(derive_sigma(table, p), Fraction(1, 2))
+def zeta_even(p: int, table: SigmaTable | None = None) -> ZetaValue:
+    """Exact zeta(2p) from sigma(p, 1/2), by sigma_value.
+
+    `table` is ignored: it is accepted only because callers written when
+    zeta_even read the closed form from a table (the acceptance tests
+    among them) still pass one."""
+    coeff = sigma_value(p, Fraction(1, 2))
     return ZetaValue(
         two_p=2 * p,
         coefficient=coeff,
@@ -80,10 +87,11 @@ def zeta_even(p: int, table: SigmaTable) -> ZetaValue:
     )
 
 
-def spherical_sigma(p: int, nu: Rational, table: SigmaTable) -> Rational:
+def spherical_sigma(p: int, nu: Rational) -> Rational:
     """sum_k of the inverse 2p-th powers of the zeros of the spherical
-    Bessel function j_nu, via the shift sigma(p, nu + 1/2)."""
-    return eval_sigma_exact(derive_sigma(table, p), Fraction(nu) + Fraction(1, 2))
+    Bessel function j_nu, via the shift sigma(p, nu + 1/2) by sigma_value
+    (PoleError where nu + 1/2 is in {-1..-p})."""
+    return sigma_value(p, Fraction(nu) + Fraction(1, 2))
 
 
 def zeta_float_str(z: ZetaValue, digits: int = 30) -> str:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from rayleigh_sums import SigmaTable, bessel_numeric, cli, derive_sigma, eval_sigma_exact, zeta
 from rayleigh_sums.cli import main
 
 from golden_forms import golden_frf
@@ -79,6 +80,30 @@ def test_eval_pole_exit_code(capsys):
     assert err == "pole at nu=-1\n"
 
 
+def test_point_values_do_not_derive_closed_forms(capsys, monkeypatch):
+    # eval, zeta and verify sigma need sigma at one nu; their lines must
+    # still be the ones the derived closed forms give
+    table = SigmaTable()
+    derive_sigma(table, 60)
+    s60 = eval_sigma_exact(table[60], Fraction(17, 3))
+    z40 = eval_sigma_exact(table[40], Fraction(1, 2))
+    s25 = eval_sigma_exact(table[25], Fraction(27, 10))
+
+    def refuse(*_):
+        raise AssertionError("derive_sigma called")
+
+    for module in (cli, zeta):
+        monkeypatch.setattr(module, "derive_sigma", refuse, raising=False)
+    assert run(capsys, "eval", "--p", "60", "--nu", "17/3", "--exact") == (0, f"{s60}\n", "")
+    assert run(capsys, "eval", "--p", "60", "--nu", "17/3") == (0, f"{float(s60)!r}\n", "")
+    z80 = zeta.ZetaValue(80, z40, zeta._trial_factor(z40.denominator))
+    assert run(capsys, "zeta", "--p", "40") == (0, cli._format_zeta(z80) + "\n", "")
+    rc, out, _ = run(capsys, "verify", "sigma", "--p", "25", "--nu", "2.7", "--terms", "300")
+    assert rc == 0
+    assert out.splitlines()[0] == f"lhs = {float(s25)!r} (exact {s25})"
+    assert run(capsys, "eval", "--p", "5", "--nu", "-5", "--exact") == (3, "", "pole at nu=-5\n")
+
+
 def test_eval_rejects_bad_nu(capsys):
     rc, _, err = run(capsys, "eval", "--p", "1", "--nu", "abc", "--exact")
     assert rc == 2
@@ -148,6 +173,23 @@ def test_verify_residues_pass(capsys):
     assert rc == 0
     assert "converging = True" in out
     assert "result: PASS" in out
+
+
+def test_verify_residues_allows_for_rounding(capsys, monkeypatch):
+    # at p = 20 the tail scale is 1.7e-78 against lhs 2e-28, so only the
+    # rounding allowance (6e-13 relative here) separates a correct sum, off
+    # by 2.7e-15, from one whose lhs is off by 1e-12
+    argv = ("verify", "residues", "--p", "20", "--nu", "2.7", "--terms", "2000")
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert "result: PASS" in out
+    lhs = bessel_numeric.residue_identity_lhs
+    monkeypatch.setattr(
+        bessel_numeric, "residue_identity_lhs", lambda nu, p: lhs(nu, p) * (1.0 + 1e-12)
+    )
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 1
+    assert "result: FAIL" in out
 
 
 def test_verify_ratio_pass(capsys):

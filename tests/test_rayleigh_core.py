@@ -21,6 +21,7 @@ from rayleigh_sums import (
     q_max,
     ratio_by_recurrence,
     ratio_coefficient,
+    sigma_value,
     sums_identity_defect,
 )
 
@@ -209,3 +210,31 @@ def test_residue_identity_holds_exactly_to_p80(table80, nu):
 def test_denominator_exponents_are_floor_p_over_m_to_p80(table80):
     for p in range(1, 81):
         assert dict(table80[p].shift_factors) == {m: p // m for m in range(1, p + 1)}, p
+
+
+@pytest.mark.parametrize(
+    "nu", [Fraction(0), Fraction(1, 2), Fraction(27, 10), Fraction(359, 7), Fraction(-7, 3),
+           Fraction(-61)],
+)
+def test_sigma_value_matches_closed_forms_to_p60(table80, nu):
+    # sigma_value never builds a form; the derived closed forms are its oracle
+    for p in range(1, 61):
+        assert sigma_value(p, nu) == eval_sigma_exact(table80[p], nu), p
+
+
+def test_sigma_value_poles_are_exactly_minus_1_to_minus_p(table80):
+    for p in range(1, 31):
+        for m in range(1, p + 4):
+            if m <= p:
+                with pytest.raises(PoleError) as e:
+                    sigma_value(p, -m)
+                assert e.value.nu == -m
+                with pytest.raises(PoleError):
+                    eval_sigma_exact(table80[p], -m)
+            else:
+                assert sigma_value(p, -m) == eval_sigma_exact(table80[p], -m)
+
+
+def test_sigma_value_rejects_p0():
+    with pytest.raises(ValueError):
+        sigma_value(0, Fraction(1, 2))

@@ -21,21 +21,21 @@ from golden_forms import ZETA12_FACTORS, ZETA14_FACTORS, ZETA_COEFF
 
 
 @pytest.mark.parametrize("p", sorted(ZETA_COEFF))
-def test_zeta_even_coefficients(p, table15):
-    z = zeta_even(p, table15)
+def test_zeta_even_coefficients(p):
+    z = zeta_even(p)
     assert z.two_p == 2 * p
     assert z.coefficient == ZETA_COEFF[p]
 
 
-def test_zeta_even_factored_denominators(table15):
-    assert zeta_even(1, table15).factored_denominator == ((2, 1), (3, 1))
-    assert zeta_even(6, table15).factored_denominator == ZETA12_FACTORS
-    assert zeta_even(7, table15).factored_denominator == ZETA14_FACTORS
+def test_zeta_even_factored_denominators():
+    assert zeta_even(1).factored_denominator == ((2, 1), (3, 1))
+    assert zeta_even(6).factored_denominator == ZETA12_FACTORS
+    assert zeta_even(7).factored_denominator == ZETA14_FACTORS
 
 
-def test_factored_denominator_remultiplies(table15):
+def test_factored_denominator_remultiplies():
     for p in range(1, 13):
-        z = zeta_even(p, table15)
+        z = zeta_even(p)
         prod = 1
         for prime, e in z.factored_denominator:
             assert prime > 1 and e >= 1
@@ -45,43 +45,43 @@ def test_factored_denominator_remultiplies(table15):
         assert primes == sorted(primes)
 
 
-def test_zeta_decreases_toward_one(table15):
-    vals = [float(zeta_even(p, table15).coefficient) * math.pi ** (2 * p) for p in range(1, 11)]
+def test_zeta_decreases_toward_one():
+    vals = [float(zeta_even(p).coefficient) * math.pi ** (2 * p) for p in range(1, 11)]
     assert all(v > 1.0 for v in vals)
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert vals[-1] - 1.0 < 1e-6
 
 
-def test_zeta_against_numeric_sigma(table15, zero_cache):
+def test_zeta_against_numeric_sigma(zero_cache):
     zs = zero_cache(0.5, 10**4)
     for p in range(1, 6):
-        exact = float(zeta_even(p, table15).coefficient) * math.pi ** (2 * p)
+        exact = float(zeta_even(p).coefficient) * math.pi ** (2 * p)
         numeric = numeric_sigma(0.5, p, zs).value * math.pi ** (2 * p)
         assert abs(exact - numeric) < 1e-10 * exact
 
 
-def test_spherical_sigma_values(table15):
-    assert spherical_sigma(1, Fraction(0), table15) == Fraction(1, 6)
-    assert spherical_sigma(2, Fraction(0), table15) == Fraction(1, 90)
-    assert spherical_sigma(1, Fraction(1, 2), table15) == Fraction(1, 8)
+def test_spherical_sigma_values():
+    assert spherical_sigma(1, Fraction(0)) == Fraction(1, 6)
+    assert spherical_sigma(2, Fraction(0)) == Fraction(1, 90)
+    assert spherical_sigma(1, Fraction(1, 2)) == Fraction(1, 8)
 
 
-def test_spherical_sigma_pole(table15):
+def test_spherical_sigma_pole():
     with pytest.raises(PoleError):
-        spherical_sigma(1, Fraction(-3, 2), table15)
+        spherical_sigma(1, Fraction(-3, 2))
 
 
-def test_zeta_float_str_thirty_digits(table15):
-    z = zeta_even(1, table15)
+def test_zeta_float_str_thirty_digits():
+    z = zeta_even(1)
     assert zeta_float_str(z, 30) == "1.64493406684822643647241516665"
 
 
-def test_zeta_float_str_short(table15):
-    assert zeta_float_str(zeta_even(2, table15), 10) == "1.082323234"
+def test_zeta_float_str_short():
+    assert zeta_float_str(zeta_even(2), 10) == "1.082323234"
 
 
-def test_zeta_float_str_digit_bounds(table15):
-    z = zeta_even(1, table15)
+def test_zeta_float_str_digit_bounds():
+    z = zeta_even(1)
     with pytest.raises(ValueError):
         zeta_float_str(z, 0)
     with pytest.raises(ValueError):
