@@ -11,21 +11,12 @@ from __future__ import annotations
 
 import argparse
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from rayleigh_sums import SigmaTable, bessel_zeros, derive_sigma, eval_sigma_exact, numeric_sigma
 
 
-@dataclass(frozen=True)
-class Config:
-    pmax: int
-    nus: tuple[Fraction, ...]
-    terms: int
-    tol: float
-
-
-def parse_args(argv: list[str] | None = None) -> Config:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pmax", type=int, default=5)
     parser.add_argument(
@@ -39,35 +30,35 @@ def parse_args(argv: list[str] | None = None) -> Config:
     if args.pmax < 1:
         parser.error("--pmax must be >= 1")
     try:
-        nus = tuple(Fraction(s) for s in args.nu_list.split(","))
+        args.nus = tuple(Fraction(s) for s in args.nu_list.split(","))
     except (ValueError, ZeroDivisionError) as e:
         parser.error(f"bad --nu-list: {e}")
-    if any(nu < 0 for nu in nus):
+    if any(nu < 0 for nu in args.nus):
         parser.error("orders must be >= 0")
-    return Config(pmax=args.pmax, nus=nus, terms=args.terms, tol=args.tol)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    cfg = parse_args(argv)
+    args = parse_args(argv)
     table = SigmaTable()
-    derive_sigma(table, cfg.pmax)
+    derive_sigma(table, args.pmax)
     failures = 0
     print(f"{'nu':>6} {'p':>3} {'exact':>24} {'relative':>12} {'tail bound':>12}")
-    for nu in cfg.nus:
+    for nu in args.nus:
         t0 = time.perf_counter()
-        zeros = bessel_zeros(float(nu), cfg.terms)
-        for p in range(1, cfg.pmax + 1):
+        zeros = bessel_zeros(float(nu), args.terms)
+        for p in range(1, args.pmax + 1):
             exact = float(eval_sigma_exact(table[p], nu))
             ts = numeric_sigma(float(nu), p, zeros)
             rel = abs(ts.value - exact) / abs(exact)
-            flag = "" if rel <= cfg.tol else "  MISS"
-            failures += rel > cfg.tol
+            flag = "" if rel <= args.tol else "  MISS"
+            failures += rel > args.tol
             print(f"{str(nu):>6} {p:>3} {exact:>24.17g} {rel:>12.3e} {ts.tail_bound:>12.3e}{flag}")
-        print(f"       ({cfg.terms} zeros of J_{nu} in {time.perf_counter() - t0:.2f}s)")
+        print(f"       ({args.terms} zeros of J_{nu} in {time.perf_counter() - t0:.2f}s)")
     if failures:
-        print(f"{failures} grid points missed tol {cfg.tol:g}")
+        print(f"{failures} grid points missed tol {args.tol:g}")
         return 1
-    print(f"all points within relative {cfg.tol:g}")
+    print(f"all points within relative {args.tol:g}")
     return 0
 
 

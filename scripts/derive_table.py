@@ -10,18 +10,11 @@ from __future__ import annotations
 
 import argparse
 import time
-from dataclasses import dataclass
 
 from rayleigh_sums import SigmaTable, derive_sigma
 
 
-@dataclass(frozen=True)
-class Config:
-    pmax: int
-    show_forms: bool
-
-
-def parse_args(argv: list[str] | None = None) -> Config:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pmax", type=int, default=40, help="largest p to derive")
     parser.add_argument(
@@ -30,22 +23,22 @@ def parse_args(argv: list[str] | None = None) -> Config:
     args = parser.parse_args(argv)
     if args.pmax < 1:
         parser.error("--pmax must be >= 1")
-    return Config(pmax=args.pmax, show_forms=args.show_forms)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    cfg = parse_args(argv)
+    args = parse_args(argv)
     table = SigmaTable()
     print(f"{'p':>3} {'deg num':>8} {'digits':>7} {'2^a':>5} {'max m':>6} {'cum s':>8}")
     t0 = time.perf_counter()
-    for p in range(1, cfg.pmax + 1):
+    for p in range(1, args.pmax + 1):
         f = derive_sigma(table, p)
         digits = len(str(max(abs(c) for c in f.numerator.int_coeffs())))
         print(
             f"{p:>3} {f.numerator.degree:>8} {digits:>7} {f.two_exponent:>5} "
             f"{f.shift_factors[-1][0]:>6} {time.perf_counter() - t0:>8.3f}"
         )
-        if cfg.show_forms:
+        if args.show_forms:
             print(f"    sigma({p}) = {f.to_text()}")
     return 0
 

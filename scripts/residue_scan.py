@@ -11,19 +11,11 @@ terms**-p.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 
 from rayleigh_sums import residue_tail_scale, verify_residue_identity
 
 
-@dataclass(frozen=True)
-class Config:
-    pairs: tuple[tuple[float, float], ...]
-    start: int
-    doublings: int
-
-
-def parse_args(argv: list[str] | None = None) -> Config:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--pairs",
@@ -34,27 +26,27 @@ def parse_args(argv: list[str] | None = None) -> Config:
     parser.add_argument("--doublings", type=int, default=4)
     args = parser.parse_args(argv)
     try:
-        pairs = tuple(
+        args.pairs = tuple(
             (float(p), float(nu))
             for p, nu in (item.split(":") for item in args.pairs.split(","))
         )
     except ValueError as e:
         parser.error(f"bad --pairs: {e}")
-    if any(p <= 0 or nu < 0 for p, nu in pairs):
+    if any(p <= 0 or nu < 0 for p, nu in args.pairs):
         parser.error("pairs need p > 0 and nu >= 0")
     if args.start < 2 or args.doublings < 1:
         parser.error("--start must be >= 2 and --doublings >= 1")
-    return Config(pairs=pairs, start=args.start, doublings=args.doublings)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    cfg = parse_args(argv)
-    for p, nu in cfg.pairs:
+    args = parse_args(argv)
+    for p, nu in args.pairs:
         print(f"p = {p}, nu = {nu}")
         print(f"{'terms':>8} {'residual':>12} {'tail scale':>12} {'ratio':>8} {'conv':>5}")
         prev = None
-        for i in range(cfg.doublings + 1):
-            terms = cfg.start * 2**i
+        for i in range(args.doublings + 1):
+            terms = args.start * 2**i
             report = verify_residue_identity(nu, p, terms)
             scale = residue_tail_scale(nu, p, terms)
             shrink = f"{prev / report.residual:>8.1f}" if prev else f"{'-':>8}"

@@ -391,11 +391,16 @@ class TailedSum:
     value: float
 
 
-def numeric_sigma(nu: float, p: float, zeros: ZeroSet, tail_terms: int = 2000) -> TailedSum:
+# Zeros past the last computed one that numeric_sigma sums from McMahon's
+# expansion before it integrates the rest of the tail.
+_TAIL_TERMS = 2000
+
+
+def numeric_sigma(nu: float, p: float, zeros: ZeroSet) -> TailedSum:
     """sum_k xi_k**(-2p) from computed zeros plus a tail correction.
 
     The tail beyond the last computed zero is summed explicitly for
-    `tail_terms` further zeros approximated by the asymptotic formula, and
+    _TAIL_TERMS further zeros approximated by the asymptotic formula, and
     the remainder beyond those is integrated: with g(k) = (pi(k+c))**(-2p),
     c = nu/2 - 1/4, the midpoint rule gives
     sum_{k>N} g(k) ~ pi**(-2p) (N + c + 1/2)**(1-2p) / (2p - 1),
@@ -412,13 +417,13 @@ def numeric_sigma(nu: float, p: float, zeros: ZeroSet, tail_terms: int = 2000) -
     big_k = len(z)
     c = nu / 2.0 - 0.25
 
-    ks = np.arange(big_k + 1, big_k + tail_terms + 1, dtype=float)
+    ks = np.arange(big_k + 1, big_k + _TAIL_TERMS + 1, dtype=float)
     xt, delta = _mcmahon(nu, ks)
     explicit = math.fsum(xt ** (-2.0 * p))
     # error allowance: next asymptotic correction, propagated through x**(-2p)
     allowance = float(np.sum(2.0 * p * xt ** (-2.0 * p - 1.0) * delta))
 
-    n_rest = big_k + tail_terms
+    n_rest = big_k + _TAIL_TERMS
     scale = math.pi ** (-2.0 * p) / (2.0 * p - 1.0)
     mid = scale * (n_rest + c + 0.5) ** (1.0 - 2.0 * p)
     upper = scale * (n_rest + c) ** (1.0 - 2.0 * p)

@@ -17,29 +17,23 @@ to a Gamma-function constant:
 
 Each new p introduces exactly one new unknown, so the system is triangular
 and solves iteratively (derive_sigma_triangular). That solve is kept as the
-reproduced method and as the oracle of the tests. derive_sigma, which the
-`derive` and `table` subcommands and the scripts call, fills the same table
-with Kishore's convolution recurrence (N. Kishore, "The Rayleigh function",
-Proc. AMS 14 (1963) 527-533),
+reproduced method and as the oracle of the tests.
+
+Everything else runs one recurrence, Kishore's (N. Kishore, "The Rayleigh
+function", Proc. AMS 14 (1963) 527-533), over one known denominator:
 
     (nu+n) sigma(n, nu) = sum_{k=1}^{n-1} sigma(k, nu) sigma(n-k, nu),
+    sigma(n, nu) = x_n / (4**n prod_{m<=n} (nu+m)**floor(n/m)), x_n integral.
 
-because it is the faster route: each entry is one sum of floor(n/2)
-products of lower numerators, and the table to p = 60 takes under a fifth of
-the triangular solve's time. Both routes end in one normalisation, so their
-forms are identical.
+derive_sigma runs it on integer polynomials in nu for `derive`, `table` and
+the scripts, in under a fifth of the triangular solve's time to p = 60.
+sigma_value runs it on integers for `eval`, `verify sigma` and zeta: about
+2 ms at p = 60 against about 270 ms to derive the form (degree 142,
+186-digit coefficients) and evaluate it (2-core x86-64, Python 3.11). Both
+solvers end in one normalisation, and the reduced denominator is 2**a times
+that product of shifts (checked to p = 80 by the tests).
 
-A value at one rational nu needs no closed form: sigma_value runs the same
-recurrence on exact integers, which is what `eval`, `verify sigma` and zeta
-use. At p = 60 that takes about 2 ms where deriving the form (degree 142,
-186-digit coefficients) and evaluating it takes about 270 ms (2-core
-x86-64, Python 3.11).
-
-Every sigma(p, nu) is a ratio of integer polynomials in nu whose reduced
-denominator is 2**a * prod_{m=1}^{p} (nu+m)**e_m with e_m = floor(p/m) for
-every shift m (checked to p = 80 by the tests).
-
-The solver loops run on plain integer coefficient lists with the kernels
+The polynomial loops run on plain integer coefficient lists with the kernels
 of exact_algebra, multiplying by each (nu+m) in place, and wrap only their
 results in Poly, whose operators call the same kernels.
 """
@@ -140,7 +134,7 @@ def ratio_by_recurrence(p: int) -> tuple[Poly, ...]:
 
 
 # ---------------------------------------------------------------------------
-# triangular solve
+# closed-form table
 
 
 @dataclass
@@ -201,78 +195,106 @@ def _normal_form(num: list[int], two: int, sh: dict[int, int], p: int) -> Factor
     )
 
 
+# ---------------------------------------------------------------------------
+# Kishore's recurrence
+
+
+def _term_shares(n: int) -> list[tuple[int, list[int]]]:
+    """Term k's share of the known denominator at step n of Kishore's
+    recurrence, as (k, its shifts m <= n/2) for k = n//2 down to 1.
+
+    If sigma(j) = x_j / (4**j prod_m (nu+m)**floor(j/m)) for j < n, then
+    sigma(k) sigma(n-k) carries (nu+m)**(floor(k/m) + floor((n-k)/m)). That
+    is floor(n/m) - 1 when term k lacks (nu+m), i.e. when floor(n/m) >
+    floor(k/m) + floor((n-k)/m), i.e. when k mod m > n mod m, and
+    floor(n/m) otherwise; dividing by (nu+n) supplies m = n. So x_n is
+    integral: the sum over k <= n-k of x_k x_{n-k} (doubled unless
+    k == n-k) times the shifts term k lacks. Above n/2 those are exactly
+    n-k < m < n, one factor (nu+n-k) more for term k+1 than for term k, so
+    derive_sigma (on integer polynomials) and sigma_value (on integers) sum
+    Horner-style from k = n//2 down, multiplying by (nu+n-k) at step k.
+    """
+    half = n // 2
+    rems = [(m, n % m) for m in range(2, half + 1)]
+    return [(k, [m for m, r in rems if k % m > r]) for k in range(half, 0, -1)]
+
+
 def derive_sigma(table: SigmaTable, p: int) -> FactoredRationalFn:
     """Fill the table up through p and return sigma(p, nu), by Kishore's
-    convolution recurrence (N. Kishore, "The Rayleigh function", Proc. AMS
-    14 (1963) 527-533):
+    recurrence (see _term_shares) on integer polynomials in nu.
 
-        (nu+n) sigma(n) = sum_{k=1}^{n-1} sigma(k) sigma(n-k),
-        sigma(1) = 1 / (4(nu+1)).
-
-    This is the route `derive` and `table` run, because it is the faster
-    one: each new entry is one sum of floor(n/2) numerator
-    products (the off-diagonal ones doubled) over a common factored
-    denominator. The paper's triangular solve is kept as
-    derive_sigma_triangular, the reproduced method and the test oracle. Both
-    routes end in the same normalisation, so they return identical forms.
+    The paper's triangular solve is kept as derive_sigma_triangular, the
+    test oracle; both end in _normal_form, so they return identical forms.
+    Only new entries are reduced: entries already in the table are lifted
+    back over the known denominator, so extending a table costs only the
+    new steps.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     if p in table:
         return table[p]
-    parts = {j: _entry_parts(table[j]) for j in range(1, p + 1) if j in table}
+    x: list[list[int]] = [[]]
     for n in range(1, p + 1):
         if n in table:
+            num, two, sh = _entry_parts(table[n])
+            for m in range(1, n + 1):
+                for _ in range(n // m - sh.get(m, 0)):
+                    _imul_linear(num, m)
+            x.append([c << (2 * n - two) for c in num])
             continue
-        if n == 1:
-            num, two, sh = [1], 2, {}
-        else:
-            num, two, sh = _convolve(parts, n)
-        sh[n] = sh.get(n, 0) + 1
-        table.entries[n] = _normal_form(num, two, sh, n)
-        parts[n] = _entry_parts(table[n])
+        xn = [1] if n == 1 else []
+        for k, lower in _term_shares(n):
+            _imul_linear(xn, n - k)
+            term = _imul(x[k], x[n - k])
+            for m in lower:
+                _imul_linear(term, m)
+            xn = _iadd(xn, term if 2 * k == n else [c << 1 for c in term])
+        x.append(xn)
+        table.entries[n] = _normal_form(xn, 2 * n, {m: n // m for m in range(1, n + 1)}, n)
     return table[p]
 
 
-def _convolve(
-    parts: dict[int, tuple[list[int], int, dict[int, int]]], n: int
-) -> tuple[list[int], int, dict[int, int]]:
-    """sum_{k=1}^{n-1} sigma(k) sigma(n-k) as (numerator, two_exponent,
-    shifts) over a common denominator.
+def sigma_value(p: int, nu: Rational | int) -> Rational:
+    """Exact sigma(p, nu) at one rational nu, without deriving its closed form.
 
-    Term k (k <= n-k) is brought over the common denominator by a multiplier
-    that includes prod_{n-k<m<n}(nu+m): the common denominator is built to
-    hold at least one more (nu+m) than term k does for each such m. That
-    shared product grows by the one factor (nu+n-k) from term k to term k+1,
-    so the sum is accumulated Horner-style from k = n//2 down, one (nu+n-k)
-    per step, and each term is multiplied only by the rest of its multiplier.
+    Runs derive_sigma's recurrence on integers. With nu = a/b in lowest terms
+    and c_m = a + m b = b (nu+m), sigma(n) = b**n x_n / (4**n prod_{m<=n}
+    c_m**floor(n/m)), where x_1 = 1 and x_n is b times the sum of
+    _term_shares with each (nu+m) taken as c_m. Only the result is reduced,
+    3 to 5 times faster than the recurrence on Fractions, whose every
+    operation takes a gcd.
+
+    Raises PoleError(nu) when c_n == 0 for some n <= p, i.e. exactly at the
+    poles nu in {-1..-p} of the closed form, where every floor(p/m) >= 1.
     """
-    terms: list[tuple[list[int], int, dict[int, int]]] = []
-    for k in range(1, n // 2 + 1):
-        num_a, a_a, sh_a = parts[k]
-        num_b, a_b, sh_b = parts[n - k]
-        tsh = dict(sh_a)
-        for m, e in sh_b.items():
-            tsh[m] = tsh.get(m, 0) + e
-        terms.append((_imul(num_a, num_b), a_a + a_b, tsh))
-    two = max(ta for _, ta, _ in terms)
-    sh: dict[int, int] = {}
-    for k, (_, _, tsh) in enumerate(terms, 1):
-        for m, e in tsh.items():
-            sh[m] = max(sh.get(m, 0), e)
-        for m in range(n - k + 1, n):
-            sh[m] = max(sh.get(m, 0), tsh.get(m, 0) + 1)
-    num: list[int] = []
-    for k in range(n // 2, 0, -1):
-        tnum, ta, tsh = terms[k - 1]
-        _imul_linear(num, n - k)
-        for m, e in sh.items():
-            for _ in range(e - tsh.get(m, 0) - (n - k < m < n)):
-                _imul_linear(tnum, m)
-        # over 2**two, and doubled unless k == n-k
-        shift = two - ta + (k != n - k)
-        num = _iadd(num, [c << shift for c in tnum])
-    return num, two, sh
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    nu = Fraction(nu)
+    a, b = nu.numerator, nu.denominator
+    c = [a + m * b for m in range(p + 1)]
+    x = [0]
+    for n in range(1, p + 1):
+        if c[n] == 0:
+            raise PoleError(nu)
+        if n == 1:
+            x.append(1)
+            continue
+        total = 0
+        for k, lower in _term_shares(n):
+            share = 1
+            for m in lower:
+                share *= c[m]
+            term = x[k] * x[n - k] * share
+            total = total * c[n - k] + (term if 2 * k == n else 2 * term)
+        x.append(b * total)
+    den = 4**p
+    for m in range(1, p + 1):
+        den *= c[m] ** (p // m)
+    return Fraction(b**p * x[p], den)
+
+
+# ---------------------------------------------------------------------------
+# the paper's triangular solve, and the checks
 
 
 def derive_sigma_triangular(table: SigmaTable, p: int) -> FactoredRationalFn:
@@ -328,58 +350,6 @@ def eval_sigma_exact(f: FactoredRationalFn, nu: Rational | int) -> Rational:
     poles). The tests use it on derive_sigma's forms as the oracle for
     sigma_value."""
     return f.evaluate(nu)
-
-
-def sigma_value(p: int, nu: Rational | int) -> Rational:
-    """Exact sigma(p, nu) at one rational nu, without deriving its closed form.
-
-    Runs Kishore's recurrence, sigma(1) = 1 / (4(nu+1)) and
-    (nu+n) sigma(n) = sum_{k=1}^{n-1} sigma(k) sigma(n-k), on exact scalars.
-    With nu = a/b in lowest terms and c_m = a + m b = b (nu+m),
-
-        sigma(n) = b**n x_n / (4**n prod_{m<=n} c_m**floor(n/m))
-
-    with integer x_n: x_1 = 1, and x_n is b times the sum over k <= n-k of
-    x_k x_{n-k} (doubled unless k == n-k) times the product of the c_m,
-    m < n, with floor(n/m) > floor(k/m) + floor((n-k)/m), which is term k's
-    share of the common denominator. Above n/2 those m are exactly
-    n-k < m < n, a product that grows by one factor from k to k+1. So the
-    loop runs on integers and only the result is reduced, 3 to 5 times
-    faster than the same recurrence on Fractions, whose every operation
-    takes a gcd.
-
-    Raises PoleError(nu) when c_n == 0 for some n <= p, i.e. exactly at the
-    poles nu in {-1..-p} of the closed form, whose every shift (nu+m),
-    m <= p, keeps exponent floor(p/m) >= 1.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    nu = Fraction(nu)
-    a, b = nu.numerator, nu.denominator
-    c = [a + m * b for m in range(p + 1)]
-    x = [0]
-    for n in range(1, p + 1):
-        if c[n] == 0:
-            raise PoleError(nu)
-        if n == 1:
-            x.append(1)
-            continue
-        total = 0
-        upper = 1  # the shifts of term k's share above n/2: n-k < m < n
-        for k in range(1, n // 2 + 1):
-            if k > 1:
-                upper *= c[n - k + 1]
-            share = upper
-            for m in range(2, n // 2 + 1):
-                if n // m > k // m + (n - k) // m:
-                    share *= c[m]
-            term = x[k] * x[n - k] * share
-            total += term if 2 * k == n else 2 * term
-        x.append(b * total)
-    den = 4**p
-    for m in range(1, p + 1):
-        den *= c[m] ** (p // m)
-    return Fraction(b**p * x[p], den)
 
 
 def sums_identity_defect(table: SigmaTable, p: int) -> Poly:

@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from rayleigh_sums import SigmaTable, bessel_numeric, cli, derive_sigma, eval_sigma_exact, zeta
+from rayleigh_sums import (
+    SigmaTable,
+    bessel_numeric,
+    cli,
+    derive_sigma,
+    eval_sigma_exact,
+    sigma_value,
+    zeta,
+)
 from rayleigh_sums.cli import main
 
 from golden_forms import golden_frf
@@ -102,6 +110,14 @@ def test_point_values_do_not_derive_closed_forms(capsys, monkeypatch):
     assert rc == 0
     assert out.splitlines()[0] == f"lhs = {float(s25)!r} (exact {s25})"
     assert run(capsys, "eval", "--p", "5", "--nu", "-5", "--exact") == (3, "", "pole at nu=-5\n")
+
+
+def test_eval_negative_fraction_nu_needs_equals_form(capsys):
+    # argparse reads "-7/3" after a space as an option, so the README asks
+    # for --nu=-7/3
+    expected = (0, f"{sigma_value(5, Fraction(-7, 3))}\n", "")
+    assert run(capsys, "eval", "--p", "5", "--nu=-7/3", "--exact") == expected
+    assert run(capsys, "eval", "--p", "5", "--nu", "-7/3", "--exact")[0] == 2
 
 
 def test_eval_rejects_bad_nu(capsys):

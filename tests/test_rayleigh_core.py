@@ -189,6 +189,27 @@ def test_kishore_route_matches_triangular_solve_to_p40():
         ), p
 
 
+def test_derive_extends_prefilled_tables():
+    # entries already in a table are lifted back over the known denominator,
+    # whichever route wrote them, and the extension must not show it
+    def dumped(t, p):
+        return json.dumps([t[j].to_json_dict() for j in range(1, p + 1)], sort_keys=True)
+
+    def one_shot(p):
+        t = SigmaTable()
+        derive_sigma(t, p)
+        return dumped(t, p)
+
+    mixed = SigmaTable()
+    derive_sigma_triangular(mixed, 10)
+    derive_sigma(mixed, 30)
+    assert dumped(mixed, 30) == one_shot(30)
+    stepped = SigmaTable()
+    for p in range(1, 41):
+        derive_sigma(stepped, p)
+    assert dumped(stepped, 40) == one_shot(40)
+
+
 @pytest.mark.parametrize("nu", [Fraction(0), Fraction(1, 2), Fraction(27, 10)])
 def test_residue_identity_holds_exactly_to_p80(table80, nu):
     # sum_{q=0}^{q_M} (-1)^q 4^(-q) c_q(nu) sigma(p-q, nu) = 4^(-p) / prod_{i<=p}(nu+i)
