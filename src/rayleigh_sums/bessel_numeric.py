@@ -19,6 +19,13 @@ Its cost grows with the order, so above _JV_ORDER_CAP = 5000, where it
 becomes slower than jv, scipy.special.jv is used instead; that path is
 the only one to the largest orders (the zeros certify up to nu = 1e10).
 
+The zero finder and the zero sums work over blocks of _BLOCK = 8192 zeros,
+so their temporaries take a constant of about 1.2 MB whatever the count.
+What grows with the count is measured by tracemalloc: 2 float64 words per
+zero for bessel_zeros plus numeric_sigma (the zeros and their accuracy;
+2.75 words per zero in all at 2e5 zeros) and 4 for verify_residue_identity,
+which keeps each term and its error bound for the sums (4.75 at 2e5).
+
 numpy is imported at the top of the functions that use it, never inside a
 loop, and scipy only on the path above the cap, so importing this module
 (and the package) loads neither: the exact routes, and with them the
@@ -31,6 +38,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .rayleigh_core import build_ratio_expansion
@@ -39,6 +47,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 _EPS = sys.float_info.epsilon
+# Every per-zero quantity is computed over blocks of this many points, so
+# each float64 temporary takes 64 KB whatever the zero count (8192 timed at
+# or near the best of 4096 to 32768).
+_BLOCK = 8192
 
 
 class NumericError(RuntimeError):
@@ -161,8 +173,13 @@ def _hankel_upward(m0: float, n: int, x: np.ndarray) -> tuple[np.ndarray, np.nda
     p1, q1 = _hankel_coefficients(m0 + 1.0)
     ja = amp * (_horner(p0, y) * cos_w - _horner(q0, y) / x * sin_w)
     jb = amp * (_horner(p1, y) * sin_w + _horner(q1, y) / x * cos_w)
+    t = np.empty_like(x)
     for i in range(1, n + 1):
-        ja, jb = jb, (2.0 * (m0 + i)) * jb / x - ja
+        # in place, in the order of (2 (m0 + i)) jb / x - ja
+        np.multiply(jb, 2.0 * (m0 + i), out=t)
+        t /= x
+        t -= ja
+        ja, jb, t = jb, t, ja
     return ja, jb
 
 
@@ -228,7 +245,7 @@ class ZeroSet:
         z = self.zeros
         if len(z) == 0 or z[0] <= 0:
             raise NumericError("zero set must start with a positive zero")
-        if not np.all(np.diff(z) > 0):
+        if not np.all(z[1:] > z[:-1]):
             raise NumericError("zeros must be strictly increasing")
 
     def __len__(self) -> int:
@@ -284,8 +301,8 @@ def bessel_zeros(nu: float, count: int) -> ZeroSet:
     expansion elsewhere, both well within a quarter of the spacing of the
     true zero. Newton steps, at most 6, polish each zero only until its
     step |J/J'| is within half an ulp of x, typically 0 to 3 steps; each
-    pass over the zeros still moving is one `_jv_pair` call. Each
-    zero's last evaluation certifies it against
+    pass over the zeros of a block still moving is one `_jv_pair` call.
+    Each zero's last evaluation certifies it against
     |J_nu(xi)| < 1e-12 * max(1, |J'_nu(xi)|), with
     J'_nu(x) = (nu/x) J_nu(x) - J_{nu+1}(x), and gives its accuracy
     |J/J'| + 4 eps xi. Then the index is checked twice. By Sturm
@@ -296,7 +313,14 @@ def bessel_zeros(nu: float, count: int) -> ZeroSet:
     from max(nu, 1) up to xi_1, which one J_nu evaluation on a grid of step
     pi/8 (less than any gap) confirms. Either failure, a seed that is not
     finite, or an order so large that a step of pi/8 no longer advances x
-    in binary64, raises NumericError.
+    in binary64, raises NumericError; a failed certificate names the worst
+    zero, a failed gap check the first.
+
+    All of this but the grid runs over blocks of _BLOCK zeros, the gap
+    check over windows that reach two zeros into the block before. Every
+    value depends on its own zero alone, so the result does not depend on
+    the block size, and the errors are raised after the last block in the
+    order one pass over all the zeros would raise them.
     """
     if nu < 0:
         raise NumericError(f"nu must be >= 0, got {nu}")
@@ -304,33 +328,53 @@ def bessel_zeros(nu: float, count: int) -> ZeroSet:
         raise NumericError(f"count must be >= 1, got {count}")
     import numpy as np
 
-    with np.errstate(all="ignore"):  # an order past binary64 seeds inf or nan
-        zeros = _seeds(nu, np.arange(1, count + 1, dtype=float))
-    if not np.all(np.isfinite(zeros)):
-        raise NumericError(f"the zeros of J_{nu} cannot be seeded in binary64")
+    zeros, accuracy = np.empty(count), np.empty(count)
+    worst = []  # per block: the largest |J| / max(1, |J'|), its index, |J| and x
+    uncertified = False
+    bad_gap = None
+    for start in range(0, count, _BLOCK):
+        stop = min(start + _BLOCK, count)
+        x = zeros[start:stop]
+        with np.errstate(all="ignore"):  # an order past binary64 seeds inf or nan
+            x[:] = _seeds(nu, np.arange(start + 1, stop + 1, dtype=float))
+        if not np.all(np.isfinite(x)):
+            raise NumericError(f"the zeros of J_{nu} cannot be seeded in binary64")
 
-    # one pass over the whole array gives every zero its J and J', then
-    # Newton moves only the seeds whose step would still exceed half an ulp
-    f, g = _jv_pair(nu, zeros)
-    d = (nu / zeros) * f - g
-    moving = np.flatnonzero(np.abs(f) > 0.5 * _EPS * zeros * np.abs(d))
-    for _ in range(6):
-        if moving.size == 0:
-            break
-        xs = zeros[moving] - f[moving] / d[moving]
-        fs, gs = _jv_pair(nu, xs)
-        ds = (nu / xs) * fs - gs
-        zeros[moving], f[moving], d[moving] = xs, fs, ds
-        moving = moving[np.abs(fs) > 0.5 * _EPS * xs * np.abs(ds)]
+        # one pass over the block gives every zero its J and J', then Newton
+        # moves only the seeds whose step would still exceed half an ulp
+        f, g = _jv_pair(nu, x)
+        d = (nu / x) * f - g
+        moving = np.flatnonzero(np.abs(f) > 0.5 * _EPS * x * np.abs(d))
+        for _ in range(6):
+            if moving.size == 0:
+                break
+            xs = x[moving] - f[moving] / d[moving]
+            fs, gs = _jv_pair(nu, xs)
+            ds = (nu / xs) * fs - gs
+            x[moving], f[moving], d[moving] = xs, fs, ds
+            moving = moving[np.abs(fs) > 0.5 * _EPS * xs * np.abs(ds)]
 
-    if not np.all(np.abs(f) < 1e-12 * np.maximum(1.0, np.abs(d))):
-        worst = int(np.argmax(np.abs(f) / np.maximum(1.0, np.abs(d))))
+        size, scale = np.abs(f), np.maximum(1.0, np.abs(d))
+        uncertified |= not np.all(size < 1e-12 * scale)
+        ratio = size / scale
+        i = int(np.argmax(ratio))
+        worst.append((ratio[i], start + i, size[i], x[i]))
+        accuracy[start:stop] = np.abs(f / d) + 4.0 * _EPS * x
+        if bad_gap is None:
+            lo = max(start - 2, 0)
+            try:
+                _check_gaps(nu, zeros[lo:stop], accuracy[lo:stop], lo)
+            except NumericError as e:
+                bad_gap = e
+
+    if uncertified:
+        # argmax over the block maxima: the first nan, else the first largest
+        _, k, size, x = worst[int(np.argmax([w[0] for w in worst]))]
         raise NumericError(
-            f"zero {worst + 1} of J_{nu} failed certification: "
-            f"|J|={abs(f[worst]):.3e} at x={zeros[worst]:.6f}"
+            f"zero {k + 1} of J_{nu} failed certification: |J|={size:.3e} at x={x:.6f}"
         )
-    accuracy = np.abs(f / d) + 4.0 * _EPS * zeros
-    _check_gaps(nu, zeros, accuracy)
+    if bad_gap is not None:
+        raise bad_gap
 
     x0 = max(nu, 1.0)
     step = math.pi / 8.0
@@ -351,11 +395,11 @@ def bessel_zeros(nu: float, count: int) -> ZeroSet:
     return ZeroSet(nu=float(nu), zeros=zeros, accuracy=accuracy)
 
 
-def _check_gaps(nu: float, zeros: np.ndarray, accuracy: np.ndarray) -> None:
+def _check_gaps(nu: float, zeros: np.ndarray, accuracy: np.ndarray, offset: int = 0) -> None:
     """Raise NumericError unless the gaps between consecutive zeros change
     monotonically in the direction Sturm comparison fixes for this order,
     to within a tolerance built from the accuracy of the three zeros that
-    define two neighbouring gaps."""
+    define two neighbouring gaps. zeros[0] is zero offset + 1 of J_nu."""
     import numpy as np
 
     gaps = np.diff(zeros)
@@ -370,7 +414,7 @@ def _check_gaps(nu: float, zeros: np.ndarray, accuracy: np.ndarray) -> None:
     if np.any(bad):
         k = int(np.argmax(bad))
         raise NumericError(
-            f"zero {k + 3} of J_{nu} failed the index check: gap "
+            f"zero {offset + k + 3} of J_{nu} failed the index check: gap "
             f"{gaps[k + 1]:.6f} after {gaps[k]:.6f} at x={zeros[k + 2]:.6f}"
         )
 
@@ -413,8 +457,9 @@ def numeric_sigma(nu: float, p: float, zeros: ZeroSet) -> TailedSum:
     import numpy as np
 
     z = zeros.zeros
-    partial = math.fsum(z ** (-2.0 * p))
     big_k = len(z)
+    powers = ((z[i : i + _BLOCK] ** (-2.0 * p)).tolist() for i in range(0, big_k, _BLOCK))
+    partial = math.fsum(chain.from_iterable(powers))
     c = nu / 2.0 - 0.25
 
     ks = np.arange(big_k + 1, big_k + _TAIL_TERMS + 1, dtype=float)
@@ -518,11 +563,19 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
     import numpy as np
 
     zs = bessel_zeros(nu, terms)
-    z = zs.zeros
-    a, a1 = _jv_pair(nu + p, z)
-    b, b1 = _jv_pair(nu + 1.0, z)
-    power = z ** (-(p + 1.0))
-    vals = power * a / b
+    vals, terms_err = np.empty(terms), np.empty(terms)
+    for i in range(0, terms, _BLOCK):
+        block = slice(i, i + _BLOCK)
+        z = zs.zeros[block]
+        a, a1 = _jv_pair(nu + p, z)
+        b, b1 = _jv_pair(nu + 1.0, z)
+        power = z ** (-(p + 1.0))
+        v = vals[block] = power * a / b
+        kernel = _JV_PAIR_ERROR * _EPS * (np.hypot(a, a1) + np.abs(a / b) * np.hypot(b, b1))
+        slope = np.abs(a * b1 / b - a1 - 2.0 * a / z)
+        terms_err[block] = (
+            power / np.abs(b) * (kernel + zs.accuracy[block] * slope) + 3.0 * _EPS * np.abs(v)
+        )
     lhs = residue_identity_lhs(nu, p)
     half = terms // 2
     partial_half = math.fsum(vals[:half])
@@ -530,9 +583,6 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
     residual_half = abs(lhs - partial_half)
     residual = abs(lhs - partial)
 
-    kernel = _JV_PAIR_ERROR * _EPS * (np.hypot(a, a1) + np.abs(a / b) * np.hypot(b, b1))
-    slope = np.abs(a * b1 / b - a1 - 2.0 * a / z)
-    terms_err = power / np.abs(b) * (kernel + zs.accuracy * slope) + 3.0 * _EPS * np.abs(vals)
     exponent = abs(math.lgamma(nu + 1.0)) + (p + 1.0) * math.log(2.0) + abs(
         math.lgamma(nu + p + 1.0)
     )

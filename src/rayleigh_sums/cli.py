@@ -17,10 +17,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
 from .bessel_numeric import (
+    _BLOCK,
     NumericError,
     bessel_zeros,
     numeric_sigma,
@@ -205,9 +207,10 @@ def cmd_zeros(args: argparse.Namespace) -> int:
         raise UsageError("count must be >= 1")
     if not 1 <= args.digits <= 17:
         raise UsageError("digits must be in 1..17")
-    zs = bessel_zeros(args.nu, args.count)
-    digits = args.digits
-    sys.stdout.writelines(f"{z:.{digits}f}\n" for z in map(float, zs.zeros))
+    zeros = bessel_zeros(args.nu, args.count).zeros
+    spec = f"%.{args.digits}f\n"
+    for i in range(0, len(zeros), _BLOCK):
+        sys.stdout.writelines(map(spec.__mod__, zeros[i : i + _BLOCK].tolist()))
     return EXIT_OK
 
 
@@ -295,6 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # before numpy can load: no subcommand calls BLAS, and OpenBLAS's thread
+    # pool costs start-up time; a value the user has set wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,6 +1,7 @@
 """Zero finder, tail-corrected sums, and the numeric identity checks."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -270,6 +271,71 @@ def test_zeroset_rejects_unsorted():
     bad = np.array([1.0, 0.5])
     with pytest.raises(NumericError):
         ZeroSet(nu=0.0, zeros=bad, accuracy=np.zeros(2))
+
+
+_B = bessel_numeric._BLOCK
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 2.7, 50.0])
+def test_results_do_not_depend_on_the_block_size(monkeypatch, nu):
+    counts = (_B - 1, _B, _B + 1, 2 * _B + 3)
+
+    def results():
+        out = []
+        for n in counts:
+            zs = bessel_zeros(nu, n)
+            out.append((zs.zeros.tobytes(), zs.accuracy.tobytes()))
+            out.append((numeric_sigma(nu, 1.0, zs), numeric_sigma(nu, 3.5, zs)))
+            out.append(verify_residue_identity(nu, 1.46, n))
+        return out
+
+    blocked = results()
+    monkeypatch.setattr(bessel_numeric, "_BLOCK", 10**9)
+    assert results() == blocked
+
+
+def test_certificate_failure_names_the_global_index(monkeypatch):
+    # zero _B + 6, in the second block, cannot be evaluated
+    target = _B + 6
+    xi = bessel_zeros(2.7, target).zeros[-1]
+    jv_pair = bessel_numeric._jv_pair
+
+    def broken(mu, x):
+        ja, jb = jv_pair(mu, x)
+        ja[np.abs(x - xi) < 1.0] = np.nan
+        return ja, jb
+
+    monkeypatch.setattr(bessel_numeric, "_jv_pair", broken)
+    with pytest.raises(NumericError, match=f"^zero {target} of J_2.7 failed certification"):
+        bessel_zeros(2.7, 2 * _B + 3)
+
+
+@pytest.mark.parametrize("missing", [_B - 1, _B, _B + 1, _B + 2])
+def test_gap_check_spans_the_block_edges(monkeypatch, missing):
+    # seeds one index ahead from zero `missing` on skip that zero; the gap
+    # check sees it through the window that straddles the edge
+    seeds = bessel_numeric._seeds
+    monkeypatch.setattr(bessel_numeric, "_seeds", lambda nu, k: seeds(nu, k + (k >= missing)))
+    with pytest.raises(NumericError, match=f"^zero {missing} of J_2.7 failed the index check"):
+        bessel_zeros(2.7, _B + 10)
+
+
+def test_memory_per_zero_is_a_few_words():
+    # tracemalloc sees numpy's buffers; the count is many blocks, so the
+    # fixed block temporaries are a small share of the peak
+    n = 2 * 10**5
+    verify_residue_identity(2.7, 1.46, 10)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        numeric_sigma(2.7, 1.0, bessel_zeros(2.7, n))
+        zeros_and_sum = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        verify_residue_identity(2.7, 1.46, n)
+        residues = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert zeros_and_sum <= 4 * 8 * n
+    assert residues <= 6 * 8 * n
 
 
 def test_numeric_sigma_basic_values(zero_cache):

@@ -267,6 +267,18 @@ def test_zeros_digit_control(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("digits", [1, 15, 17])
+def test_zeros_output_is_fixed_point_at_every_digit_count(capsys, digits):
+    # more than one block of output
+    count = bessel_numeric._BLOCK + 5
+    rc, out, _ = run(
+        capsys, "zeros", "--nu", "2.7", "--count", str(count), "--digits", str(digits)
+    )
+    assert rc == 0
+    zeros = bessel_numeric.bessel_zeros(2.7, count).zeros
+    assert out == "".join(f"{z:.{digits}f}\n" for z in map(float, zeros))
+
+
 def test_zeros_out_of_reach_fail_loudly(capsys):
     # zeros 1004..1010 of J_1000 come from uniform seeds, since McMahon's are
     # more than pi/4 off there; the values are mpmath's, to 20 digits

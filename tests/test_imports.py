@@ -1,5 +1,6 @@
 """The exact subcommands run without numpy or scipy, and the numeric ones
-without scipy below the order cap of the numpy Bessel kernel.
+without scipy below the order cap of the numpy Bessel kernel; the CLI
+runs OpenBLAS on one thread unless the environment says otherwise.
 
 The pytest process has numpy loaded already, so each check runs a fresh
 interpreter with PYTHONPATH=src and reads its sys.modules.
@@ -10,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from rayleigh_sums import bessel_numeric
 
@@ -32,20 +35,25 @@ print(json.dumps(seen))
 """
 
 
-def _loaded_after(*argvs: list[str]) -> dict:
-    env = dict(os.environ)
+def _probe(code: str, *args: str, env: dict | None = None) -> str:
+    """Stdout of `code` run in a fresh interpreter with src on its path."""
+    env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argvs)],
+        [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+def _loaded_after(*argvs: list[str]) -> dict:
+    return json.loads(_probe(_PROBE, json.dumps(argvs)))
 
 
 def test_exact_subcommands_load_neither_numpy_nor_scipy():
@@ -75,3 +83,22 @@ def test_zeros_loads_numpy_and_scipy():
         "verify residues --p 1.5 --nu 2.7 --terms 100": ["numpy"],
         "zeros --nu 6000 --count 3": ["numpy", "scipy"],
     }
+
+
+_THREADS_PROBE = """
+import contextlib, io, os
+from rayleigh_sums import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["zeros", "--nu", "0", "--count", "3"])
+print(rc, os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.parametrize("preset, seen", [(None, "1"), ("2", "2")])
+def test_cli_runs_openblas_on_one_thread_unless_told_otherwise(preset, seen):
+    # no subcommand calls BLAS; the variable must be set before numpy loads
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    assert _probe(_THREADS_PROBE, env=env) == f"0 {seen}\n"
