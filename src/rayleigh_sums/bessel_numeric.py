@@ -11,35 +11,46 @@ are treated as immutable after construction.
 J_nu is evaluated by `_jv_pair`, a numpy kernel that returns J_mu and
 J_{mu+1} from one three-term recurrence: Hankel's expansion and upward
 steps where x >= 30 and x >= mu, Miller's backward recurrence elsewhere.
-Against mpmath it is within 8 eps of the envelope for mu <= 50 and within
-46 eps at x ~ mu = 1000, where scipy.special.jv is off by up to 1.6e5 eps
-(at mu = 1000, x = 67385). It also spares the `zeros` and `verify`
-subcommands the import of scipy.special, about 0.33 s after numpy's 0.17 s.
-Its cost grows with the order, so above _JV_ORDER_CAP = 5000, where it
-becomes slower than jv, scipy.special.jv is used instead; that path is
-the only one to the largest orders (the zeros certify up to nu = 1e10).
+`_jv_pair_at` is the same kernel on Python floats and `math`, one point at
+a time, and gives the same bits. Against mpmath it is within 8 eps of the
+envelope for mu <= 50 and within 46 eps at x ~ mu = 1000, where
+scipy.special.jv is off by up to 1.6e5 eps (at mu = 1000, x = 67385). It
+also spares the `zeros` and `verify` subcommands the import of
+scipy.special, about 0.28 s. Its cost grows with the order, so above
+_JV_ORDER_CAP = 5000, where it becomes slower than jv, scipy.special.jv is
+used instead; that path is the only one to the largest orders (the zeros
+certify up to nu = 1e10).
 
-The zero finder and the zero sums work over blocks of _BLOCK = 8192 zeros,
-so their temporaries take a constant of about 1.2 MB whatever the count.
-What grows with the count is measured by tracemalloc: 2 float64 words per
-zero for bessel_zeros plus numeric_sigma (the zeros and their accuracy;
-2.75 words per zero in all at 2e5 zeros) and 4 for verify_residue_identity,
-which keeps each term and its error bound for the sums (4.75 at 2e5).
+The zero finder has two engines with the same checks and the same bits.
+Where count * (nu + 30) <= _SCALAR_WORK = 2e5 it runs one zero at a time
+on Python floats, in at most about 25-55 ms, and loads no numpy, whose
+import costs about 0.1 s of a fresh process; so do the zero sums over its
+zeros and the ratio check, which is how the small `zeros`, `verify sigma`
+and `verify ratio` calls run on the standard library alone. Larger
+calls take the numpy engine, which works over blocks of _BLOCK = 8192
+zeros, so its temporaries take a constant of about 1.2 MB whatever the
+count. What grows with the count is measured by tracemalloc: 2 float64
+words per zero for bessel_zeros plus numeric_sigma (the zeros and their
+accuracy; 2.75 words per zero in all at 2e5 zeros) and 4 for
+verify_residue_identity, which keeps each term and its error bound for the
+sums (4.75 at 2e5).
 
-numpy is imported at the top of the functions that use it, never inside a
-loop, and scipy only on the path above the cap, so importing this module
-(and the package) loads neither: the exact routes, and with them the
-`derive`, `eval`, `zeta` and `table` subcommands, run on the standard
-library alone.
+numpy is imported only by the functions that work on arrays, never inside
+a loop, and scipy only on the path above the cap, so importing this
+module (and the package) loads neither: the exact routes, and with them
+the `derive`, `eval`, `zeta` and `table` subcommands, run on the standard
+library alone. `bessel_zeros` returns float64 arrays whatever the engine,
+so it loads numpy; the CLI calls the engines through `_find_zeros`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .rayleigh_core import build_ratio_expansion
 
@@ -60,10 +71,11 @@ class NumericError(RuntimeError):
 def bessel_j(order: float, x: float) -> float:
     """J_order(x) for order >= 0, x > 0, to near machine precision.
 
-    From `_jv_pair` (numpy alone) for order <= _JV_ORDER_CAP and from
-    scipy.special.jv above it. Below x = 1e-150 the first term of the power
-    series, (x/2)^order / Gamma(order+1), is J to rounding; Miller's
-    recurrence, whose steps multiply by 2(order+i)/x, would overflow there.
+    From `_jv_pair_at` (the standard library alone) for order <=
+    _JV_ORDER_CAP and from scipy.special.jv above it. Below x = 1e-150 the
+    first term of the power series, (x/2)^order / Gamma(order+1), is J to
+    rounding; Miller's recurrence, whose steps multiply by 2(order+i)/x,
+    would overflow there.
     """
     if order < 0:
         raise NumericError(f"order must be >= 0, got {order}")
@@ -71,9 +83,7 @@ def bessel_j(order: float, x: float) -> float:
         raise NumericError(f"x must be > 0, got {x}")
     if x < 1e-150:
         return math.exp(order * math.log(0.5 * x) - math.lgamma(order + 1.0))
-    import numpy as np
-
-    return float(_jv_pair(order, np.array([x], dtype=float))[0][0])
+    return _jv_pair_at(order)(x)[0]
 
 
 # Orders above this are left to scipy.special.jv. The kernel below takes
@@ -104,10 +114,12 @@ def _jv_pair(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     - where x >= 30 and x >= mu, Hankel's expansion gives J at orders m0 and
       m0 + 1 and n upward steps reach mu and mu + 1 (`_hankel_upward`);
     - elsewhere, Miller's backward recurrence runs from above both mu and x
-      down to m0 and is normalised by a Neumann series (`_miller`).
+      down to m0 and is normalised by a Neumann series (`_miller`, on
+      Python floats, one point at a time).
     Each value depends on its own (mu, x) alone, never on the other points
-    of the array, so a zero comes out the same whatever the count. Orders
-    above _JV_ORDER_CAP go to scipy.special.jv, imported only then.
+    of the array, so a zero comes out the same whatever the count, and it
+    is bit for bit the value of `_jv_pair_at(mu)(x)`. Orders above
+    _JV_ORDER_CAP go to scipy.special.jv, imported only then.
     """
     import numpy as np
 
@@ -121,11 +133,59 @@ def _jv_pair(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not near.any():
         return _hankel_upward(m0, n, x)
     ja, jb = np.empty_like(x), np.empty_like(x)
-    ja[near], jb[near] = _miller(m0, n, x[near])
+    ja[near], jb[near] = _miller(m0, n, x[near].tolist())
     far = ~near
     if far.any():
         ja[far], jb[far] = _hankel_upward(m0, n, x[far])
     return ja, jb
+
+
+def _jv_pair_at(mu: float) -> Callable[[float], tuple[float, float]]:
+    """x -> (J_mu(x), J_{mu+1}(x)) for one x > 0: `_jv_pair` on Python
+    floats and `math`, with the same operations in the same order, so both
+    give the same bits (math and numpy agree on cos, sin and sqrt; the
+    Miller points share `_miller`). The Hankel coefficients are computed
+    once per order."""
+    if mu > _JV_ORDER_CAP:
+        from scipy.special import jv
+
+        return lambda x: (float(jv(mu, x)), float(jv(mu + 1.0, x)))
+    n = math.floor(mu)
+    m0 = mu - n
+    # P and Q at orders m0 and m0 + 1 side by side, from the highest power
+    # down, for one Horner pass over all four as `_horner` runs each
+    polys = (*_hankel_coefficients(m0), *_hankel_coefficients(m0 + 1.0))
+    coefficients = list(zip(*(c[::-1] for c in polys)))
+    highest, middle, lowest = coefficients[0], coefficients[1:-1], coefficients[-1]
+    phase = (0.5 * m0 + 0.25) * math.pi
+    cp, sp = math.cos(phase), math.sin(phase)
+    steps = [2.0 * (m0 + i) for i in range(1, n + 1)]
+
+    def pair(x: float) -> tuple[float, float]:
+        if x < _HANKEL_X or x < mu:
+            (ja,), (jb,) = _miller(m0, n, [x])
+            return ja, jb
+        y = 1.0 / (x * x)
+        a, b, c, d = highest
+        p0, q0, p1, q1 = a * y, b * y, c * y, d * y
+        for a, b, c, d in middle:
+            p0 = (p0 + a) * y
+            q0 = (q0 + b) * y
+            p1 = (p1 + c) * y
+            q1 = (q1 + d) * y
+        a, b, c, d = lowest
+        p0, q0, p1, q1 = p0 + a, q0 + b, p1 + c, q1 + d
+        cx, sx = math.cos(x), math.sin(x)
+        cos_w = cx * cp + sx * sp
+        sin_w = sx * cp - cx * sp
+        amp = math.sqrt((2.0 / math.pi) / x)
+        ja = amp * (p0 * cos_w - q0 / x * sin_w)
+        jb = amp * (p1 * sin_w + q1 / x * cos_w)
+        for c in steps:
+            ja, jb = jb, jb * c / x - ja
+        return ja, jb
+
+    return pair
 
 
 def _hankel_coefficients(nu: float) -> tuple[list[float], list[float]]:
@@ -183,52 +243,50 @@ def _hankel_upward(m0: float, n: int, x: np.ndarray) -> tuple[np.ndarray, np.nda
     return ja, jb
 
 
-def _miller(m0: float, n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J_(m0+n)(x) and J_(m0+n+1)(x), 0 <= m0 < 1, by Miller's backward
-    recurrence (DLMF 3.6(iii)).
+def _miller(m0: float, n: int, xs: list[float]) -> tuple[list[float], list[float]]:
+    """J_(m0+n)(x) and J_(m0+n+1)(x), 0 <= m0 < 1, at each x in xs, by
+    Miller's backward recurrence (DLMF 3.6(iii)) on Python floats.
 
     Each point starts the recurrence with 1 at an offset i0 at least
     16 + 8 x^(1/3) orders above both m0 + n + 1 and x, where J has fallen
-    far below an ulp of its size at the turning point, and 0 above it.
-    Points that have not started yet hold 0, which the recurrence keeps
-    exactly, so each point sees its own start alone. The values are then
+    far below an ulp of its size at the turning point, and scales its
+    values by 1/_BIG whenever they pass _BIG. The values are then
     normalised by the Neumann series
         (x/2)^m0 = sum_k w_k J_(m0+2k)(x),
         w_0 = Gamma(m0+1), w_k = (m0+2k) Gamma(m0+k) / k!,
     which at m0 = 0 is 1 = J_0 + 2 J_2 + 2 J_4 + ...
+    Both kernels take their Miller points from here, since numpy's cbrt
+    and power do not round as `math` and `**` do.
     """
-    import numpy as np
-
-    i0 = np.floor(np.maximum(m0 + n + 1.0, x) + 16.0 + 8.0 * np.cbrt(x)).astype(np.int64)
-    starts = {int(i): np.flatnonzero(i0 == i) for i in np.unique(i0)}
-    top = int(i0.max())
+    tops = [math.floor(max(m0 + n + 1.0, x) + 16.0 + 8.0 * x ** (1.0 / 3.0)) for x in xs]
     w = [math.gamma(m0 + 1.0)]
     g = w[0]  # Gamma(m0+k)/k!, from k = 1
-    for k in range(1, top // 2 + 1):
+    for k in range(1, max(tops, default=0) // 2 + 1):
         w.append((m0 + 2 * k) * g)
         g *= (m0 + k) / (k + 1)
 
-    cur, above = np.zeros_like(x), np.zeros_like(x)  # J at offsets i and i + 1
-    total = np.zeros_like(x)
-    ja, jb = np.zeros_like(x), np.zeros_like(x)
-    for i in range(top, -1, -1):
-        if i in starts:
-            cur[starts[i]] = 1.0
-        if i == n + 1:
-            jb = cur.copy()
-        elif i == n:
-            ja = cur.copy()
-        if i % 2 == 0:
-            total += w[i // 2] * cur
-        if i == 0:
-            break
-        cur, above = (2.0 * (m0 + i)) * cur / x - above, cur
-        big = np.abs(cur) > _BIG
-        if big.any():
-            for values in (cur, above, total, ja, jb):
-                values[big] /= _BIG
-    scale = (0.5 * x) ** m0 / total
-    return ja * scale, jb * scale
+    ja, jb = [], []
+    for x, top in zip(xs, tops):
+        cur, above, total = 1.0, 0.0, 0.0  # J at offsets i and i + 1
+        a = b = 0.0
+        for i in range(top, 0, -1):
+            if i == n + 1:
+                b = cur
+            elif i == n:
+                a = cur
+            if not i & 1:
+                total += w[i >> 1] * cur
+            cur, above = (2.0 * (m0 + i)) * cur / x - above, cur
+            if abs(cur) > _BIG:
+                cur, above, total = cur / _BIG, above / _BIG, total / _BIG
+                a, b = a / _BIG, b / _BIG
+        if n == 0:
+            a = cur
+        total += w[0] * cur
+        scale = (0.5 * x) ** m0 / total
+        ja.append(a * scale)
+        jb.append(b * scale)
+    return ja, jb
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,45 +310,74 @@ class ZeroSet:
         return len(self.zeros)
 
 
-def _mcmahon(nu: float, k) -> tuple[np.ndarray, np.ndarray]:
+def _mcmahon(nu: float, k):
     """McMahon's large-k approximation to the k-th zero (DLMF 10.21.19),
     beta - (mu-1)/(8 beta) with beta = pi(k + nu/2 - 1/4) and mu = 4 nu^2,
-    and the size of its next term, |4(mu-1)(7mu-31)| / (3 (8 beta)^3)."""
-    import numpy as np
-
+    and the size of its next term, |4(mu-1)(7mu-31)| / (3 (8 beta)^3), for
+    one index k (a float) or an array of them."""
     mu = 4.0 * nu * nu
-    beta = math.pi * (np.asarray(k, dtype=float) + nu / 2.0 - 0.25)
-    next_term = np.abs(4.0 * (mu - 1.0) * (7.0 * mu - 31.0)) / (3.0 * (8.0 * beta) ** 3)
+    beta = math.pi * (k + nu / 2.0 - 0.25)
+    next_term = abs(4.0 * (mu - 1.0) * (7.0 * mu - 31.0)) / (3.0 * (8.0 * beta) ** 3)
     return beta - (mu - 1.0) / (8.0 * beta), next_term
 
 
-def _seeds(nu: float, k: np.ndarray) -> np.ndarray:
-    """Starting points for the zeros of J_nu with indices k (ascending).
+def _olver_applies(nu: float, k: float) -> bool:
+    """Whether zero k takes Olver's seed: nu > 1 and McMahon's next term
+    is at least 1e-3. Where (8 beta)^3 overflows, numpy makes the term 0 or
+    nan, so it does not."""
+    if nu <= 1.0:
+        return False
+    try:
+        return _mcmahon(nu, k)[1] >= 1e-3
+    except OverflowError:
+        return False
+
+
+def _olver_seed(nu: float, k: float) -> float:
+    """The leading term of Olver's uniform expansion for zero k (DLMF 10.20,
+    10.21(viii)): nu z(zeta) with zeta = nu^(-2/3) a_k, a_k the k-th Airy
+    zero from its asymptotic series (DLMF 9.9.6). With q = sqrt(z^2 - 1),
+    z solves q - arctan q = w, w = (2/3)(-zeta)^(3/2), whose left side is
+    convex and increasing; Newton from q = (3w)^(1/3), below the root,
+    crosses it in one step and then falls onto it, to rounding in four
+    steps."""
+    # (2/3)(-zeta)^(3/2) = (2/3) t T(t)^(3/2) / nu with a_k = -T(t),
+    # t = (3 pi/8)(4k - 1), and (2/3) t = pi(k - 1/4)
+    t2 = (3.0 * math.pi / 8.0 * (4.0 * k - 1.0)) ** -2
+    series = 1.0 + t2 * (5.0 / 48.0 + t2 * (-5.0 / 36.0 + t2 * (77125.0 / 82944.0)))
+    w = math.pi * (k - 0.25) * series**1.5 / nu
+    q = (3.0 * w) ** (1.0 / 3.0)
+    for _ in range(4):
+        q -= (q - math.atan(q) - w) * (1.0 + q * q) / (q * q)
+    return nu * math.hypot(1.0, q)
+
+
+def _seeds(nu: float, k):
+    """Starting points for the zeros of J_nu with indices k: one index (a
+    float) or an ascending array of them.
 
     McMahon's expansion where nu <= 1 or its next term is below 1e-3;
     elsewhere, which is a prefix of k since that term falls with k, the
-    leading term of Olver's uniform expansion (DLMF 10.20, 10.21(viii)):
-    nu z(zeta) with zeta = nu^(-2/3) a_k, a_k the k-th Airy zero from its
-    asymptotic series (DLMF 9.9.6). With q = sqrt(z^2 - 1), z solves
-    q - arctan q = w, w = (2/3)(-zeta)^(3/2), whose left side is convex and
-    increasing; Newton from q = (3w)^(1/3), below the root, crosses it in
-    one step and then falls onto it, to rounding in four steps.
+    leading term of Olver's uniform expansion. Both the choice and Olver's
+    seeds come from Python floats for either kind of k, so the two zero
+    engines start from the same bits.
     """
-    import numpy as np
-
-    seeds, next_term = _mcmahon(nu, k)
-    if nu > 1.0:
-        n = int(np.count_nonzero(next_term >= 1e-3))
-        # (2/3)(-zeta)^(3/2) = (2/3) t T(t)^(3/2) / nu with a_k = -T(t),
-        # t = (3 pi/8)(4k - 1), and (2/3) t = pi(k - 1/4)
-        t2 = (3.0 * math.pi / 8.0 * (4.0 * k[:n] - 1.0)) ** -2
-        series = 1.0 + t2 * (5.0 / 48.0 + t2 * (-5.0 / 36.0 + t2 * (77125.0 / 82944.0)))
-        w = math.pi * (k[:n] - 0.25) * series**1.5 / nu
-        q = np.cbrt(3.0 * w)
-        for _ in range(4):
-            q -= (q - np.arctan(q) - w) * (1.0 + q * q) / (q * q)
-        seeds[:n] = nu * np.hypot(1.0, q)
+    seeds = _mcmahon(nu, k)[0]
+    if isinstance(k, float):
+        return _olver_seed(nu, k) if _olver_applies(nu, k) else seeds
+    n = bisect_left(k, True, key=lambda i: not _olver_applies(nu, float(i)))
+    seeds[:n] = [_olver_seed(nu, i) for i in k[:n].tolist()]
     return seeds
+
+
+# The zero finder runs on Python floats, without numpy, where
+# count * (nu + 30) <= _SCALAR_WORK, and on numpy in blocks of _BLOCK
+# otherwise. A scalar zero costs about two pair evaluations: Hankel's
+# expansion, then nu upward steps. Measured at the bound (CPU time, best of
+# 5, 2-core x86-64, Python 3.11): 4-10 us per zero for nu <= 10, 18 at 50,
+# 35 at 200, 128 at 1000, so 25-55 ms per call from nu = 0 to 3000, about
+# half of the 0.10-0.13 s a fresh process takes to import numpy.
+_SCALAR_WORK = 2e5
 
 
 def bessel_zeros(nu: float, count: int) -> ZeroSet:
@@ -300,9 +387,8 @@ def bessel_zeros(nu: float, count: int) -> ZeroSet:
     expansion where it is accurate, the leading term of Olver's uniform
     expansion elsewhere, both well within a quarter of the spacing of the
     true zero. Newton steps, at most 6, polish each zero only until its
-    step |J/J'| is within half an ulp of x, typically 0 to 3 steps; each
-    pass over the zeros of a block still moving is one `_jv_pair` call.
-    Each zero's last evaluation certifies it against
+    step |J/J'| is within half an ulp of x, typically 0 to 3 steps. Each
+    zero's last evaluation certifies it against
     |J_nu(xi)| < 1e-12 * max(1, |J'_nu(xi)|), with
     J'_nu(x) = (nu/x) J_nu(x) - J_{nu+1}(x), and gives its accuracy
     |J/J'| + 4 eps xi. Then the index is checked twice. By Sturm
@@ -316,16 +402,94 @@ def bessel_zeros(nu: float, count: int) -> ZeroSet:
     in binary64, raises NumericError; a failed certificate names the worst
     zero, a failed gap check the first.
 
-    All of this but the grid runs over blocks of _BLOCK zeros, the gap
-    check over windows that reach two zeros into the block before. Every
-    value depends on its own zero alone, so the result does not depend on
-    the block size, and the errors are raised after the last block in the
-    order one pass over all the zeros would raise them.
+    Two engines do this work (`_find_zeros` picks one): `_zeros_scalar`,
+    one zero at a time on Python floats, for small counts and orders, and
+    `_zeros_blocks`, over numpy blocks, for the rest. Both return the same
+    bits and raise the same errors.
     """
+    zeros, accuracy = _find_zeros(nu, count)
+    import numpy as np
+
+    return ZeroSet(
+        nu=float(nu),
+        zeros=np.asarray(zeros, dtype=float),
+        accuracy=np.asarray(accuracy, dtype=float),
+    )
+
+
+def _find_zeros(
+    nu: float, count: int
+) -> tuple[list[float], list[float]] | tuple[np.ndarray, np.ndarray]:
+    """The zeros and accuracies of `bessel_zeros`: lists of Python floats
+    where count * (nu + 30) <= _SCALAR_WORK, which loads no numpy, and
+    float64 arrays otherwise."""
     if nu < 0:
         raise NumericError(f"nu must be >= 0, got {nu}")
     if count < 1:
         raise NumericError(f"count must be >= 1, got {count}")
+    if count * (nu + 30.0) <= _SCALAR_WORK:
+        return _zeros_scalar(nu, count)
+    return _zeros_blocks(nu, count)
+
+
+def _zeros_scalar(nu: float, count: int) -> tuple[list[float], list[float]]:
+    """`bessel_zeros` one zero at a time, on Python floats."""
+    seeds = [_seeds(nu, float(k)) for k in range(1, count + 1)]
+    if not all(map(math.isfinite, seeds)):
+        raise NumericError(f"the zeros of J_{nu} cannot be seeded in binary64")
+    pair = _jv_pair_at(nu)
+    half_ulp, four_ulps = 0.5 * _EPS, 4.0 * _EPS
+    zeros, accuracy = [], []
+    # the largest |J| / max(1, |J'|), its index, |J| and x; as with
+    # np.argmax, the first nan, else the first largest
+    worst = (-1.0, 0, 0.0, 0.0)
+    uncertified = False
+    for k, x in enumerate(seeds):
+        f, g = pair(x)
+        d = (nu / x) * f - g
+        for _ in range(6):
+            if not abs(f) > half_ulp * x * abs(d):
+                break
+            x -= f / d
+            f, g = pair(x)
+            d = (nu / x) * f - g
+        # max(abs(d), 1.0) is nan for a nan d, as np.maximum(1.0, |d|) is
+        size, scale = abs(f), max(abs(d), 1.0)
+        if not size < 1e-12 * scale:
+            uncertified = True
+        ratio = size / scale
+        if not ratio <= worst[0] and worst[0] == worst[0]:
+            worst = (ratio, k, size, x)
+        zeros.append(x)
+        accuracy.append(abs(f / d) + four_ulps * x)
+
+    if uncertified:
+        _, k, size, x = worst
+        raise _certificate_error(nu, k, size, x)
+    for k in range(count - 2):
+        g0, g1 = zeros[k + 1] - zeros[k], zeros[k + 2] - zeros[k + 1]
+        change = g1 - g0
+        tol = 2.0 * (accuracy[k] + 2.0 * accuracy[k + 1] + accuracy[k + 2])
+        if nu > 0.5:
+            bad = change > tol
+        elif nu < 0.5:
+            bad = change < -tol
+        else:
+            bad = abs(change) > tol
+        if bad:
+            raise _gap_error(nu, k, g1, g0, zeros[k + 2])
+    _check_anchor(nu, zeros[0], lambda grid: [pair(x)[0] for x in grid])
+    return zeros, accuracy
+
+
+def _zeros_blocks(nu: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """`bessel_zeros` over numpy blocks of _BLOCK zeros.
+
+    The gap check runs over windows that reach two zeros into the block
+    before. Every value depends on its own zero alone, so the result does
+    not depend on the block size, and the errors are raised after the last
+    block in the order one pass over all the zeros would raise them.
+    """
     import numpy as np
 
     zeros, accuracy = np.empty(count), np.empty(count)
@@ -370,29 +534,28 @@ def bessel_zeros(nu: float, count: int) -> ZeroSet:
     if uncertified:
         # argmax over the block maxima: the first nan, else the first largest
         _, k, size, x = worst[int(np.argmax([w[0] for w in worst]))]
-        raise NumericError(
-            f"zero {k + 1} of J_{nu} failed certification: |J|={size:.3e} at x={x:.6f}"
-        )
+        raise _certificate_error(nu, k, size, x)
     if bad_gap is not None:
         raise bad_gap
+    _check_anchor(
+        nu, float(zeros[0]), lambda grid: _jv_pair(nu, np.array(grid, dtype=float))[0].tolist()
+    )
+    return zeros, accuracy
 
-    x0 = max(nu, 1.0)
-    step = math.pi / 8.0
-    if x0 + step == x0:
-        raise NumericError(
-            f"cannot anchor the zeros of J_{nu}: a step of pi/8 does not "
-            f"advance x={x0:.6g} in binary64"
-        )
-    # the grid ends at least pi/16 short of xi_1, clear of the rounding of J there
-    grid = x0 + step * np.arange(math.ceil((zeros[0] - x0) / step - 0.5))
-    positive = _jv_pair(nu, grid)[0] > 0.0
-    if not np.all(positive):
-        x = grid[np.argmin(positive)]
-        raise NumericError(
-            f"zero 1 of J_{nu} failed the index check: J_nu is not positive "
-            f"at x={x:.6f} below it"
-        )
-    return ZeroSet(nu=float(nu), zeros=zeros, accuracy=accuracy)
+
+def _certificate_error(nu: float, k: int, size: float, x: float) -> NumericError:
+    """zero k + 1 (from 1), at x, has |J| = size beyond the certificate"""
+    return NumericError(
+        f"zero {k + 1} of J_{nu} failed certification: |J|={size:.3e} at x={x:.6f}"
+    )
+
+
+def _gap_error(nu: float, k: int, gap: float, before: float, x: float) -> NumericError:
+    """zero k + 3 (from 1) ends the gap that broke the Sturm direction"""
+    return NumericError(
+        f"zero {k + 3} of J_{nu} failed the index check: gap "
+        f"{gap:.6f} after {before:.6f} at x={x:.6f}"
+    )
 
 
 def _check_gaps(nu: float, zeros: np.ndarray, accuracy: np.ndarray, offset: int = 0) -> None:
@@ -413,10 +576,27 @@ def _check_gaps(nu: float, zeros: np.ndarray, accuracy: np.ndarray, offset: int 
         bad = np.abs(change) > tol
     if np.any(bad):
         k = int(np.argmax(bad))
+        raise _gap_error(nu, offset + k, gaps[k + 1], gaps[k], zeros[k + 2])
+
+
+def _check_anchor(nu: float, first: float, values: Callable[[list[float]], list[float]]) -> None:
+    """Raise NumericError unless J_nu, which values(grid) evaluates, is
+    positive on a grid of step pi/8 from max(nu, 1) to at least pi/16 short
+    of the first zero, clear of the rounding of J there."""
+    x0 = max(nu, 1.0)
+    step = math.pi / 8.0
+    if x0 + step == x0:
         raise NumericError(
-            f"zero {offset + k + 3} of J_{nu} failed the index check: gap "
-            f"{gaps[k + 1]:.6f} after {gaps[k]:.6f} at x={zeros[k + 2]:.6f}"
+            f"cannot anchor the zeros of J_{nu}: a step of pi/8 does not "
+            f"advance x={x0:.6g} in binary64"
         )
+    grid = [x0 + step * i for i in range(math.ceil((first - x0) / step - 0.5))]
+    for x, v in zip(grid, values(grid)):
+        if not v > 0.0:
+            raise NumericError(
+                f"zero 1 of J_{nu} failed the index check: J_nu is not positive "
+                f"at x={x:.6f} below it"
+            )
 
 
 @dataclass(frozen=True)
@@ -454,19 +634,31 @@ def numeric_sigma(nu: float, p: float, zeros: ZeroSet) -> TailedSum:
         raise NumericError(f"p must be >= 1 for convergence, got {p}")
     if abs(nu - zeros.nu) > 1e-12 * max(1.0, abs(nu)):
         raise NumericError(f"order mismatch: nu={nu} but zero set has nu={zeros.nu}")
-    import numpy as np
+    return _sigma_sum(nu, p, zeros.zeros)
 
-    z = zeros.zeros
+
+def _sigma_sum(nu: float, p: float, z: list[float] | np.ndarray) -> TailedSum:
+    """numeric_sigma over the zeros z of J_nu, p >= 1: on Python floats for
+    a list from the scalar zero finder, on numpy blocks for an array."""
     big_k = len(z)
-    powers = ((z[i : i + _BLOCK] ** (-2.0 * p)).tolist() for i in range(0, big_k, _BLOCK))
-    partial = math.fsum(chain.from_iterable(powers))
+    e = -2.0 * p
     c = nu / 2.0 - 0.25
+    # the allowance for the tail's McMahon zeros is their next asymptotic
+    # correction, propagated through x**(-2p)
+    if isinstance(z, list):
+        partial = math.fsum(x**e for x in z)
+        tail = [_mcmahon(nu, float(k)) for k in range(big_k + 1, big_k + _TAIL_TERMS + 1)]
+        explicit = math.fsum(x**e for x, _ in tail)
+        allowance = math.fsum(2.0 * p * x ** (e - 1.0) * dx for x, dx in tail)
+    else:
+        import numpy as np
 
-    ks = np.arange(big_k + 1, big_k + _TAIL_TERMS + 1, dtype=float)
-    xt, delta = _mcmahon(nu, ks)
-    explicit = math.fsum(xt ** (-2.0 * p))
-    # error allowance: next asymptotic correction, propagated through x**(-2p)
-    allowance = float(np.sum(2.0 * p * xt ** (-2.0 * p - 1.0) * delta))
+        powers = ((z[i : i + _BLOCK] ** e).tolist() for i in range(0, big_k, _BLOCK))
+        partial = math.fsum(chain.from_iterable(powers))
+        ks = np.arange(big_k + 1, big_k + _TAIL_TERMS + 1, dtype=float)
+        xt, delta = _mcmahon(nu, ks)
+        explicit = math.fsum(xt**e)
+        allowance = float(np.sum(2.0 * p * xt ** (e - 1.0) * delta))
 
     n_rest = big_k + _TAIL_TERMS
     scale = math.pi ** (-2.0 * p) / (2.0 * p - 1.0)
@@ -601,7 +793,6 @@ def verify_ratio_formula(nu: float, p: int, k: int) -> float:
     """|direct Bessel ratio - closed-form expansion| at the k-th zero of J_nu."""
     if k < 1:
         raise NumericError(f"k must be >= 1, got {k}")
-    zs = bessel_zeros(nu, k)
-    xi = float(zs.zeros[k - 1])
+    xi = float(_find_zeros(nu, k)[0][k - 1])
     expansion = build_ratio_expansion(p)
     return abs(ratio_at_zero(nu, p, xi) - expansion.evaluate_float(nu, xi))

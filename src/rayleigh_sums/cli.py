@@ -24,8 +24,8 @@ from fractions import Fraction
 from .bessel_numeric import (
     _BLOCK,
     NumericError,
-    bessel_zeros,
-    numeric_sigma,
+    _find_zeros,
+    _sigma_sum,
     residue_tail_scale,
     verify_ratio_formula,
     verify_residue_identity,
@@ -121,8 +121,7 @@ def cmd_verify_sigma(args: argparse.Namespace) -> int:
         raise UsageError(f"nu={args.nu} is out of binary64 range") from None
     exact = sigma_value(args.p, nu)
     exact_f = _to_binary64(args.p, nu, exact)
-    zeros = bessel_zeros(nu_f, args.terms)
-    ts = numeric_sigma(nu_f, float(args.p), zeros)
+    ts = _sigma_sum(nu_f, float(args.p), _find_zeros(nu_f, args.terms)[0])
     residual = abs(ts.value - exact_f)
     rel = residual / abs(exact_f)
     print(f"lhs = {exact_f!r} (exact {exact})")
@@ -207,10 +206,15 @@ def cmd_zeros(args: argparse.Namespace) -> int:
         raise UsageError("count must be >= 1")
     if not 1 <= args.digits <= 17:
         raise UsageError("digits must be in 1..17")
-    zeros = bessel_zeros(args.nu, args.count).zeros
+    zeros = _find_zeros(args.nu, args.count)[0]
     spec = f"%.{args.digits}f\n"
-    for i in range(0, len(zeros), _BLOCK):
-        sys.stdout.writelines(map(spec.__mod__, zeros[i : i + _BLOCK].tolist()))
+    # a list from the scalar zero finder, else an array, written a block at a time
+    if isinstance(zeros, list):
+        blocks = [zeros]
+    else:
+        blocks = (zeros[i : i + _BLOCK].tolist() for i in range(0, len(zeros), _BLOCK))
+    for block in blocks:
+        sys.stdout.writelines(map(spec.__mod__, block))
     return EXIT_OK
 
 

@@ -199,9 +199,11 @@ def _normal_form(num: list[int], two: int, sh: dict[int, int], p: int) -> Factor
 # Kishore's recurrence
 
 
-def _term_shares(n: int) -> list[tuple[int, list[int]]]:
+def _term_shares(n: int) -> list[tuple[int, list[int], list[int]]]:
     """Term k's share of the known denominator at step n of Kishore's
-    recurrence, as (k, its shifts m <= n/2) for k = n//2 down to 1.
+    recurrence, as (k, joins, leaves) for k = n//2 down to 1: the shifts
+    m <= n/2 that term k lacks and term k+1 does not, and those that term
+    k+1 lacks and term k does not. Term n//2 lacks exactly its joins.
 
     If sigma(j) = x_j / (4**j prod_m (nu+m)**floor(j/m)) for j < n, then
     sigma(k) sigma(n-k) carries (nu+m)**(floor(k/m) + floor((n-k)/m)). That
@@ -213,10 +215,28 @@ def _term_shares(n: int) -> list[tuple[int, list[int]]]:
     n-k < m < n, one factor (nu+n-k) more for term k+1 than for term k, so
     derive_sigma (on integer polynomials) and sigma_value (on integers) sum
     Horner-style from k = n//2 down, multiplying by (nu+n-k) at step k.
+
+    For m <= n/2 the k that lack (nu+m) are the runs q m + r < k < (q+1) m,
+    r = n mod m, so walking k down, m joins at the top of each run and
+    leaves below its bottom: O(n log n) changes in all, where testing every
+    (k, m) pair takes O(n^2).
     """
     half = n // 2
-    rems = [(m, n % m) for m in range(2, half + 1)]
-    return [(k, [m for m, r in rems if k % m > r]) for k in range(half, 0, -1)]
+    joins: list[list[int]] = [[] for _ in range(half + 1)]
+    leaves: list[list[int]] = [[] for _ in range(half + 1)]
+    for m in range(2, half + 1):
+        r = n % m
+        if r == m - 1:  # no run
+            continue
+        # joins at each top, k = -1 mod m, and at n//2 inside a run; leaves
+        # just below each bottom, at k = r mod m
+        for shifts in joins[m - 1 :: m]:
+            shifts.append(m)
+        if r < half % m < m - 1:
+            joins[half].append(m)
+        for shifts in leaves[r or m : half : m]:
+            shifts.append(m)
+    return [(k, joins[k], leaves[k]) for k in range(half, 0, -1)]
 
 
 def derive_sigma(table: SigmaTable, p: int) -> FactoredRationalFn:
@@ -243,7 +263,10 @@ def derive_sigma(table: SigmaTable, p: int) -> FactoredRationalFn:
             x.append([c << (2 * n - two) for c in num])
             continue
         xn = [1] if n == 1 else []
-        for k, lower in _term_shares(n):
+        lower: set[int] = set()
+        for k, joins, leaves in _term_shares(n):
+            lower.difference_update(leaves)
+            lower.update(joins)
             _imul_linear(xn, n - k)
             term = _imul(x[k], x[n - k])
             for m in lower:
@@ -280,9 +303,11 @@ def sigma_value(p: int, nu: Rational | int) -> Rational:
             x.append(1)
             continue
         total = 0
-        for k, lower in _term_shares(n):
-            share = 1
-            for m in lower:
+        share = 1  # the product of c_m over the shifts term k lacks
+        for k, joins, leaves in _term_shares(n):
+            for m in leaves:
+                share //= c[m]
+            for m in joins:
                 share *= c[m]
             term = x[k] * x[n - k] * share
             total = total * c[n - k] + (term if 2 * k == n else 2 * term)

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rayleigh_sums import (
@@ -184,14 +184,17 @@ def test_zeros_do_not_depend_on_the_count(zero_cache, nu):
 def _kernel_error(mu, xs):
     """Worst error of _jv_pair(mu, xs) against mpmath, in units of eps times
     the envelope sqrt(J_mu(x)^2 + J_{mu+1}(x)^2) at each x. Also checks that
-    each value is the one the kernel gives for its x alone."""
+    each value is the one the kernel gives for its x alone, and the one
+    the scalar kernel gives."""
     xs = np.asarray(xs, dtype=float)
     ja, jb = bessel_numeric._jv_pair(mu, xs)
     worst = 0.0
+    scalar = bessel_numeric._jv_pair_at(mu)
     with mpmath.workdps(30):
         for i, x in enumerate(xs):
             alone = bessel_numeric._jv_pair(mu, xs[i : i + 1])
             assert (alone[0][0], alone[1][0]) == (ja[i], jb[i])
+            assert scalar(float(x)) == (ja[i], jb[i])  # the scalar kernel, bit for bit
             ra, rb = mpmath.besselj(mu, x), mpmath.besselj(mu + 1, x)
             err = max(abs(ja[i] - float(ra)), abs(jb[i] - float(rb)))
             worst = max(worst, err / (np.finfo(float).eps * float(mpmath.hypot(ra, rb))))
@@ -244,14 +247,97 @@ def test_mis_indexed_zeros_raise():
         _check_gaps(1000.0, zs.zeros[keep], zs.accuracy[keep])
 
 
+# thresholds that force each zero engine whatever the count and order
+_ENGINES = {"scalar": math.inf, "blocks": -1.0}
+
+
 def test_first_zero_is_anchored(monkeypatch):
     # seeds one index ahead give a set that passes certification and the gap
-    # check, but J_nu changes sign below its first zero
+    # check, but J_nu changes sign below its first zero; in either engine
     seeds = bessel_numeric._seeds
     monkeypatch.setattr(bessel_numeric, "_seeds", lambda nu, k: seeds(nu, k + 1))
-    for nu in (0.0, 2.7, 1000.0):
-        with pytest.raises(NumericError, match=f"zero 1 of J_{nu} failed the index check"):
-            bessel_zeros(nu, 20)
+    for threshold in _ENGINES.values():
+        monkeypatch.setattr(bessel_numeric, "_SCALAR_WORK", threshold)
+        for nu in (0.0, 2.7, 1000.0):
+            with pytest.raises(NumericError, match=f"zero 1 of J_{nu} failed the index check"):
+                bessel_zeros(nu, 20)
+
+
+def _engine_result(engine, nu, count):
+    """(zeros bytes, accuracy bytes) from one engine, or its error message."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bessel_numeric, "_SCALAR_WORK", _ENGINES[engine])
+        try:
+            zs = bessel_zeros(nu, count)
+        except NumericError as e:
+            return str(e)
+    return zs.zeros.tobytes(), zs.accuracy.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(nu=st.floats(0.0, 300.0), count=st.integers(1, 2000))
+@example(nu=4.3, count=12)
+@example(nu=0.0, count=2000)
+@example(nu=2.7, count=2000)
+@example(nu=50.0, count=2000)
+@example(nu=600.0, count=620)
+def test_engines_give_the_same_bits(nu, count):
+    scalar = _engine_result("scalar", nu, count)
+    assert not isinstance(scalar, str)
+    assert _engine_result("blocks", nu, count) == scalar
+
+
+@pytest.mark.parametrize("k0", [1, 3, 7, 300])
+def test_engines_raise_the_same_errors(monkeypatch, k0):
+    # a skipped zero k0 fails the gap check (or the anchor, at k0 = 1), a
+    # nan seed the seeding, a nan J near zero k0 the certificate
+    seeds = bessel_numeric._seeds
+    xi = bessel_zeros(2.7, k0).zeros[-1]
+
+    def results():
+        out = {e: _engine_result(e, 2.7, 400) for e in _ENGINES}
+        assert out["scalar"] == out["blocks"]
+        return out["scalar"]
+
+    monkeypatch.setattr(bessel_numeric, "_seeds", lambda nu, k: seeds(nu, k + (k >= k0)))
+    assert results().startswith(f"zero {k0} of J_2.7 failed the index check")
+
+    def nan_seed(nu, k):
+        if isinstance(k, float):
+            return math.nan if k == k0 else seeds(nu, k)
+        out = seeds(nu, k)
+        out[k == k0] = math.nan
+        return out
+
+    monkeypatch.setattr(bessel_numeric, "_seeds", nan_seed)
+    assert results() == "the zeros of J_2.7 cannot be seeded in binary64"
+
+    monkeypatch.setattr(bessel_numeric, "_seeds", seeds)
+    jv_pair, jv_pair_at = bessel_numeric._jv_pair, bessel_numeric._jv_pair_at
+
+    def broken(mu, x):
+        ja, jb = jv_pair(mu, x)
+        ja[np.abs(x - xi) < 1.0] = np.nan
+        return ja, jb
+
+    def broken_at(mu):
+        pair = jv_pair_at(mu)
+        return lambda x: (math.nan, pair(x)[1]) if abs(x - xi) < 1.0 else pair(x)
+
+    monkeypatch.setattr(bessel_numeric, "_jv_pair", broken)
+    monkeypatch.setattr(bessel_numeric, "_jv_pair_at", broken_at)
+    assert results().startswith(f"zero {k0} of J_2.7 failed certification")
+
+
+def test_engine_threshold_is_count_times_nu_plus_30(monkeypatch):
+    found = []
+    monkeypatch.setattr(bessel_numeric, "_zeros_scalar", lambda nu, n: found.append("scalar"))
+    monkeypatch.setattr(bessel_numeric, "_zeros_blocks", lambda nu, n: found.append("blocks"))
+    limit = bessel_numeric._SCALAR_WORK
+    cases = ((0.0, int(limit / 30)), (0.0, int(limit / 30) + 1), (170.0, 1000), (170.0, 1001))
+    for nu, count in cases:
+        bessel_numeric._find_zeros(nu, count)
+    assert found == ["scalar", "blocks", "scalar", "blocks"]
 
 
 def test_accuracy_estimates_are_small(zero_cache):

@@ -1,6 +1,8 @@
-"""The exact subcommands run without numpy or scipy, and the numeric ones
-without scipy below the order cap of the numpy Bessel kernel; the CLI
-runs OpenBLAS on one thread unless the environment says otherwise.
+"""The exact subcommands run without numpy or scipy, and so do the small
+numeric ones, whose zeros come from the scalar zero finder below its work
+threshold; larger numeric calls load numpy, and only orders above the cap
+of the numpy Bessel kernel load scipy. The CLI runs OpenBLAS on one thread
+unless the environment says otherwise.
 
 The pytest process has numpy loaded already, so each check runs a fresh
 interpreter with PYTHONPATH=src and reads its sys.modules.
@@ -68,18 +70,33 @@ def test_exact_subcommands_load_neither_numpy_nor_scipy():
     assert len(seen) == 6
 
 
-def test_zeros_loads_numpy_and_scipy():
-    # numpy for any zero, scipy only for an order above the kernel's cap;
-    # this also confirms the probe sees a lazy import when one happens
-    assert bessel_numeric._JV_ORDER_CAP < 6000
+def test_small_numeric_calls_load_neither_numpy_nor_scipy():
+    # count * (nu + 30) is at most the scalar engine's threshold in each call
     seen = _loaded_after(
         ["zeros", "--nu", "0", "--count", "3"],
+        ["zeros", "--nu", "4.3", "--count", "20"],
+        ["verify", "sigma", "--p", "25", "--nu", "27/10", "--terms", "300"],
+        ["verify", "sigma", "--p", "5", "--nu", "50", "--terms", "2000"],
+        ["verify", "ratio", "--p", "3", "--nu", "1.7", "--k", "3"],
+    )
+    assert seen == {stage: [] for stage in seen}
+    assert len(seen) == 6
+
+
+def test_zeros_loads_numpy_and_scipy():
+    # numpy above the scalar engine's threshold and for the residue check,
+    # scipy only for an order above the kernel's cap; this also confirms
+    # the probe sees a lazy import when one happens
+    assert 10**4 * 30 > bessel_numeric._SCALAR_WORK
+    assert bessel_numeric._JV_ORDER_CAP < 6000
+    seen = _loaded_after(
+        ["zeros", "--nu", "0", "--count", "10000"],
         ["verify", "residues", "--p", "1.5", "--nu", "2.7", "--terms", "100"],
         ["zeros", "--nu", "6000", "--count", "3"],
     )
     assert seen == {
         "import": [],
-        "zeros --nu 0 --count 3": ["numpy"],
+        "zeros --nu 0 --count 10000": ["numpy"],
         "verify residues --p 1.5 --nu 2.7 --terms 100": ["numpy"],
         "zeros --nu 6000 --count 3": ["numpy", "scipy"],
     }

@@ -26,6 +26,7 @@ from rayleigh_sums import (
 )
 
 from rayleigh_sums.exact_algebra import _igamma_ratio
+from rayleigh_sums.rayleigh_core import _term_shares
 
 from golden_forms import SIGMA9_AT_0, golden_frf
 
@@ -259,3 +260,21 @@ def test_sigma_value_poles_are_exactly_minus_1_to_minus_p(table80):
 def test_sigma_value_rejects_p0():
     with pytest.raises(ValueError):
         sigma_value(0, Fraction(1, 2))
+
+
+def test_sigma_at_minus_half_is_dirichlet_lambda():
+    # the zeros of J_{-1/2} are (k - 1/2) pi, so sigma(p, -1/2) is
+    # (2/pi)^(2p) lambda(2p) = (4^p - 1) zeta(2p) / pi^(2p) = (4^p - 1) sigma(p, 1/2)
+    for p in range(1, 61):
+        assert sigma_value(p, Fraction(-1, 2)) == (4**p - 1) * sigma_value(p, Fraction(1, 2)), p
+
+
+def test_term_shares_follow_the_mod_rule():
+    # walking k down from n//2, the running set of joins minus leaves is
+    # exactly the shifts m <= n/2 with k mod m > n mod m
+    for n in range(1, 200):
+        lacking: set[int] = set()
+        for k, joins, leaves in _term_shares(n):
+            assert set(leaves) <= lacking and not set(joins) & lacking, (n, k)
+            lacking = (lacking - set(leaves)) | set(joins)
+            assert lacking == {m for m in range(2, n // 2 + 1) if k % m > n % m}, (n, k)
