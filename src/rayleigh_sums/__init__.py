@@ -6,43 +6,13 @@ for every integer p >= 1. This package derives those closed forms with
 Kishore's convolution recurrence, checks them against the source paper's
 triangular linear system and a floating-point zero summation oracle, and specializes them at nu = 1/2 to exact even-argument
 Riemann zeta values zeta(2p) = pi**(2p) * sigma(p, 1/2).
+
+Importing the package loads none of its modules. Each public name is
+imported from its home module on first use (PEP 562 module __getattr__), so
+a process pays only for the layers it touches.
 """
 
-from .exact_algebra import (
-    FactoredRationalFn,
-    PoleError,
-    Poly,
-    Rational,
-    poly_gcd,
-)
-from .rayleigh_core import (
-    RatioExpansion,
-    SigmaTable,
-    build_ratio_expansion,
-    derive_sigma,
-    derive_sigma_triangular,
-    eval_sigma_exact,
-    q_max,
-    ratio_by_recurrence,
-    ratio_coefficient,
-    sigma_value,
-    sums_identity_defect,
-)
-from .bessel_numeric import (
-    NumericError,
-    ResidueReport,
-    TailedSum,
-    ZeroSet,
-    bessel_j,
-    bessel_zeros,
-    numeric_sigma,
-    ratio_at_zero,
-    residue_identity_lhs,
-    residue_tail_scale,
-    verify_ratio_formula,
-    verify_residue_identity,
-)
-from .zeta import PI_50, ZetaValue, spherical_sigma, zeta_even, zeta_float_str
+import importlib
 
 __version__ = "0.1.0"
 
@@ -82,3 +52,51 @@ __all__ = [
     "zeta_float_str",
     "__version__",
 ]
+
+# The home module of every public name but __version__.
+_EXPORTS = {
+    "exact_algebra": ("FactoredRationalFn", "PoleError", "Poly", "Rational", "poly_gcd"),
+    "rayleigh_core": (
+        "RatioExpansion",
+        "SigmaTable",
+        "build_ratio_expansion",
+        "derive_sigma",
+        "derive_sigma_triangular",
+        "eval_sigma_exact",
+        "q_max",
+        "ratio_by_recurrence",
+        "ratio_coefficient",
+        "sigma_value",
+        "sums_identity_defect",
+    ),
+    "bessel_numeric": (
+        "NumericError",
+        "ResidueReport",
+        "TailedSum",
+        "ZeroSet",
+        "bessel_j",
+        "bessel_zeros",
+        "numeric_sigma",
+        "ratio_at_zero",
+        "residue_identity_lhs",
+        "residue_tail_scale",
+        "verify_ratio_formula",
+        "verify_residue_identity",
+    ),
+    "zeta": ("PI_50", "ZetaValue", "spherical_sigma", "zeta_even", "zeta_float_str"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import a public name from its home module, and keep it here."""
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

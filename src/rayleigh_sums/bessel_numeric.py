@@ -48,10 +48,10 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Callable
 
+from .exact_algebra import _Record
 from .rayleigh_core import build_ratio_expansion
 
 if TYPE_CHECKING:
@@ -289,17 +289,19 @@ def _miller(m0: float, n: int, xs: list[float]) -> tuple[list[float], list[float
     return ja, jb
 
 
-@dataclass(frozen=True, eq=False)
-class ZeroSet:
-    """Ordered positive zeros of J_nu with per-zero absolute error estimates."""
+class ZeroSet(_Record):
+    """Ordered positive zeros of J_nu with per-zero absolute error estimates:
+    nu: float, and zeros and accuracy, float64 arrays. Zero sets compare by
+    identity, since arrays have no single truth value for ==."""
 
-    nu: float
-    zeros: np.ndarray
-    accuracy: np.ndarray
+    __slots__ = ("nu", "zeros", "accuracy")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
+    def __init__(self, nu: float, zeros: np.ndarray, accuracy: np.ndarray) -> None:
         import numpy as np
 
+        super().__init__(nu, zeros, accuracy)
         z = self.zeros
         if len(z) == 0 or z[0] <= 0:
             raise NumericError("zero set must start with a positive zero")
@@ -496,40 +498,42 @@ def _zeros_blocks(nu: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     worst = []  # per block: the largest |J| / max(1, |J'|), its index, |J| and x
     uncertified = False
     bad_gap = None
-    for start in range(0, count, _BLOCK):
-        stop = min(start + _BLOCK, count)
-        x = zeros[start:stop]
-        with np.errstate(all="ignore"):  # an order past binary64 seeds inf or nan
+    # past binary64 the seeds, Newton steps and gaps turn inf or nan, which
+    # the checks report; numpy is kept from warning of it on stderr too
+    with np.errstate(all="ignore"):
+        for start in range(0, count, _BLOCK):
+            stop = min(start + _BLOCK, count)
+            x = zeros[start:stop]
             x[:] = _seeds(nu, np.arange(start + 1, stop + 1, dtype=float))
-        if not np.all(np.isfinite(x)):
-            raise NumericError(f"the zeros of J_{nu} cannot be seeded in binary64")
+            if not np.all(np.isfinite(x)):
+                raise NumericError(f"the zeros of J_{nu} cannot be seeded in binary64")
 
-        # one pass over the block gives every zero its J and J', then Newton
-        # moves only the seeds whose step would still exceed half an ulp
-        f, g = _jv_pair(nu, x)
-        d = (nu / x) * f - g
-        moving = np.flatnonzero(np.abs(f) > 0.5 * _EPS * x * np.abs(d))
-        for _ in range(6):
-            if moving.size == 0:
-                break
-            xs = x[moving] - f[moving] / d[moving]
-            fs, gs = _jv_pair(nu, xs)
-            ds = (nu / xs) * fs - gs
-            x[moving], f[moving], d[moving] = xs, fs, ds
-            moving = moving[np.abs(fs) > 0.5 * _EPS * xs * np.abs(ds)]
+            # one pass over the block gives every zero its J and J', then Newton
+            # moves only the seeds whose step would still exceed half an ulp
+            f, g = _jv_pair(nu, x)
+            d = (nu / x) * f - g
+            moving = np.flatnonzero(np.abs(f) > 0.5 * _EPS * x * np.abs(d))
+            for _ in range(6):
+                if moving.size == 0:
+                    break
+                xs = x[moving] - f[moving] / d[moving]
+                fs, gs = _jv_pair(nu, xs)
+                ds = (nu / xs) * fs - gs
+                x[moving], f[moving], d[moving] = xs, fs, ds
+                moving = moving[np.abs(fs) > 0.5 * _EPS * xs * np.abs(ds)]
 
-        size, scale = np.abs(f), np.maximum(1.0, np.abs(d))
-        uncertified |= not np.all(size < 1e-12 * scale)
-        ratio = size / scale
-        i = int(np.argmax(ratio))
-        worst.append((ratio[i], start + i, size[i], x[i]))
-        accuracy[start:stop] = np.abs(f / d) + 4.0 * _EPS * x
-        if bad_gap is None:
-            lo = max(start - 2, 0)
-            try:
-                _check_gaps(nu, zeros[lo:stop], accuracy[lo:stop], lo)
-            except NumericError as e:
-                bad_gap = e
+            size, scale = np.abs(f), np.maximum(1.0, np.abs(d))
+            uncertified |= not np.all(size < 1e-12 * scale)
+            ratio = size / scale
+            i = int(np.argmax(ratio))
+            worst.append((ratio[i], start + i, size[i], x[i]))
+            accuracy[start:stop] = np.abs(f / d) + 4.0 * _EPS * x
+            if bad_gap is None:
+                lo = max(start - 2, 0)
+                try:
+                    _check_gaps(nu, zeros[lo:stop], accuracy[lo:stop], lo)
+                except NumericError as e:
+                    bad_gap = e
 
     if uncertified:
         # argmax over the block maxima: the first nan, else the first largest
@@ -599,9 +603,9 @@ def _check_anchor(nu: float, first: float, values: Callable[[list[float]], list[
             )
 
 
-@dataclass(frozen=True)
-class TailedSum:
-    """Truncated zero sum with an estimated tail added on.
+class TailedSum(_Record):
+    """Truncated zero sum with an estimated tail added on; all four fields
+    are floats.
 
     value = partial + tail_estimate; tail_bound is a best-effort bound on
     |true tail - tail_estimate| from the integral bracket of the remainder
@@ -609,10 +613,7 @@ class TailedSum:
     explicit continuation terms.
     """
 
-    partial: float
-    tail_estimate: float
-    tail_bound: float
-    value: float
+    __slots__ = ("partial", "tail_estimate", "tail_bound", "value")
 
 
 # Zeros past the last computed one that numeric_sigma sums from McMahon's
@@ -710,19 +711,15 @@ def residue_tail_scale(nu: float, p: float, terms: int) -> float:
     return math.pi ** (-(p + 1.0)) * (terms + c) ** (-p) / p
 
 
-@dataclass(frozen=True)
-class ResidueReport:
-    """Result of a residue-identity check.
+class ResidueReport(_Record):
+    """Result of a residue-identity check: the floats lhs, partial_rhs,
+    residual and rounding, and the bool converging.
 
     rounding bounds the part of the residual that binary64 evaluation
     explains: the error of lhs and of every summed term, from the
     kernel's stated accuracy and each zero's accuracy estimate."""
 
-    lhs: float
-    partial_rhs: float
-    residual: float
-    converging: bool
-    rounding: float
+    __slots__ = ("lhs", "partial_rhs", "residual", "converging", "rounding")
 
 
 def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:

@@ -208,13 +208,13 @@ def cmd_zeros(args: argparse.Namespace) -> int:
         raise UsageError("digits must be in 1..17")
     zeros = _find_zeros(args.nu, args.count)[0]
     spec = f"%.{args.digits}f\n"
-    # a list from the scalar zero finder, else an array, written a block at a time
-    if isinstance(zeros, list):
-        blocks = [zeros]
-    else:
-        blocks = (zeros[i : i + _BLOCK].tolist() for i in range(0, len(zeros), _BLOCK))
-    for block in blocks:
-        sys.stdout.writelines(map(spec.__mod__, block))
+    # a list from the scalar zero finder, else an array; one write per block,
+    # since an unbuffered stdout makes a system call of every write
+    for i in range(0, len(zeros), _BLOCK):
+        block = zeros[i : i + _BLOCK]
+        if not isinstance(block, list):
+            block = block.tolist()
+        sys.stdout.write("".join(map(spec.__mod__, block)))
     return EXIT_OK
 
 

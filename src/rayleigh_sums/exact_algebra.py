@@ -6,23 +6,23 @@ fractions. Polynomials have Python int coefficients: every closed form the
 solver produces is an integer, content-free numerator over a denominator of
 the shape
 
-    2**a * prod_m (nu + m)**e_m * residual(nu).
-
-The residual factor records any denominator part that does not split into
-integer shifts; every value produced by the solver is expected to have
-residual == 1, and the test suite checks that rather than assuming it.
+    2**a * prod_m (nu + m)**e_m.
 
 Each polynomial operation has one implementation, the underscore kernels
 below, which work on plain lists of ints (dense, ascending powers, no
 trailing zero, [] == zero). The solvers in rayleigh_core call them directly
 in their inner loops; Poly, the immutable public type, calls the same
 kernels from its operators.
+
+The package's immutable value types are `_Record`s: slotted classes with
+field-wise equality, hashing and repr, whose fields cannot be reassigned.
+Building them needs no `dataclasses`, whose import (with `inspect` and
+`ast`) and class generation cost about 15 ms of every fresh process.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 # Arbitrary-precision exact scalar. fractions.Fraction already maintains the
@@ -37,6 +37,46 @@ class PoleError(ZeroDivisionError):
     def __init__(self, nu: Rational) -> None:
         self.nu = nu
         super().__init__(f"evaluation at pole nu={nu}")
+
+
+class _Record:
+    """Immutable value: the fields are the subclass's __slots__, set once by
+    __init__ (positionally or by name); ==, hash and repr go field by field,
+    and assigning or deleting a field raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +153,7 @@ def _iprimitive(a: list[int]) -> list[int]:
 # polynomials
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(_Record):
     """Dense univariate polynomial with int coefficients; coeffs[i] is the
     coefficient of nu**i.
 
@@ -123,12 +162,12 @@ class Poly:
     coefficient that is not an int raises ValueError.
     """
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if any(type(c) is not int for c in self.coeffs):
-            raise ValueError(f"non-integer coefficient in {self.coeffs!r}")
-        object.__setattr__(self, "coeffs", tuple(_istrip(list(self.coeffs))))
+    def __init__(self, coeffs: tuple[int, ...] = ()) -> None:
+        if any(type(c) is not int for c in coeffs):
+            raise ValueError(f"non-integer coefficient in {coeffs!r}")
+        object.__setattr__(self, "coeffs", tuple(_istrip(list(coeffs))))
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -230,23 +269,26 @@ def poly_latex(p: Poly) -> str:
     return _poly_terms(p, *_LATEX)
 
 
-@dataclass(frozen=True)
-class FactoredRationalFn:
-    """numerator / (2**two_exponent * prod (nu+m)**e_m * residual).
+class FactoredRationalFn(_Record):
+    """numerator / (2**two_exponent * prod (nu+m)**e_m), with
+    numerator: Poly, two_exponent: int and
+    shift_factors: tuple[tuple[int, int], ...] the pairs (m, e_m).
 
     shift_factors is sorted by m with distinct entries. In the normal form
     emitted by the solver the numerator has content 1 and positive leading
-    coefficient, numerator and denominator are coprime, and residual == 1;
-    those are verified properties of the outputs, not constructor
-    requirements.
+    coefficient, and numerator and denominator are coprime; those are
+    verified properties of the outputs, not constructor requirements.
     """
 
-    numerator: Poly
-    two_exponent: int
-    shift_factors: tuple[tuple[int, int], ...]
-    residual: Poly = field(default_factory=Poly.one)
+    __slots__ = ("numerator", "two_exponent", "shift_factors")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        numerator: Poly,
+        two_exponent: int,
+        shift_factors: tuple[tuple[int, int], ...],
+    ) -> None:
+        super().__init__(numerator, two_exponent, shift_factors)
         if self.two_exponent < 0:
             raise ValueError("two_exponent must be non-negative")
         ms = [m for m, _ in self.shift_factors]
@@ -255,12 +297,18 @@ class FactoredRationalFn:
         if any(e < 1 for _, e in self.shift_factors):
             raise ValueError("shift multiplicities must be positive")
 
+    @property
+    def residual(self) -> Poly:
+        """The denominator part that does not split into integer shifts:
+        always 1, kept for readers of the residual field and the JSON form."""
+        return Poly.one()
+
     def denominator_expanded(self) -> Poly:
         den = [2**self.two_exponent]
         for m, e in self.shift_factors:
             for _ in range(e):
                 _imul_linear(den, m)
-        return Poly(tuple(_imul(den, list(self.residual.coeffs))))
+        return Poly(tuple(den))
 
     def evaluate(self, nu: Rational | int) -> Rational:
         """Exact value at nu; raises PoleError at a denominator root."""
@@ -268,7 +316,6 @@ class FactoredRationalFn:
         den = Fraction(2) ** self.two_exponent
         for m, e in self.shift_factors:
             den *= (nu + m) ** e
-        den *= self.residual.evaluate(nu)
         if den == 0:
             raise PoleError(nu)
         return self.numerator.evaluate(nu) / den
@@ -279,10 +326,10 @@ class FactoredRationalFn:
             "numerator": [str(c) for c in self.numerator.int_coeffs()],
             "two_exponent": self.two_exponent,
             "shift_factors": [[m, e] for m, e in self.shift_factors],
-            "residual": [str(c) for c in self.residual.int_coeffs()],
+            "residual": ["1"],
         }
 
-    def _den_parts(self, var: str, pow_fmt: str, sign_fmt: str) -> list[str]:
+    def _den_parts(self, var: str, pow_fmt: str) -> list[str]:
         parts: list[str] = []
         if self.two_exponent == 1:
             parts.append("2")
@@ -291,8 +338,6 @@ class FactoredRationalFn:
         for m, e in self.shift_factors:
             base = f"({var}+{m})"
             parts.append(base if e == 1 else base + pow_fmt.format(e))
-        if self.residual != Poly.one():
-            parts.append(f"({_poly_terms(self.residual, var, pow_fmt, sign_fmt)})")
         return parts
 
     def to_text(self) -> str:
@@ -300,7 +345,7 @@ class FactoredRationalFn:
         num = poly_text(self.numerator)
         if self.numerator.degree >= 1:
             num = f"({num})"
-        parts = self._den_parts(*_TEXT)
+        parts = self._den_parts(*_TEXT[:2])
         if not parts:
             return num
         return f"{num} / ({' '.join(parts)})"
@@ -308,7 +353,7 @@ class FactoredRationalFn:
     def to_latex(self) -> str:
         """LaTeX, e.g. '\\frac{1}{2^{4}(\\nu+1)^{2}(\\nu+2)}'."""
         num = poly_latex(self.numerator)
-        parts = self._den_parts(*_LATEX)
+        parts = self._den_parts(*_LATEX[:2])
         if not parts:
             return num
         return f"\\frac{{{num}}}{{{''.join(parts)}}}"

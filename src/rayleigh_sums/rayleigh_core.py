@@ -41,7 +41,6 @@ results in Poly, whose operators call the same kernels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact_algebra import (
@@ -55,6 +54,7 @@ from .exact_algebra import (
     _imul_linear,
     _iscale,
     _isyndiv,
+    _Record,
 )
 
 # ---------------------------------------------------------------------------
@@ -76,13 +76,13 @@ def ratio_coefficient(p: int, q: int) -> Poly:
     return Poly(tuple(_iscale(_igamma_ratio(p - q, q + 1), c)))
 
 
-@dataclass(frozen=True)
-class RatioExpansion:
+class RatioExpansion(_Record):
     """J_{nu+p}(xi)/J_{nu+1}(xi) at a zero xi of J_nu, as
-    sum over terms (q, coeff, power) of coeff(nu) * (2/xi)**power."""
+    sum over terms (q, coeff, power) of coeff(nu) * (2/xi)**power.
 
-    p: int
-    terms: tuple[tuple[int, Poly, int], ...]
+    Fields: p: int, terms: tuple[tuple[int, Poly, int], ...]."""
+
+    __slots__ = ("p", "terms")
 
     def evaluate_float(self, nu: float, xi: float) -> float:
         u = 2.0 / xi
@@ -137,14 +137,26 @@ def ratio_by_recurrence(p: int) -> tuple[Poly, ...]:
 # closed-form table
 
 
-@dataclass
 class SigmaTable:
     """Map p -> closed form of sigma(p, nu), extended on demand.
 
     Keys stay contiguous 1..p_max because derive_sigma fills every gap it
-    needs. Entries, once written, are immutable values safe to share."""
+    needs. Entries, once written, are immutable values safe to share.
+    Tables compare by their entries."""
 
-    entries: dict[int, FactoredRationalFn] = field(default_factory=dict)
+    __slots__ = ("entries",)
+    __hash__ = None  # mutable
+
+    def __init__(self, entries: dict[int, FactoredRationalFn] | None = None) -> None:
+        self.entries = {} if entries is None else entries
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"SigmaTable(entries={self.entries!r})"
 
     def __contains__(self, p: int) -> bool:
         return p in self.entries
@@ -158,8 +170,6 @@ class SigmaTable:
 
 
 def _entry_parts(f: FactoredRationalFn) -> tuple[list[int], int, dict[int, int]]:
-    if f.residual != Poly.one():
-        raise ValueError("table entry not in solver normal form")
     return list(f.numerator.int_coeffs()), f.two_exponent, dict(f.shift_factors)
 
 

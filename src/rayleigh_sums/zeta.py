@@ -18,10 +18,9 @@ exact pipeline.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_algebra import Rational
+from .exact_algebra import Rational, _Record
 from .rayleigh_core import SigmaTable, sigma_value
 
 PI_50 = "3.14159265358979323846264338327950288419716939937511"
@@ -55,15 +54,18 @@ def _trial_factor(n: int, bound: int = 10**6) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ZetaValue:
+class ZetaValue(_Record):
     """zeta(two_p) = coefficient * pi**two_p, denominator factored for display."""
 
-    two_p: int
-    coefficient: Rational
-    factored_denominator: tuple[tuple[int, int], ...]
+    __slots__ = ("two_p", "coefficient", "factored_denominator")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        two_p: int,
+        coefficient: Rational,
+        factored_denominator: tuple[tuple[int, int], ...],
+    ) -> None:
+        super().__init__(two_p, coefficient, factored_denominator)
         if self.coefficient <= 0:
             raise ValueError("zeta coefficient must be positive")
         prod = 1

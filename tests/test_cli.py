@@ -1,5 +1,6 @@
 """End-to-end coverage of the command-line interface via main(argv)."""
 
+import io
 import json
 import subprocess
 import sys
@@ -303,6 +304,42 @@ def test_zeros_out_of_reach_fail_loudly(capsys):
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert proc.stderr.startswith("numeric breakdown: zero 1 of J_1e+20 failed certification")
+
+
+def test_zeros_past_binary64_print_only_the_breakdown():
+    # the seeds, Newton steps and gaps turn inf and nan here; numpy must not
+    # warn of it beside the message
+    proc = subprocess.run(
+        [sys.executable, "-m", "rayleigh_sums", "zeros", "--nu", "1e50", "--count", "2"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("numeric breakdown: zero 1 of J_1e+50 failed certification")
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, s):
+        self.writes += 1
+        return super().write(s)
+
+
+@pytest.mark.parametrize("count", [20, 2 * bessel_numeric._BLOCK + 5], ids=["scalar", "blocks"])
+def test_zeros_writes_once_per_block(monkeypatch, count):
+    # an unbuffered stdout makes a system call of every write
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["zeros", "--nu", "0", "--count", str(count)]) == 0
+    assert len(out.getvalue().splitlines()) == count
+    assert out.writes <= -(-count // bessel_numeric._BLOCK)
 
 
 def test_table_text(capsys):

@@ -1,22 +1,39 @@
-"""The exact subcommands run without numpy or scipy, and so do the small
-numeric ones, whose zeros come from the scalar zero finder below its work
-threshold; larger numeric calls load numpy, and only orders above the cap
-of the numpy Bessel kernel load scipy. The CLI runs OpenBLAS on one thread
-unless the environment says otherwise.
+"""What each process loads. Importing the package loads none of its
+modules, and the CLI loads its four layers but not `dataclasses` or
+`inspect`. The exact subcommands run without numpy or scipy, and so do the
+small numeric ones, whose zeros come from the scalar zero finder below its
+work threshold; larger numeric calls load numpy, and only orders above the
+cap of the numpy Bessel kernel load scipy. The CLI runs OpenBLAS on one
+thread unless the environment says otherwise.
 
 The pytest process has numpy loaded already, so each check runs a fresh
 interpreter with PYTHONPATH=src and reads its sys.modules.
 """
 
+import copy
+import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rayleigh_sums import bessel_numeric
+import rayleigh_sums
+from rayleigh_sums import (
+    FactoredRationalFn,
+    Poly,
+    RatioExpansion,
+    ResidueReport,
+    TailedSum,
+    ZeroSet,
+    ZetaValue,
+    bessel_numeric,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,7 +43,7 @@ import rayleigh_sums
 from rayleigh_sums import cli
 
 def loaded():
-    return sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+    return sorted(m for m in json.loads(sys.argv[2]) if m in sys.modules)
 
 seen = {"import": loaded()}
 for argv in json.loads(sys.argv[1]):
@@ -54,8 +71,20 @@ def _probe(code: str, *args: str, env: dict | None = None) -> str:
     return proc.stdout
 
 
-def _loaded_after(*argvs: list[str]) -> dict:
-    return json.loads(_probe(_PROBE, json.dumps(argvs)))
+# numpy loads inspect itself, so the last two are watched only where numpy
+# is not loaded
+_HEAVY = ("numpy", "scipy", "dataclasses", "inspect")
+
+
+def _loaded_after(*argvs: list[str], watch: tuple[str, ...] = _HEAVY) -> dict:
+    """The watched modules loaded after `import rayleigh_sums.cli` and after
+    each CLI call in turn, in one fresh interpreter."""
+    return json.loads(_probe(_PROBE, json.dumps(argvs), json.dumps(watch)))
+
+
+def test_package_import_loads_no_module_of_the_package():
+    code = "import sys, rayleigh_sums; print(sorted(m for m in sys.modules if 'rayleigh' in m))"
+    assert _probe(code) == "['rayleigh_sums']\n"
 
 
 def test_exact_subcommands_load_neither_numpy_nor_scipy():
@@ -93,6 +122,7 @@ def test_zeros_loads_numpy_and_scipy():
         ["zeros", "--nu", "0", "--count", "10000"],
         ["verify", "residues", "--p", "1.5", "--nu", "2.7", "--terms", "100"],
         ["zeros", "--nu", "6000", "--count", "3"],
+        watch=("numpy", "scipy"),
     )
     assert seen == {
         "import": [],
@@ -119,3 +149,70 @@ def test_cli_runs_openblas_on_one_thread_unless_told_otherwise(preset, seen):
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
     assert _probe(_THREADS_PROBE, env=env) == f"0 {seen}\n"
+
+
+def test_every_public_name_is_its_home_modules_object():
+    homes = rayleigh_sums._HOME
+    assert set(homes) | {"__version__"} == set(rayleigh_sums.__all__)
+    for name, module in homes.items():
+        home = importlib.import_module(f"rayleigh_sums.{module}")
+        assert getattr(rayleigh_sums, name) is getattr(home, name), name
+    assert set(rayleigh_sums.__all__) <= set(dir(rayleigh_sums))
+    namespace: dict = {}
+    exec("from rayleigh_sums import *", namespace)
+    assert set(rayleigh_sums.__all__) <= set(namespace)
+
+
+def test_unknown_names_are_attribute_errors():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rayleigh_sums.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        from rayleigh_sums import no_such_name  # noqa: F401
+
+
+# each immutable record type, the fields of one value and of an unequal one
+_RECORDS = [
+    (Poly, ((1, 2),), ((1, 3),)),
+    (FactoredRationalFn, (Poly((3, 1)), 2, ((1, 1),)), (Poly((3, 1)), 3, ((1, 1),))),
+    (RatioExpansion, (3, ((0, Poly((2, 1)), 2),)), (2, ())),
+    (
+        ZetaValue,
+        (2, Fraction(1, 6), ((2, 1), (3, 1))),
+        (4, Fraction(1, 90), ((2, 1), (3, 2), (5, 1))),
+    ),
+    (TailedSum, (1.0, 0.5, 1e-9, 1.5), (1.0, 0.5, 1e-9, 1.25)),
+    (ResidueReport, (0.25, 0.24, 0.01, True, 1e-15), (0.25, 0.24, 0.01, False, 1e-15)),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, other_fields", _RECORDS, ids=[r[0].__name__ for r in _RECORDS]
+)
+def test_records_are_immutable_values(cls, fields, other_fields):
+    a = cls(*fields)
+    b = cls(**dict(zip(cls.__slots__, fields)))
+    other = cls(*other_fields)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != other and a != fields
+    shown = ", ".join(f"{n}={v!r}" for n, v in zip(cls.__slots__, fields))
+    assert repr(a) == f"{cls.__name__}({shown})"
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(other, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b
+    assert pickle.loads(pickle.dumps(a)) == a == copy.copy(a)
+    with pytest.raises(TypeError):
+        cls(*fields, 0)
+
+
+def test_zero_sets_compare_by_identity_and_stay_immutable():
+    zeros = np.array([2.404825557695773, 5.520078110286311])
+    a = ZeroSet(0.0, zeros, np.zeros(2))
+    b = ZeroSet(nu=0.0, zeros=zeros, accuracy=np.zeros(2))
+    assert a == a and a != b and hash(a) != hash(b)
+    with pytest.raises(AttributeError):
+        a.nu = 1.0
