@@ -8,12 +8,12 @@ relative at nu in {0, 1/2, 1, 27/10, 10, 50} (acceptance criterion 4).
 Everything here is pure given its inputs; ZeroSet wraps numpy arrays that
 are treated as immutable after construction.
 
-J_nu is evaluated by `_jv_pair`, a numpy kernel that returns J_mu and
+J_nu is evaluated by one kernel, `_jv_pair_at`, that returns J_mu and
 J_{mu+1} from one three-term recurrence: Hankel's expansion and upward
 steps where x >= 30 and x >= mu, Miller's backward recurrence elsewhere.
-`_jv_pair_at` is the same kernel on Python floats and `math`, one point at
-a time, and gives the same bits. Against mpmath it is within 8 eps of the
-envelope for mu <= 50 and within 46 eps at x ~ mu = 1000, where
+It takes one Python float, on `math` alone, or a float64 array, on numpy,
+and gives a point the same bits either way. Against mpmath it is within
+8 eps of the envelope for mu <= 50 and within 46 eps at x ~ mu = 1000, where
 scipy.special.jv is off by up to 1.6e5 eps (at mu = 1000, x = 67385). It
 also spares the `zeros` and `verify` subcommands the import of
 scipy.special, about 0.28 s. Its cost grows with the order, so above
@@ -35,8 +35,8 @@ accuracy; 2.75 words per zero in all at 2e5 zeros) and 4 for
 verify_residue_identity, which keeps each term and its error bound for the
 sums (4.75 at 2e5).
 
-numpy is imported only by the functions that work on arrays, never inside
-a loop, and scipy only on the path above the cap, so importing this
+numpy is imported only by the code that works on arrays, never inside
+a per-point loop, and scipy only on the path above the cap, so importing this
 module (and the package) loads neither: the exact routes, and with them
 the `derive`, `eval`, `zeta` and `table` subcommands, run on the standard
 library alone. `bessel_zeros` returns float64 arrays whatever the engine,
@@ -83,7 +83,7 @@ def bessel_j(order: float, x: float) -> float:
         raise NumericError(f"x must be > 0, got {x}")
     if x < 1e-150:
         return math.exp(order * math.log(0.5 * x) - math.lgamma(order + 1.0))
-    return _jv_pair_at(order)(x)[0]
+    return _jv_pair_at(order)(float(x))[0]
 
 
 # Orders above this are left to scipy.special.jv. The kernel below takes
@@ -99,86 +99,91 @@ _HANKEL_TERMS = 10
 # Miller's recurrence scales a point down by 1/_BIG (exact, a power of two)
 # whenever its value passes _BIG.
 _BIG = 2.0**500
-# Error bound of _jv_pair in units of eps * hypot(J_mu(x), J_{mu+1}(x)), as
-# its test against mpmath asserts in every regime (worst measured: 46, at
-# x ~ mu = 1000; 7.6 for mu <= 50).
+# Error bound of the J kernel, for a float and an array alike, in units of
+# eps * hypot(J_mu(x), J_{mu+1}(x)), as its test against mpmath asserts in
+# every regime (worst measured: 46, at x ~ mu = 1000; 7.6 for mu <= 50).
 _JV_PAIR_ERROR = 64.0
 
 
-def _jv_pair(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J_mu(x) and J_{mu+1}(x) for mu >= 0 and an array of x > 0.
+def _jv_pair_at(mu: float) -> Callable:
+    """x -> (J_mu(x), J_{mu+1}(x)) for mu >= 0 and x > 0: one Python float,
+    which gives Python floats and loads no numpy, or a float64 array.
 
     With mu = m0 + n, n = floor(mu), both come from one three-term
     recurrence over the orders m0 + i,
     J_(v-1)(x) + J_(v+1)(x) = (2v/x) J_v(x) (DLMF 10.6.1):
-    - where x >= 30 and x >= mu, Hankel's expansion gives J at orders m0 and
-      m0 + 1 and n upward steps reach mu and mu + 1 (`_hankel_upward`);
+    - where x >= 30 and x >= mu, Hankel's expansion
+      J_v(x) = sqrt(2/(pi x)) (P cos w - Q sin w), w = x - (v/2 + 1/4) pi,
+      gives J at orders m0 and m0 + 1, whose w differ by pi/2, and n upward
+      steps, stable for orders below x, reach mu and mu + 1. cos w and
+      sin w come from cos x and sin x, which math and numpy reduce
+      accurately, so the rounding of x - (v/2 + 1/4) pi never enters. Each
+      step divides by x afresh, since a rounded 2/x used in every step
+      would add up to hundreds of eps over a thousand steps;
     - elsewhere, Miller's backward recurrence runs from above both mu and x
       down to m0 and is normalised by a Neumann series (`_miller`, on
       Python floats, one point at a time).
-    Each value depends on its own (mu, x) alone, never on the other points
-    of the array, so a zero comes out the same whatever the count, and it
-    is bit for bit the value of `_jv_pair_at(mu)(x)`. Orders above
-    _JV_ORDER_CAP go to scipy.special.jv, imported only then.
+    The same operators run on either kind of x, with cos, sin and sqrt from
+    `math` for a float and from numpy for an array, which round alike. Each
+    value depends on its own (mu, x) alone, never on the other points of
+    an array, so a zero comes out the same whatever the count or the zero
+    engine. The Hankel coefficients are computed once per order. Orders
+    above _JV_ORDER_CAP go to scipy.special.jv, imported only then.
     """
-    import numpy as np
-
     if mu > _JV_ORDER_CAP:
         from scipy.special import jv
 
-        return jv(mu, x), jv(mu + 1.0, x)
-    n = math.floor(mu)
-    m0 = mu - n
-    near = (x < _HANKEL_X) | (x < mu)
-    if not near.any():
-        return _hankel_upward(m0, n, x)
-    ja, jb = np.empty_like(x), np.empty_like(x)
-    ja[near], jb[near] = _miller(m0, n, x[near].tolist())
-    far = ~near
-    if far.any():
-        ja[far], jb[far] = _hankel_upward(m0, n, x[far])
-    return ja, jb
+        def pair(x):
+            ja, jb = jv(mu, x), jv(mu + 1.0, x)
+            return (float(ja), float(jb)) if isinstance(x, float) else (ja, jb)
 
-
-def _jv_pair_at(mu: float) -> Callable[[float], tuple[float, float]]:
-    """x -> (J_mu(x), J_{mu+1}(x)) for one x > 0: `_jv_pair` on Python
-    floats and `math`, with the same operations in the same order, so both
-    give the same bits (math and numpy agree on cos, sin and sqrt; the
-    Miller points share `_miller`). The Hankel coefficients are computed
-    once per order."""
-    if mu > _JV_ORDER_CAP:
-        from scipy.special import jv
-
-        return lambda x: (float(jv(mu, x)), float(jv(mu + 1.0, x)))
+        return pair
     n = math.floor(mu)
     m0 = mu - n
     # P and Q at orders m0 and m0 + 1 side by side, from the highest power
-    # down, for one Horner pass over all four as `_horner` runs each
+    # of 1/x^2 down, for one Horner pass over all four
     polys = (*_hankel_coefficients(m0), *_hankel_coefficients(m0 + 1.0))
-    coefficients = list(zip(*(c[::-1] for c in polys)))
-    highest, middle, lowest = coefficients[0], coefficients[1:-1], coefficients[-1]
+    highest, *lower = zip(*(c[::-1] for c in polys))
     phase = (0.5 * m0 + 0.25) * math.pi
     cp, sp = math.cos(phase), math.sin(phase)
     steps = [2.0 * (m0 + i) for i in range(1, n + 1)]
 
-    def pair(x: float) -> tuple[float, float]:
-        if x < _HANKEL_X or x < mu:
-            (ja,), (jb,) = _miller(m0, n, [x])
-            return ja, jb
+    def pair(x):
+        if isinstance(x, float):
+            if x < _HANKEL_X or x < mu:
+                (ja,), (jb,) = _miller(m0, n, [x])
+                return ja, jb
+            ops = math
+        else:
+            import numpy as np
+
+            near = (x < _HANKEL_X) | (x < mu)
+            if near.any():
+                ja, jb = np.empty_like(x), np.empty_like(x)
+                ja[near], jb[near] = _miller(m0, n, x[near].tolist())
+                far = ~near
+                if far.any():
+                    ja[far], jb[far] = pair(x[far])
+                return ja, jb
+            ops = np
+        # P and Q are updated in place, which on a float only rebinds the
+        # name; on an array, a fresh array per operation made the Hankel
+        # pass over a block about 30 % slower at mu = 0
         y = 1.0 / (x * x)
-        a, b, c, d = highest
-        p0, q0, p1, q1 = a * y, b * y, c * y, d * y
-        for a, b, c, d in middle:
-            p0 = (p0 + a) * y
-            q0 = (q0 + b) * y
-            p1 = (p1 + c) * y
-            q1 = (q1 + d) * y
-        a, b, c, d = lowest
-        p0, q0, p1, q1 = p0 + a, q0 + b, p1 + c, q1 + d
-        cx, sx = math.cos(x), math.sin(x)
+        p0, q0, p1, q1 = highest
+        for a, b, c, d in lower:
+            p0 *= y
+            p0 += a
+            q0 *= y
+            q0 += b
+            p1 *= y
+            p1 += c
+            q1 *= y
+            q1 += d
+        cx, sx = ops.cos(x), ops.sin(x)
         cos_w = cx * cp + sx * sp
         sin_w = sx * cp - cx * sp
-        amp = math.sqrt((2.0 / math.pi) / x)
+        amp = ops.sqrt((2.0 / math.pi) / x)
         ja = amp * (p0 * cos_w - q0 / x * sin_w)
         jb = amp * (p1 * sin_w + q1 / x * cos_w)
         for c in steps:
@@ -200,49 +205,6 @@ def _hankel_coefficients(nu: float) -> tuple[list[float], list[float]]:
     return signed[0::2], signed[1::2]
 
 
-def _horner(coefficients: list[float], y: np.ndarray) -> np.ndarray:
-    """sum_k coefficients[k] y^k"""
-    out = coefficients[-1] * y
-    for c in reversed(coefficients[1:-1]):
-        out += c
-        out *= y
-    out += coefficients[0]
-    return out
-
-
-def _hankel_upward(m0: float, n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J_(m0+n)(x) and J_(m0+n+1)(x), 0 <= m0 < 1, for x >= 30 and x >= m0 + n.
-
-    J_nu(x) = sqrt(2/(pi x)) (P cos w - Q sin w), w = x - (nu/2 + 1/4) pi,
-    at nu = m0 and m0 + 1, whose w differ by pi/2. cos w and sin w come from
-    cos x and sin x, which numpy reduces accurately, so the rounding of
-    x - (nu/2 + 1/4) pi never enters. Then n upward steps, stable for orders below
-    x; each divides by x afresh, since a rounded 2/x used in every step
-    would add up to hundreds of eps over a thousand steps.
-    """
-    import numpy as np
-
-    y = 1.0 / (x * x)
-    phase = (0.5 * m0 + 0.25) * math.pi
-    cp, sp = math.cos(phase), math.sin(phase)
-    cx, sx = np.cos(x), np.sin(x)
-    cos_w = cx * cp + sx * sp
-    sin_w = sx * cp - cx * sp
-    amp = np.sqrt((2.0 / math.pi) / x)
-    p0, q0 = _hankel_coefficients(m0)
-    p1, q1 = _hankel_coefficients(m0 + 1.0)
-    ja = amp * (_horner(p0, y) * cos_w - _horner(q0, y) / x * sin_w)
-    jb = amp * (_horner(p1, y) * sin_w + _horner(q1, y) / x * cos_w)
-    t = np.empty_like(x)
-    for i in range(1, n + 1):
-        # in place, in the order of (2 (m0 + i)) jb / x - ja
-        np.multiply(jb, 2.0 * (m0 + i), out=t)
-        t /= x
-        t -= ja
-        ja, jb, t = jb, t, ja
-    return ja, jb
-
-
 def _miller(m0: float, n: int, xs: list[float]) -> tuple[list[float], list[float]]:
     """J_(m0+n)(x) and J_(m0+n+1)(x), 0 <= m0 < 1, at each x in xs, by
     Miller's backward recurrence (DLMF 3.6(iii)) on Python floats.
@@ -255,8 +217,8 @@ def _miller(m0: float, n: int, xs: list[float]) -> tuple[list[float], list[float
         (x/2)^m0 = sum_k w_k J_(m0+2k)(x),
         w_0 = Gamma(m0+1), w_k = (m0+2k) Gamma(m0+k) / k!,
     which at m0 = 0 is 1 = J_0 + 2 J_2 + 2 J_4 + ...
-    Both kernels take their Miller points from here, since numpy's cbrt
-    and power do not round as `math` and `**` do.
+    The points of an array come here too, one at a time, since numpy's
+    cbrt and power do not round as `math` and `**` do.
     """
     tops = [math.floor(max(m0 + n + 1.0, x) + 16.0 + 8.0 * x ** (1.0 / 3.0)) for x in xs]
     w = [math.gamma(m0 + 1.0)]
@@ -398,8 +360,10 @@ def bessel_zeros(nu: float, count: int) -> ZeroSet:
     non-decreasing for nu < 1/2 and constant for nu = 1/2, so a gap that
     breaks this beyond the zeros' accuracy means a skipped or repeated
     zero. And since j_{nu,1} > nu (DLMF 10.21(i)), J_nu must stay positive
-    from max(nu, 1) up to xi_1, which one J_nu evaluation on a grid of step
-    pi/8 (less than any gap) confirms. Either failure, a seed that is not
+    from max(nu, 1) up to xi_1, and negative from there to xi_2, which one
+    J_nu evaluation on a grid of step pi/8 (less than any gap) confirms; the
+    gaps cannot see zero 2 skipped, since a first gap may be the largest.
+    Either failure, a seed that is not
     finite, or an order so large that a step of pi/8 no longer advances x
     in binary64, raises NumericError; a failed certificate names the worst
     zero, a failed gap check the first.
@@ -480,7 +444,7 @@ def _zeros_scalar(nu: float, count: int) -> tuple[list[float], list[float]]:
             bad = abs(change) > tol
         if bad:
             raise _gap_error(nu, k, g1, g0, zeros[k + 2])
-    _check_anchor(nu, zeros[0], lambda grid: [pair(x)[0] for x in grid])
+    _check_anchor(nu, zeros[:2], lambda grid: [pair(x)[0] for x in grid])
     return zeros, accuracy
 
 
@@ -494,6 +458,7 @@ def _zeros_blocks(nu: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     """
     import numpy as np
 
+    pair = _jv_pair_at(nu)
     zeros, accuracy = np.empty(count), np.empty(count)
     worst = []  # per block: the largest |J| / max(1, |J'|), its index, |J| and x
     uncertified = False
@@ -510,14 +475,14 @@ def _zeros_blocks(nu: float, count: int) -> tuple[np.ndarray, np.ndarray]:
 
             # one pass over the block gives every zero its J and J', then Newton
             # moves only the seeds whose step would still exceed half an ulp
-            f, g = _jv_pair(nu, x)
+            f, g = pair(x)
             d = (nu / x) * f - g
             moving = np.flatnonzero(np.abs(f) > 0.5 * _EPS * x * np.abs(d))
             for _ in range(6):
                 if moving.size == 0:
                     break
                 xs = x[moving] - f[moving] / d[moving]
-                fs, gs = _jv_pair(nu, xs)
+                fs, gs = pair(xs)
                 ds = (nu / xs) * fs - gs
                 x[moving], f[moving], d[moving] = xs, fs, ds
                 moving = moving[np.abs(fs) > 0.5 * _EPS * xs * np.abs(ds)]
@@ -541,9 +506,7 @@ def _zeros_blocks(nu: float, count: int) -> tuple[np.ndarray, np.ndarray]:
         raise _certificate_error(nu, k, size, x)
     if bad_gap is not None:
         raise bad_gap
-    _check_anchor(
-        nu, float(zeros[0]), lambda grid: _jv_pair(nu, np.array(grid, dtype=float))[0].tolist()
-    )
+    _check_anchor(nu, zeros[:2].tolist(), lambda grid: pair(np.array(grid))[0].tolist())
     return zeros, accuracy
 
 
@@ -583,10 +546,15 @@ def _check_gaps(nu: float, zeros: np.ndarray, accuracy: np.ndarray, offset: int 
         raise _gap_error(nu, offset + k, gaps[k + 1], gaps[k], zeros[k + 2])
 
 
-def _check_anchor(nu: float, first: float, values: Callable[[list[float]], list[float]]) -> None:
+def _check_anchor(
+    nu: float, zeros: list[float], values: Callable[[list[float]], list[float]]
+) -> None:
     """Raise NumericError unless J_nu, which values(grid) evaluates, is
     positive on a grid of step pi/8 from max(nu, 1) to at least pi/16 short
-    of the first zero, clear of the rounding of J there."""
+    of zeros[0] and, where `zeros` holds a second zero, negative on a grid
+    of step pi/8 from pi/16 past zeros[0] to at least pi/16 short of
+    zeros[1], clear of the rounding of J there. `zeros` are the first one
+    or two zeros found."""
     x0 = max(nu, 1.0)
     step = math.pi / 8.0
     if x0 + step == x0:
@@ -594,12 +562,21 @@ def _check_anchor(nu: float, first: float, values: Callable[[list[float]], list[
             f"cannot anchor the zeros of J_{nu}: a step of pi/8 does not "
             f"advance x={x0:.6g} in binary64"
         )
+    first = zeros[0]
     grid = [x0 + step * i for i in range(math.ceil((first - x0) / step - 0.5))]
-    for x, v in zip(grid, values(grid)):
-        if not v > 0.0:
+    below = len(grid)
+    if len(zeros) > 1:
+        grid += [first + step * (i + 0.5) for i in range(math.floor((zeros[1] - first) / step))]
+    for i, (x, v) in enumerate(zip(grid, values(grid))):
+        if i < below and not v > 0.0:
             raise NumericError(
                 f"zero 1 of J_{nu} failed the index check: J_nu is not positive "
                 f"at x={x:.6f} below it"
+            )
+        if i >= below and not v < 0.0:
+            raise NumericError(
+                f"zero 2 of J_{nu} failed the index check: J_nu is not negative "
+                f"at x={x:.6f} between it and zero 1"
             )
 
 
@@ -743,21 +720,28 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
       and three roundings for the power, product and quotient;
     - one rounding of the fsum.
     Above _JV_ORDER_CAP, where scipy's jv has no stated bound, the same
-    kernel bound is assumed.
+    kernel bound is assumed. An lhs below the smallest normal binary64
+    number raises NumericError, since no sum can be checked against it.
     """
     if p <= 0:
         raise NumericError(f"p must be > 0, got {p}")
     if terms < 2:
         raise NumericError(f"terms must be >= 2, got {terms}")
+    lhs = residue_identity_lhs(nu, p)
+    if not lhs >= sys.float_info.min:
+        raise NumericError(
+            f"Gamma(nu+1) / (2^(p+1) Gamma(nu+p+1)) at p={p}, nu={nu} underflows binary64"
+        )
     import numpy as np
 
     zs = bessel_zeros(nu, terms)
+    pair_a, pair_b = _jv_pair_at(nu + p), _jv_pair_at(nu + 1.0)
     vals, terms_err = np.empty(terms), np.empty(terms)
     for i in range(0, terms, _BLOCK):
         block = slice(i, i + _BLOCK)
         z = zs.zeros[block]
-        a, a1 = _jv_pair(nu + p, z)
-        b, b1 = _jv_pair(nu + 1.0, z)
+        a, a1 = pair_a(z)
+        b, b1 = pair_b(z)
         power = z ** (-(p + 1.0))
         v = vals[block] = power * a / b
         kernel = _JV_PAIR_ERROR * _EPS * (np.hypot(a, a1) + np.abs(a / b) * np.hypot(b, b1))
@@ -765,7 +749,6 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
         terms_err[block] = (
             power / np.abs(b) * (kernel + zs.accuracy[block] * slope) + 3.0 * _EPS * np.abs(v)
         )
-    lhs = residue_identity_lhs(nu, p)
     half = terms // 2
     partial_half = math.fsum(vals[:half])
     partial = math.fsum(vals)
@@ -791,5 +774,10 @@ def verify_ratio_formula(nu: float, p: int, k: int) -> float:
     if k < 1:
         raise NumericError(f"k must be >= 1, got {k}")
     xi = float(_find_zeros(nu, k)[0][k - 1])
-    expansion = build_ratio_expansion(p)
-    return abs(ratio_at_zero(nu, p, xi) - expansion.evaluate_float(nu, xi))
+    try:
+        expansion = build_ratio_expansion(p).evaluate_float(nu, xi)
+    except (OverflowError, ValueError):  # a coefficient or an inf - inf past binary64
+        expansion = math.nan
+    if not math.isfinite(expansion):
+        raise NumericError(f"the ratio expansion for p={p} at x={xi:.6f} is not finite in binary64")
+    return abs(ratio_at_zero(nu, p, xi) - expansion)

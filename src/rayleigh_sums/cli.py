@@ -5,7 +5,7 @@ table. Text output is UTF-8, one result per line; closed forms render with
 'v' for nu in text mode and in display math in latex mode. Exit codes:
 0 success or verification pass, 1 verification failure, 2 usage error,
 3 evaluation at a pole, 4 numeric breakdown (a zero that cannot be
-certified or indexed, or an exact value that binary64 cannot carry).
+certified or indexed, or a value that binary64 cannot carry).
 
 `derive` and `table` print closed forms from rayleigh_core.derive_sigma;
 `eval`, `zeta` and the exact side of `verify sigma` need sigma at one

@@ -41,6 +41,13 @@ def test_bessel_j_at_first_zero():
     assert abs(bessel_j(0, 2.404825557695773)) < 1e-12
 
 
+def test_bessel_j_takes_int_arguments():
+    # Miller, Hankel with upward steps, and scipy above the order cap
+    for order, x in ((0, 1), (3, 45), (6000, 7000)):
+        assert bessel_j(order, x) == bessel_j(float(order), float(x))
+    assert isinstance(bessel_j(6000, 7000), float)
+
+
 def test_bessel_j_half_order_is_sine():
     for x in (1.0, 2.0, 5.0):
         expected = math.sqrt(2.0 / (math.pi * x)) * math.sin(x)
@@ -159,15 +166,20 @@ def test_newton_stops_once_a_zero_has_converged(monkeypatch, nu):
     # a fixed 6 Newton steps plus a certification pass evaluate the pair
     # J_nu, J_{nu+1} at 7 points per zero; polishing only the seeds that
     # still move needs at most 3, the anchor grid included, also at large nu
-    jv_pair = bessel_numeric._jv_pair
+    jv_pair_at = bessel_numeric._jv_pair_at
     points = 0
 
-    def counting_jv_pair(mu, x):
-        nonlocal points
-        points += np.size(x)
-        return jv_pair(mu, x)
+    def counting_jv_pair_at(mu):
+        pair = jv_pair_at(mu)
 
-    monkeypatch.setattr(bessel_numeric, "_jv_pair", counting_jv_pair)
+        def counted(x):
+            nonlocal points
+            points += np.size(x)
+            return pair(x)
+
+        return counted
+
+    monkeypatch.setattr(bessel_numeric, "_jv_pair_at", counting_jv_pair_at)
     count = 10**4
     bessel_zeros(nu, count)
     assert count <= points <= 3 * count
@@ -182,19 +194,19 @@ def test_zeros_do_not_depend_on_the_count(zero_cache, nu):
 
 
 def _kernel_error(mu, xs):
-    """Worst error of _jv_pair(mu, xs) against mpmath, in units of eps times
-    the envelope sqrt(J_mu(x)^2 + J_{mu+1}(x)^2) at each x. Also checks that
-    each value is the one the kernel gives for its x alone, and the one
-    the scalar kernel gives."""
+    """Worst error of the J kernel over the array xs against mpmath, in
+    units of eps times the envelope sqrt(J_mu(x)^2 + J_{mu+1}(x)^2) at each
+    x. Also checks that each value is the one the kernel gives for a
+    one-point array of its x, and for its x as a Python float."""
     xs = np.asarray(xs, dtype=float)
-    ja, jb = bessel_numeric._jv_pair(mu, xs)
+    pair = bessel_numeric._jv_pair_at(mu)
+    ja, jb = pair(xs)
     worst = 0.0
-    scalar = bessel_numeric._jv_pair_at(mu)
     with mpmath.workdps(30):
         for i, x in enumerate(xs):
-            alone = bessel_numeric._jv_pair(mu, xs[i : i + 1])
+            alone = pair(xs[i : i + 1])
             assert (alone[0][0], alone[1][0]) == (ja[i], jb[i])
-            assert scalar(float(x)) == (ja[i], jb[i])  # the scalar kernel, bit for bit
+            assert pair(float(x)) == (ja[i], jb[i])  # a float, bit for bit
             ra, rb = mpmath.besselj(mu, x), mpmath.besselj(mu + 1, x)
             err = max(abs(ja[i] - float(ra)), abs(jb[i] - float(rb)))
             worst = max(worst, err / (np.finfo(float).eps * float(mpmath.hypot(ra, rb))))
@@ -281,16 +293,37 @@ def _engine_result(engine, nu, count):
 @example(nu=2.7, count=2000)
 @example(nu=50.0, count=2000)
 @example(nu=600.0, count=620)
+@example(nu=6000.0, count=30)  # scipy's jv, above the kernel's order cap
 def test_engines_give_the_same_bits(nu, count):
     scalar = _engine_result("scalar", nu, count)
     assert not isinstance(scalar, str)
     assert _engine_result("blocks", nu, count) == scalar
 
 
-@pytest.mark.parametrize("k0", [1, 3, 7, 300])
+def _nan_near(monkeypatch, xi):
+    """Make the J kernel return nan for J_mu within 1 of xi, for a float and
+    an array alike."""
+    jv_pair_at = bessel_numeric._jv_pair_at
+
+    def broken_at(mu):
+        pair = jv_pair_at(mu)
+
+        def broken(x):
+            ja, jb = pair(x)
+            if isinstance(x, float):
+                return (math.nan if abs(x - xi) < 1.0 else ja), jb
+            ja[np.abs(x - xi) < 1.0] = np.nan
+            return ja, jb
+
+        return broken
+
+    monkeypatch.setattr(bessel_numeric, "_jv_pair_at", broken_at)
+
+
+@pytest.mark.parametrize("k0", [1, 2, 3, 7, 300])
 def test_engines_raise_the_same_errors(monkeypatch, k0):
-    # a skipped zero k0 fails the gap check (or the anchor, at k0 = 1), a
-    # nan seed the seeding, a nan J near zero k0 the certificate
+    # a skipped zero k0 fails the gap check (or the anchor, at k0 = 1 and
+    # 2), a nan seed the seeding, a nan J near zero k0 the certificate
     seeds = bessel_numeric._seeds
     xi = bessel_zeros(2.7, k0).zeros[-1]
 
@@ -313,19 +346,7 @@ def test_engines_raise_the_same_errors(monkeypatch, k0):
     assert results() == "the zeros of J_2.7 cannot be seeded in binary64"
 
     monkeypatch.setattr(bessel_numeric, "_seeds", seeds)
-    jv_pair, jv_pair_at = bessel_numeric._jv_pair, bessel_numeric._jv_pair_at
-
-    def broken(mu, x):
-        ja, jb = jv_pair(mu, x)
-        ja[np.abs(x - xi) < 1.0] = np.nan
-        return ja, jb
-
-    def broken_at(mu):
-        pair = jv_pair_at(mu)
-        return lambda x: (math.nan, pair(x)[1]) if abs(x - xi) < 1.0 else pair(x)
-
-    monkeypatch.setattr(bessel_numeric, "_jv_pair", broken)
-    monkeypatch.setattr(bessel_numeric, "_jv_pair_at", broken_at)
+    _nan_near(monkeypatch, xi)
     assert results().startswith(f"zero {k0} of J_2.7 failed certification")
 
 
@@ -384,14 +405,7 @@ def test_certificate_failure_names_the_global_index(monkeypatch):
     # zero _B + 6, in the second block, cannot be evaluated
     target = _B + 6
     xi = bessel_zeros(2.7, target).zeros[-1]
-    jv_pair = bessel_numeric._jv_pair
-
-    def broken(mu, x):
-        ja, jb = jv_pair(mu, x)
-        ja[np.abs(x - xi) < 1.0] = np.nan
-        return ja, jb
-
-    monkeypatch.setattr(bessel_numeric, "_jv_pair", broken)
+    _nan_near(monkeypatch, xi)
     with pytest.raises(NumericError, match=f"^zero {target} of J_2.7 failed certification"):
         bessel_zeros(2.7, 2 * _B + 3)
 

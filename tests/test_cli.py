@@ -209,6 +209,32 @@ def test_verify_residues_allows_for_rounding(capsys, monkeypatch):
     assert "result: FAIL" in out
 
 
+def test_verify_residues_underflowing_lhs_is_numeric_breakdown(capsys):
+    # lhs = Gamma(2) / (2^201 Gamma(202)) is about 1e-437, which rounds to 0
+    # in binary64, so no sum can be checked against it
+    for p in ("200", "1e300"):
+        rc, out, err = run(capsys, "verify", "residues", "--p", p, "--nu", "1", "--terms", "1000")
+        assert rc == 4
+        assert out == ""
+        assert err == (
+            f"numeric breakdown: Gamma(nu+1) / (2^(p+1) Gamma(nu+p+1)) at p={float(p)}, "
+            "nu=1.0 underflows binary64\n"
+        )
+
+
+def test_verify_ratio_expansion_past_binary64_is_numeric_breakdown(capsys):
+    # at p = 170 the float terms reach inf - inf, and at p = 200 a
+    # coefficient does not convert to a float
+    for p in ("170", "200"):
+        rc, out, err = run(capsys, "verify", "ratio", "--p", p, "--nu", "2.5")
+        assert rc == 4
+        assert out == ""
+        assert err == (
+            f"numeric breakdown: the ratio expansion for p={p} at x=5.763459 "
+            "is not finite in binary64\n"
+        )
+
+
 def test_verify_ratio_pass(capsys):
     rc, out, _ = run(capsys, "verify", "ratio", "--p", "5", "--nu", "0", "--k", "3")
     assert rc == 0
