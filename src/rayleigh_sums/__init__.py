@@ -22,7 +22,6 @@ __all__ = [
     "PI_50",
     "PoleError",
     "Poly",
-    "Rational",
     "RatioExpansion",
     "ResidueReport",
     "SigmaTable",
@@ -55,7 +54,7 @@ __all__ = [
 
 # The home module of every public name but __version__.
 _EXPORTS = {
-    "exact_algebra": ("FactoredRationalFn", "PoleError", "Poly", "Rational", "poly_gcd"),
+    "exact_algebra": ("FactoredRationalFn", "PoleError", "Poly", "poly_gcd"),
     "rayleigh_core": (
         "RatioExpansion",
         "SigmaTable",

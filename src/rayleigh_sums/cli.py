@@ -150,10 +150,12 @@ def cmd_verify_residues(args: argparse.Namespace) -> int:
     print(f"tail_scale = {scale:.6e}")
     print(f"rounding = {report.rounding:.6e}")
     print(f"converging = {report.converging}")
-    # a residual within the rounding cannot shrink further on more terms
+    # a residual within the rounding cannot shrink further on more terms;
+    # a bound not below |lhs| would pass a sum of 0 too, so it proves nothing
     settled = report.residual <= report.rounding
+    bound = scale + report.rounding
     ok = (args.tol is not None and report.residual <= args.tol) or (
-        (report.converging or settled) and report.residual <= scale + report.rounding
+        (report.converging or settled) and report.residual <= bound < abs(report.lhs)
     )
     print(f"result: {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VERIFY_FAIL

@@ -1,8 +1,8 @@
 """Exact rational scalars, integer-coefficient polynomials in nu, and rational
 functions kept in factored-denominator normal form.
 
-Everything here is pure and exact. Scalars are arbitrary-precision
-fractions. Polynomials have Python int coefficients: every closed form the
+Everything here is pure and exact. Scalars are fractions.Fraction, used
+as they are. Polynomials have Python int coefficients: every closed form the
 solver produces is an integer, content-free numerator over a denominator of
 the shape
 
@@ -25,16 +25,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-# Arbitrary-precision exact scalar. fractions.Fraction already maintains the
-# invariants this package needs (positive denominator, gcd-reduced after
-# every operation), so it is used directly rather than wrapped.
-Rational = Fraction
-
 
 class PoleError(ZeroDivisionError):
     """Raised when a rational function is evaluated at a denominator root."""
 
-    def __init__(self, nu: Rational) -> None:
+    def __init__(self, nu: Fraction) -> None:
         self.nu = nu
         super().__init__(f"evaluation at pole nu={nu}")
 
@@ -198,7 +193,7 @@ class Poly(_Record):
     def scale(self, c: int) -> "Poly":
         return Poly(tuple(_iscale(list(self.coeffs), c)))
 
-    def evaluate(self, x: Rational | int) -> Rational:
+    def evaluate(self, x: Fraction | int) -> Fraction:
         v = Fraction(0)
         for c in reversed(self.coeffs):
             v = v * x + c
@@ -310,7 +305,7 @@ class FactoredRationalFn(_Record):
                 _imul_linear(den, m)
         return Poly(tuple(den))
 
-    def evaluate(self, nu: Rational | int) -> Rational:
+    def evaluate(self, nu: Fraction | int) -> Fraction:
         """Exact value at nu; raises PoleError at a denominator root."""
         nu = Fraction(nu)
         den = Fraction(2) ** self.two_exponent

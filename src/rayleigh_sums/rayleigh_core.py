@@ -7,7 +7,7 @@ J_nu the ratio J_{nu+p}(xi)/J_{nu+1}(xi) expands as a polynomial in 2/xi,
     sum_{q=0}^{q_M} (-1)^q [(p-1)-q]! / ([(p-1)-2q]! q!)
                     * prod_{i=q+1}^{p-q-1}(nu+i) * (2/xi)**((p-1)-2q),
 
-with q_M = (p-1)/2 for odd p and (p-2)/2 for even p. Second, summing the
+with q_M = floor((p-1)/2). Second, summing the
 weighted ratios over all zeros ties a linear combination of the sigma(p-q)
 to a Gamma-function constant:
 
@@ -17,7 +17,9 @@ to a Gamma-function constant:
 
 Each new p introduces exactly one new unknown, so the system is triangular
 and solves iteratively (derive_sigma_triangular). That solve is kept as the
-reproduced method and as the oracle of the tests.
+reproduced method and as the oracle of the tests. ratio_coefficient is the
+one definition of (-1)^q c_q(nu): the expansion, the solve and the identity
+check (sums_identity_defect) all take it from there.
 
 Everything else runs one recurrence, Kishore's (N. Kishore, "The Rayleigh
 function", Proc. AMS 14 (1963) 527-533), over one known denominator:
@@ -35,7 +37,8 @@ that product of shifts (checked to p = 80 by the tests).
 
 The polynomial loops run on plain integer coefficient lists with the kernels
 of exact_algebra, multiplying by each (nu+m) in place, and wrap only their
-results in Poly, whose operators call the same kernels.
+results in Poly, whose operators call the same kernels. The solvers write
+their results into a SigmaTable, a dict from p to closed form.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .exact_algebra import (
     FactoredRationalFn,
     PoleError,
     Poly,
-    Rational,
     _iadd,
     _igamma_ratio,
     _imul,
@@ -65,7 +67,7 @@ def q_max(p: int) -> int:
     """Largest q in the ratio expansion: (p-1)/2 for odd p, (p-2)/2 for even."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    return (p - 1) // 2 if p % 2 == 1 else (p - 2) // 2
+    return (p - 1) // 2
 
 
 def ratio_coefficient(p: int, q: int) -> Poly:
@@ -137,36 +139,17 @@ def ratio_by_recurrence(p: int) -> tuple[Poly, ...]:
 # closed-form table
 
 
-class SigmaTable:
-    """Map p -> closed form of sigma(p, nu), extended on demand.
+class SigmaTable(dict):
+    """A dict p -> closed form of sigma(p, nu), extended on demand by the
+    solvers.
 
-    Keys stay contiguous 1..p_max because derive_sigma fills every gap it
-    needs. Entries, once written, are immutable values safe to share.
-    Tables compare by their entries."""
-
-    __slots__ = ("entries",)
-    __hash__ = None  # mutable
-
-    def __init__(self, entries: dict[int, FactoredRationalFn] | None = None) -> None:
-        self.entries = {} if entries is None else entries
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"SigmaTable(entries={self.entries!r})"
-
-    def __contains__(self, p: int) -> bool:
-        return p in self.entries
-
-    def __getitem__(self, p: int) -> FactoredRationalFn:
-        return self.entries[p]
+    Keys stay contiguous 1..p_max because the solvers fill every gap they
+    need. Values, once written, are immutable FactoredRationalFn safe to
+    share."""
 
     @property
     def p_max(self) -> int:
-        return len(self.entries)
+        return len(self)
 
 
 def _entry_parts(f: FactoredRationalFn) -> tuple[list[int], int, dict[int, int]]:
@@ -283,11 +266,11 @@ def derive_sigma(table: SigmaTable, p: int) -> FactoredRationalFn:
                 _imul_linear(term, m)
             xn = _iadd(xn, term if 2 * k == n else [c << 1 for c in term])
         x.append(xn)
-        table.entries[n] = _normal_form(xn, 2 * n, {m: n // m for m in range(1, n + 1)}, n)
+        table[n] = _normal_form(xn, 2 * n, {m: n // m for m in range(1, n + 1)}, n)
     return table[p]
 
 
-def sigma_value(p: int, nu: Rational | int) -> Rational:
+def sigma_value(p: int, nu: Fraction | int) -> Fraction:
     """Exact sigma(p, nu) at one rational nu, without deriving its closed form.
 
     Runs derive_sigma's recurrence on integers. With nu = a/b in lowest terms
@@ -357,8 +340,7 @@ def derive_sigma_triangular(table: SigmaTable, p: int) -> FactoredRationalFn:
         terms.append(([1], 2 * j, {i: 1 for i in range(1, j + 1)}))
         for q in range(1, q_max(j) + 1):
             num_q, a_q, sh_q = _entry_parts(table[j - q])
-            c = math.comb((j - 1) - q, q) * (-1) ** (q + 1)
-            cpoly = _iscale(_igamma_ratio(j - q, q + 1), c)
+            cpoly = _iscale(ratio_coefficient(j, q).coeffs, -1)
             terms.append((_imul(cpoly, num_q), a_q + 2 * q, sh_q))
         # least common denominator: max exponent per factor
         two = max(t[1] for t in terms)
@@ -376,11 +358,11 @@ def derive_sigma_triangular(table: SigmaTable, p: int) -> FactoredRationalFn:
         # divide by prod_{i=1}^{j-1}(nu+i): push the factors into the denominator
         for i in range(1, j):
             sh[i] = sh.get(i, 0) + 1
-        table.entries[j] = _normal_form(num, two, sh, j)
+        table[j] = _normal_form(num, two, sh, j)
     return table[p]
 
 
-def eval_sigma_exact(f: FactoredRationalFn, nu: Rational | int) -> Rational:
+def eval_sigma_exact(f: FactoredRationalFn, nu: Fraction | int) -> Fraction:
     """Exact rational value of a derived closed form at nu (PoleError at
     poles). The tests use it on derive_sigma's forms as the oracle for
     sigma_value."""
@@ -399,25 +381,19 @@ def sums_identity_defect(table: SigmaTable, p: int) -> Poly:
         sum_q 4**(p-q) c~_q(nu) num_q(nu) R(nu) prod_{q'!=q} den_{q'}(nu)
             = prod_q den_q(nu),
 
-    with c~_q the signed expansion coefficient, num_q/den_q the stored
-    sigma(p-q), and R = prod_{i=1}^{p}(nu+i).
+    with c~_q = ratio_coefficient(p, q), num_q/den_q the stored sigma(p-q)
+    (den_q from denominator_expanded), and R = prod_{i=1}^{p}(nu+i).
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     derive_sigma(table, p)
-    qm = q_max(p)
     nums: list[list[int]] = []
-    dens: list[list[int]] = []
-    for q in range(qm + 1):
-        num_q, a_q, sh_q = _entry_parts(table[p - q])
-        den = [2**a_q]
-        for m, e in sorted(sh_q.items()):
-            for _ in range(e):
-                _imul_linear(den, m)
-        c = (-1) ** q * math.comb((p - 1) - q, q)
-        cpoly = _iscale(_igamma_ratio(p - q, q + 1), c * 4 ** (p - q))
-        nums.append(_imul(cpoly, num_q))
-        dens.append(den)
+    dens: list[tuple[int, ...]] = []
+    for q in range(q_max(p) + 1):
+        f = table[p - q]
+        cpoly = _iscale(ratio_coefficient(p, q).coeffs, 4 ** (p - q))
+        nums.append(_imul(cpoly, f.numerator.coeffs))
+        dens.append(f.denominator_expanded().coeffs)
     # prefix/suffix products give prod_{q' != q} den_{q'}
     n = len(dens)
     pre = [[1]] * (n + 1)

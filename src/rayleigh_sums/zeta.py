@@ -20,7 +20,7 @@ from __future__ import annotations
 import decimal
 from fractions import Fraction
 
-from .exact_algebra import Rational, _Record
+from .exact_algebra import _Record
 from .rayleigh_core import SigmaTable, sigma_value
 
 PI_50 = "3.14159265358979323846264338327950288419716939937511"
@@ -62,7 +62,7 @@ class ZetaValue(_Record):
     def __init__(
         self,
         two_p: int,
-        coefficient: Rational,
+        coefficient: Fraction,
         factored_denominator: tuple[tuple[int, int], ...],
     ) -> None:
         super().__init__(two_p, coefficient, factored_denominator)
@@ -89,7 +89,7 @@ def zeta_even(p: int, table: SigmaTable | None = None) -> ZetaValue:
     )
 
 
-def spherical_sigma(p: int, nu: Rational) -> Rational:
+def spherical_sigma(p: int, nu: Fraction) -> Fraction:
     """sum_k of the inverse 2p-th powers of the zeros of the spherical
     Bessel function j_nu, via the shift sigma(p, nu + 1/2) by sigma_value
     (PoleError where nu + 1/2 is in {-1..-p})."""

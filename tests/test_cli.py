@@ -209,6 +209,20 @@ def test_verify_residues_allows_for_rounding(capsys, monkeypatch):
     assert "result: FAIL" in out
 
 
+@pytest.mark.parametrize("p", ["1e-300", "0.01"])
+def test_verify_residues_fails_when_the_bound_reaches_lhs(capsys, p):
+    # with 100 terms the tail scale exceeds lhs (3.2e299 against 0.5 at
+    # p = 1e-300), so a sum of 0 would pass the bound too: that proves nothing
+    rc, out, _ = run(capsys, "verify", "residues", "--p", p, "--nu", "1", "--terms", "100")
+    lhs, scale, rounding = (
+        float(line.split(" = ")[1]) for line in out.splitlines()
+        if line.startswith(("lhs = ", "tail_scale = ", "rounding = "))
+    )
+    assert scale + rounding >= abs(lhs)
+    assert rc == 1
+    assert "result: FAIL" in out
+
+
 def test_verify_residues_underflowing_lhs_is_numeric_breakdown(capsys):
     # lhs = Gamma(2) / (2^201 Gamma(202)) is about 1e-437, which rounds to 0
     # in binary64, so no sum can be checked against it

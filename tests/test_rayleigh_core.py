@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rayleigh_sums import (
+    FactoredRationalFn,
     PoleError,
     Poly,
     SigmaTable,
@@ -94,7 +95,7 @@ def test_derive_matches_printed_forms_small():
 def test_table_extends_contiguously():
     t = SigmaTable()
     derive_sigma(t, 9)
-    assert sorted(t.entries) == list(range(1, 10))
+    assert sorted(t) == list(range(1, 10))
     assert t.p_max == 9
     assert 5 in t
     assert t[1] == golden_frf(1)
@@ -159,6 +160,20 @@ def test_gcd_confirms_coprimality_small(table15):
 def test_back_substitution_zero_defect(table15):
     for p in range(1, 11):
         assert sums_identity_defect(table15, p).is_zero
+
+
+def test_identity_defect_sees_one_perturbed_entry():
+    # the identity at p reads sigma(p-q) for q = 0..(p-1)//2, so sigma(10)
+    # is read at p = 10..19, and a defect check that returned zero without
+    # looking would pass everywhere
+    t = SigmaTable()
+    derive_sigma(t, 21)
+    f = t[10]
+    coeffs = list(f.numerator.coeffs)
+    coeffs[0] += 1
+    t[10] = FactoredRationalFn(Poly(tuple(coeffs)), f.two_exponent, f.shift_factors)
+    nonzero = {p for p in range(1, 22) if not sums_identity_defect(t, p).is_zero}
+    assert nonzero == set(range(10, 20))
 
 
 def test_unprinted_orders_match_numeric_oracle(table15, zero_cache):
