@@ -3,13 +3,37 @@
 
 Every timing comes from perfbench/layers.py (``measure`` and
 ``import_profile``), so the metric names are the per-layer names in
-BENCHMARK.json. Each metric is the median over ``--repeats`` runs. The
-record also holds the git commit of this checkout (and whether its tracked
-files differ from it), the platform, and the Python, numpy and scipy
-versions, so that two records compare only when they come from one machine.
-The package measured is the one in this checkout's src/.
+BENCHMARK.json. The record also holds the git commit of this checkout (and
+whether its tracked files differ from it), the platform, and the Python,
+numpy and scipy versions, so that two records compare only when they come
+from one machine.
 
     python3 scripts/bench.py --repeats 5 --out bench.json
+
+measures the package in this checkout's src/ in this process, and each
+metric is the median over ``--repeats`` runs.
+
+    python3 scripts/bench.py --repeats 10 --against ../base/src --out ab.json
+
+compares this checkout's src/ (the change) with another tree's src/ (the
+base), for example a clone of the parent commit. Each of the ``--repeats``
+rounds measures both sides once, each in a fresh interpreter with
+PYTHONPATH set to that side's src/, alternating which side goes first, so
+that drift of the machine reaches both sides alike. Both sides run this
+checkout's perfbench/layers.py. The record then reads
+
+    {"commit", "dirty",                      # the change
+     "platform", ..., "scipy",
+     "base": {"src", "commit", "dirty"},
+     "rounds",
+     "problems": ["base: ...", "change: ..."],
+     "metrics": {name: {"base":   {"min", "q1", "median", "q3"},
+                        "change": {"min", "q1", "median", "q3"},
+                        "change_lower": rounds in which the change read
+                                        strictly lower than the base}}}
+
+with the quartiles over the rounds (inclusive method; one round gives
+min = q1 = median = q3).
 """
 
 from __future__ import annotations
@@ -32,41 +56,116 @@ import numpy  # noqa: E402
 import scipy  # noqa: E402
 
 
-def _git(*argv: str) -> str | None:
-    proc = subprocess.run(["git", *argv], cwd=ROOT, capture_output=True, text=True)
+# run in a fresh interpreter per side: argv[1] is this checkout's perfbench/
+_CHILD = (
+    "import json, sys; sys.path.insert(0, sys.argv[1]); import layers; "
+    "problems = []; metrics = layers.measure(problems); "
+    "print(json.dumps({'metrics': metrics, 'problems': problems}))"
+)
+
+
+def _git(*argv: str, cwd: Path = ROOT) -> str | None:
+    proc = subprocess.run(["git", *argv], cwd=cwd, capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
+def _checkout(cwd: Path) -> dict:
+    status = _git("status", "--porcelain", "--untracked-files=no", cwd=cwd)
+    return {
+        "commit": _git("rev-parse", "HEAD", cwd=cwd),
+        "dirty": bool(status) if status is not None else None,
+    }
+
+
+def _measure_side(src: Path) -> tuple[dict[str, float], list[str]]:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(ROOT / "perfbench")],
+        env=env, cwd=ROOT, capture_output=True, text=True, check=True,
+    )
+    out = json.loads(proc.stdout.splitlines()[-1])
+    out["metrics"].update(layers.import_profile(env, str(ROOT), 1))
+    return out["metrics"], out["problems"]
+
+
+def _summary(xs: list[float]) -> dict[str, float]:
+    q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive") if xs[1:] else xs * 3
+    return {"min": min(xs), "q1": q1, "median": median, "q3": q3}
+
+
+def compare(rounds: int, base: Path) -> dict:
+    """The interleaved A/B part of the record: base, rounds, problems, metrics."""
+    sides = {"base": base, "change": SRC}
+    runs: dict[str, list[dict[str, float]]] = {"base": [], "change": []}
+    problems: set[str] = set()
+    for i in range(rounds):
+        for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+            metrics, found = _measure_side(sides[side])
+            runs[side].append(metrics)
+            problems.update(f"{side}: {problem}" for problem in found)
+    metrics = {
+        name: {
+            "base": _summary([run[name] for run in runs["base"]]),
+            "change": _summary([run[name] for run in runs["change"]]),
+            "change_lower": sum(c[name] < b[name] for b, c in zip(runs["base"], runs["change"])),
+        }
+        for name in sorted(runs["change"][0])
+    }
+    return {
+        "base": {"src": str(base), **_checkout(base.parent)},
+        "rounds": rounds,
+        "problems": sorted(problems),
+        "metrics": metrics,
+    }
+
+
 def record(repeats: int) -> dict:
+    """The single-tree part of the record: repeats, problems, metrics."""
     problems: list[str] = []
     runs = [layers.measure(problems) for _ in range(repeats)]
     metrics = {name: statistics.median(run[name] for run in runs) for name in runs[0]}
     env = dict(os.environ, PYTHONPATH=str(SRC))
     metrics.update(layers.import_profile(env, str(ROOT), repeats))
-    status = _git("status", "--porcelain", "--untracked-files=no")
     return {
-        "commit": _git("rev-parse", "HEAD"),
-        "dirty": bool(status) if status is not None else None,
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
         "repeats": repeats,
         "problems": sorted(set(problems)),
         "metrics": dict(sorted(metrics.items())),
     }
 
 
+def machine() -> dict:
+    return {
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=5, help="runs to take the median of")
+    parser.add_argument(
+        "--repeats", type=int, default=5,
+        help="runs to take the median of; with --against, rounds of the A/B",
+    )
+    parser.add_argument(
+        "--against", metavar="DIR",
+        help="another tree's src/ to compare with, interleaved round by round",
+    )
     parser.add_argument("--out", required=True, help="path of the JSON record to write")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
-    rec = record(args.repeats)
+    if args.against is None:
+        measured = record(args.repeats)
+    else:
+        base = Path(args.against).resolve()
+        if not (base / "rayleigh_sums").is_dir():
+            parser.error(f"--against {args.against}: no rayleigh_sums package there")
+        measured = compare(args.repeats, base)
+    rec = {**_checkout(ROOT), **machine(), **measured}
     Path(args.out).write_text(json.dumps(rec, indent=2) + "\n", encoding="utf-8")
     for problem in rec["problems"]:
         print(f"problem: {problem}", file=sys.stderr)

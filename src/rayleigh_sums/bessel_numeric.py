@@ -82,7 +82,10 @@ def bessel_j(order: float, x: float) -> float:
     if x <= 0:
         raise NumericError(f"x must be > 0, got {x}")
     if x < 1e-150:
-        return math.exp(order * math.log(0.5 * x) - math.lgamma(order + 1.0))
+        try:
+            return math.exp(order * math.log(0.5 * x) - math.lgamma(order + 1.0))
+        except OverflowError:  # lgamma past order ~2.5e305, where J underflows
+            return 0.0
     return _jv_pair_at(order)(float(x))[0]
 
 
@@ -672,11 +675,18 @@ def ratio_at_zero(nu: float, p: int, zero: float) -> float:
     return bessel_j(nu + p, zero) / den
 
 
+def _lgamma(x: float) -> float:
+    """math.lgamma, raising NumericError where it overflows (x above about
+    2.55e305) instead of OverflowError."""
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise NumericError(f"log Gamma({x!r}) overflows binary64") from None
+
+
 def residue_identity_lhs(nu: float, p: float) -> float:
     """Gamma(nu+1) / (2**(p+1) Gamma(nu+p+1)) via real log-gamma."""
-    return math.exp(
-        math.lgamma(nu + 1.0) - (p + 1.0) * math.log(2.0) - math.lgamma(nu + p + 1.0)
-    )
+    return math.exp(_lgamma(nu + 1.0) - (p + 1.0) * math.log(2.0) - _lgamma(nu + p + 1.0))
 
 
 def residue_tail_scale(nu: float, p: float, terms: int) -> float:
@@ -721,7 +731,8 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
     - one rounding of the fsum.
     Above _JV_ORDER_CAP, where scipy's jv has no stated bound, the same
     kernel bound is assumed. An lhs below the smallest normal binary64
-    number raises NumericError, since no sum can be checked against it.
+    number raises NumericError, since no sum can be checked against it, and
+    so does an nu + p + 1 past lgamma's range (about 2.55e305).
     """
     if p <= 0:
         raise NumericError(f"p must be > 0, got {p}")
@@ -755,9 +766,7 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
     residual_half = abs(lhs - partial_half)
     residual = abs(lhs - partial)
 
-    exponent = abs(math.lgamma(nu + 1.0)) + (p + 1.0) * math.log(2.0) + abs(
-        math.lgamma(nu + p + 1.0)
-    )
+    exponent = abs(_lgamma(nu + 1.0)) + (p + 1.0) * math.log(2.0) + abs(_lgamma(nu + p + 1.0))
     lhs_err = lhs * _EPS * (2.0 * exponent + 1.0)
     rounding = lhs_err + float(np.sum(terms_err)) + _EPS * abs(partial)
     return ResidueReport(

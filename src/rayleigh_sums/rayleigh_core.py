@@ -19,7 +19,11 @@ Each new p introduces exactly one new unknown, so the system is triangular
 and solves iteratively (derive_sigma_triangular). That solve is kept as the
 reproduced method and as the oracle of the tests. ratio_coefficient is the
 one definition of (-1)^q c_q(nu): the expansion, the solve and the identity
-check (sums_identity_defect) all take it from there.
+check (sums_identity_defect) all take it from there. The solve and the check
+also share the identity's terms (_identity_terms) and their combination over
+the factored common denominator (_over_lcd): the check keeps the q = 0 term
+the solve isolates, so it costs about one solve step, not a product of every
+expanded denominator.
 
 Everything else runs one recurrence, Kishore's (N. Kishore, "The Rayleigh
 function", Proc. AMS 14 (1963) 527-533), over one known denominator:
@@ -28,7 +32,8 @@ function", Proc. AMS 14 (1963) 527-533), over one known denominator:
     sigma(n, nu) = x_n / (4**n prod_{m<=n} (nu+m)**floor(n/m)), x_n integral.
 
 derive_sigma runs it on integer polynomials in nu for `derive`, `table` and
-the scripts, in under a fifth of the triangular solve's time to p = 60.
+the scripts, in about a fifth of the triangular solve's time to p = 60
+(0.29 s against 1.34 s).
 sigma_value runs it on integers for `eval`, `verify sigma` and zeta: about
 2 ms at p = 60 against about 270 ms to derive the form (degree 142,
 186-digit coefficients) and evaluate it (2-core x86-64, Python 3.11). Both
@@ -152,7 +157,11 @@ class SigmaTable(dict):
         return len(self)
 
 
-def _entry_parts(f: FactoredRationalFn) -> tuple[list[int], int, dict[int, int]]:
+# a term num / (2**two * prod_m (nu+m)**sh[m]) as (num, two, sh)
+_Term = tuple[list[int], int, dict[int, int]]
+
+
+def _entry_parts(f: FactoredRationalFn) -> _Term:
     return list(f.numerator.int_coeffs()), f.two_exponent, dict(f.shift_factors)
 
 
@@ -315,6 +324,38 @@ def sigma_value(p: int, nu: Fraction | int) -> Fraction:
 # the paper's triangular solve, and the checks
 
 
+def _identity_terms(table: SigmaTable, p: int, q0: int) -> list[_Term]:
+    """The identity at p as terms that sum to zero: the Gamma constant
+    4**(-p) / prod_{i=1}^{p}(nu+i) and, for q0 <= q <= q_M, the table's
+    -(-1)^q 4**(-q) c_q(nu) sigma(p-q). With q0 = 1 they sum to
+    c_0(nu) sigma(p) instead, which is what the triangular solve needs."""
+    terms = [([1], 2 * p, dict.fromkeys(range(1, p + 1), 1))]
+    for q in range(q0, q_max(p) + 1):
+        num, two, sh = _entry_parts(table[p - q])
+        c = _iscale(ratio_coefficient(p, q).coeffs, -1)
+        terms.append((_imul(c, num), two + 2 * q, sh))
+    return terms
+
+
+def _over_lcd(terms: list[_Term]) -> _Term:
+    """Sum terms over their least common denominator, 2**(max two) times
+    prod_m (nu+m)**(max multiplicity): each numerator is multiplied, in
+    place, only by the factors its own denominator lacks, never by another
+    denominator."""
+    two = max(t[1] for t in terms)
+    sh: dict[int, int] = {}
+    for _, _, tsh in terms:
+        for m, e in tsh.items():
+            sh[m] = max(sh.get(m, 0), e)
+    num: list[int] = []
+    for tnum, ta, tsh in terms:
+        for m, e in sh.items():
+            for _ in range(e - tsh.get(m, 0)):
+                _imul_linear(tnum, m)
+        num = _iadd(num, [c << (two - ta) for c in tnum])
+    return num, two, sh
+
+
 def derive_sigma_triangular(table: SigmaTable, p: int) -> FactoredRationalFn:
     """Solve the paper's triangular system up through p and return sigma(p, nu).
 
@@ -325,37 +366,17 @@ def derive_sigma_triangular(table: SigmaTable, p: int) -> FactoredRationalFn:
                      - sum_{q=1}^{q_M} (-1)^q 4**(-q) c_q(nu) sigma(p-q) ]
                    / prod_{i=1}^{p-1}(nu+i)
 
-    carried out over a common factored denominator so that the only
-    divisions are exact: synthetic division by the shifts (nu+m) and
-    cancellation of a shared power of two.
+    carried out over the factored common denominator of _over_lcd, so that
+    the only divisions are exact: synthetic division by the shifts (nu+m)
+    and cancellation of a shared power of two.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     for j in range(1, p + 1):
         if j in table:
             continue
-        # terms of the identity moved to the right-hand side, each written
-        # as (numerator, two_exponent, shift multiplicities)
-        terms: list[tuple[list[int], int, dict[int, int]]] = []
-        terms.append(([1], 2 * j, {i: 1 for i in range(1, j + 1)}))
-        for q in range(1, q_max(j) + 1):
-            num_q, a_q, sh_q = _entry_parts(table[j - q])
-            cpoly = _iscale(ratio_coefficient(j, q).coeffs, -1)
-            terms.append((_imul(cpoly, num_q), a_q + 2 * q, sh_q))
-        # least common denominator: max exponent per factor
-        two = max(t[1] for t in terms)
-        sh: dict[int, int] = {}
-        for _, _, tsh in terms:
-            for m, e in tsh.items():
-                sh[m] = max(sh.get(m, 0), e)
-        num: list[int] = []
-        for tnum, ta, tsh in terms:
-            mult = [2 ** (two - ta)]
-            for m, e in sorted(sh.items()):
-                for _ in range(e - tsh.get(m, 0)):
-                    _imul_linear(mult, m)
-            num = _iadd(num, _imul(tnum, mult))
-        # divide by prod_{i=1}^{j-1}(nu+i): push the factors into the denominator
+        num, two, sh = _over_lcd(_identity_terms(table, j, 1))
+        # divide by c_0 = prod_{i=1}^{j-1}(nu+i): push it into the denominator
         for i in range(1, j):
             sh[i] = sh.get(i, 0) + 1
         table[j] = _normal_form(num, two, sh, j)
@@ -370,42 +391,13 @@ def eval_sigma_exact(f: FactoredRationalFn, nu: Fraction | int) -> Fraction:
 
 
 def sums_identity_defect(table: SigmaTable, p: int) -> Poly:
-    """Back-substitution check: recombine the identity that defines sigma(p)
-    with generic polynomial arithmetic, denominators fully expanded, and
-    return the cleared-denominator difference (the zero polynomial iff the
-    derived table satisfies the identity exactly).
-
-    Multiplying the identity by 4**p * prod_{i<=p}(nu+i) * prod_q den_q turns
-    both sides into integer polynomials:
-
-        sum_q 4**(p-q) c~_q(nu) num_q(nu) R(nu) prod_{q'!=q} den_{q'}(nu)
-            = prod_q den_q(nu),
-
-    with c~_q = ratio_coefficient(p, q), num_q/den_q the stored sigma(p-q)
-    (den_q from denominator_expanded), and R = prod_{i=1}^{p}(nu+i).
+    """Back-substitution check of the identity that defines sigma(p): fill
+    the table through p, combine all its terms (q = 0 included) over their
+    factored common denominator as the triangular solve does, and return
+    the combined numerator. Only its is_zero is the contract: it holds iff
+    the table satisfies the identity exactly.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     derive_sigma(table, p)
-    nums: list[list[int]] = []
-    dens: list[tuple[int, ...]] = []
-    for q in range(q_max(p) + 1):
-        f = table[p - q]
-        cpoly = _iscale(ratio_coefficient(p, q).coeffs, 4 ** (p - q))
-        nums.append(_imul(cpoly, f.numerator.coeffs))
-        dens.append(f.denominator_expanded().coeffs)
-    # prefix/suffix products give prod_{q' != q} den_{q'}
-    n = len(dens)
-    pre = [[1]] * (n + 1)
-    for i in range(n):
-        pre[i + 1] = _imul(pre[i], dens[i])
-    suf = [[1]] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suf[i] = _imul(suf[i + 1], dens[i])
-    rpoly = _igamma_ratio(p + 1, 1)
-    lhs: list[int] = []
-    for q in range(n):
-        others = _imul(pre[q], suf[q + 1])
-        lhs = _iadd(lhs, _imul(_imul(nums[q], rpoly), others))
-    defect = _iadd(lhs, _iscale(pre[n], -1))
-    return Poly(tuple(defect))
+    return Poly(tuple(_over_lcd(_identity_terms(table, p, 0))[0]))

@@ -35,6 +35,8 @@ def test_bessel_j_near_origin():
     assert bessel_j(0, 1e-300) == 1.0
     assert bessel_j(1, 1e-300) == pytest.approx(5e-301, rel=1e-15)
     assert bessel_j(0.5, 1e-149) == pytest.approx(math.sqrt(2e-149 / math.pi), rel=1e-14)
+    # past lgamma's range the power series' first term has long underflowed
+    assert bessel_j(1e306, 1e-200) == 0.0
 
 
 def test_bessel_j_at_first_zero():

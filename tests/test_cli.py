@@ -83,6 +83,25 @@ def test_eval_float_underflow_is_numeric_breakdown(capsys):
     assert 0 < Fraction(out) < 1e-300
 
 
+def test_float_sigma_that_must_underflow_fails_fast(capsys):
+    # for nu >= 0, sigma(p, nu) <= 2.4**(-2(p-1)) / 4 < 2**-1075 from p = 426
+    # on, so the float is refused before the exact value is computed
+    assert cli._SIGMA_UNDERFLOW_P == 426
+    assert float(sigma_value(426, 0)) == 0.0
+    assert run(capsys, "eval", "--p", "300", "--nu", "0") == (0, "2.237962041795577e-229\n", "")
+    rc, out, err = run(capsys, "verify", "sigma", "--p", "1000", "--nu", "1", "--terms", "2")
+    assert (rc, out) == (4, "")
+    assert err == "numeric breakdown: sigma(p=1000, nu=1) underflows binary64\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "rayleigh_sums", "eval", "--p", "100000", "--nu", "0"],
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == "numeric breakdown: sigma(p=100000, nu=0) underflows binary64\n"
+
+
 def test_eval_pole_exit_code(capsys):
     rc, out, err = run(capsys, "eval", "--p", "1", "--nu", "-1", "--exact")
     assert rc == 3
@@ -234,6 +253,16 @@ def test_verify_residues_underflowing_lhs_is_numeric_breakdown(capsys):
             f"numeric breakdown: Gamma(nu+1) / (2^(p+1) Gamma(nu+p+1)) at p={float(p)}, "
             "nu=1.0 underflows binary64\n"
         )
+
+
+def test_verify_residues_past_lgamma_range_is_numeric_breakdown(capsys):
+    # math.lgamma overflows above about 2.55e305, here at nu + 1 and at
+    # nu + p + 1; that is a numeric breakdown, not a failed verification
+    for p, nu, arg in (("0.5", "3e305", "3e+305"), ("1e306", "1", "1e+306")):
+        rc, out, err = run(capsys, "verify", "residues", "--p", p, "--nu", nu, "--terms", "2")
+        assert rc == 4
+        assert out == ""
+        assert err == f"numeric breakdown: log Gamma({arg}) overflows binary64\n"
 
 
 def test_verify_ratio_expansion_past_binary64_is_numeric_breakdown(capsys):

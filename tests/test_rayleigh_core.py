@@ -157,23 +157,30 @@ def test_gcd_confirms_coprimality_small(table15):
         assert poly_gcd(f.numerator, f.denominator_expanded()) == Poly.one()
 
 
-def test_back_substitution_zero_defect(table15):
-    for p in range(1, 11):
-        assert sums_identity_defect(table15, p).is_zero
-
-
-def test_identity_defect_sees_one_perturbed_entry():
-    # the identity at p reads sigma(p-q) for q = 0..(p-1)//2, so sigma(10)
-    # is read at p = 10..19, and a defect check that returned zero without
-    # looking would pass everywhere
+@pytest.fixture(scope="module")
+def table80():
     t = SigmaTable()
-    derive_sigma(t, 21)
-    f = t[10]
-    coeffs = list(f.numerator.coeffs)
-    coeffs[0] += 1
-    t[10] = FactoredRationalFn(Poly(tuple(coeffs)), f.two_exponent, f.shift_factors)
-    nonzero = {p for p in range(1, 22) if not sums_identity_defect(t, p).is_zero}
-    assert nonzero == set(range(10, 20))
+    derive_sigma(t, 80)
+    return t
+
+
+def test_back_substitution_zero_defect(table80):
+    for p in range(1, 61):
+        assert sums_identity_defect(table80, p).is_zero, p
+
+
+def test_identity_defect_sees_one_perturbed_entry(table80):
+    # the identity at p reads sigma(p-q) for q = 0..(p-1)//2, so sigma(n)
+    # is read at p = n..2n-1, and a defect check that returned zero without
+    # looking would pass everywhere
+    for n in (10, 30):
+        t = SigmaTable(table80)
+        f = t[n]
+        coeffs = list(f.numerator.coeffs)
+        coeffs[0] += 1
+        t[n] = FactoredRationalFn(Poly(tuple(coeffs)), f.two_exponent, f.shift_factors)
+        nonzero = {p for p in range(1, 2 * n + 2) if not sums_identity_defect(t, p).is_zero}
+        assert nonzero == set(range(n, 2 * n)), n
 
 
 def test_unprinted_orders_match_numeric_oracle(table15, zero_cache):
@@ -186,13 +193,6 @@ def test_unprinted_orders_match_numeric_oracle(table15, zero_cache):
             exact = float(eval_sigma_exact(table15[p], nu_q))
             got = numeric_sigma(nu_f, p, zeros).value
             assert abs(got - exact) <= 1e-12 * abs(exact)
-
-
-@pytest.fixture(scope="module")
-def table80():
-    t = SigmaTable()
-    derive_sigma(t, 80)
-    return t
 
 
 def test_kishore_route_matches_triangular_solve_to_p40():

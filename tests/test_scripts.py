@@ -1,5 +1,6 @@
 """Smoke tests: each script in scripts/ runs to completion on a small input."""
 
+import json
 import os
 import subprocess
 import sys
@@ -34,3 +35,28 @@ def test_script_runs(argv, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_against_same_tree_writes_both_sides(tmp_path):
+    src = ROOT / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = tmp_path / "ab.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--repeats", "1",
+         "--against", str(src), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=180,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(out.read_text(encoding="utf-8"))
+    assert rec["rounds"] == 1
+    assert rec["base"]["src"] == str(src)
+    assert rec["problems"] == []
+    derive = rec["metrics"]["rayleigh_core.derive_p60_s"]
+    for side in ("base", "change"):
+        stats = derive[side]
+        assert 0 < stats["min"] == stats["q1"] == stats["median"] == stats["q3"]
+    assert derive["change_lower"] in (0, 1)
+    assert "import.total_s" in rec["metrics"]
