@@ -33,7 +33,7 @@ function", Proc. AMS 14 (1963) 527-533), over one known denominator:
 
 derive_sigma runs it on integer polynomials in nu for `derive`, `table` and
 the scripts, in about a fifth of the triangular solve's time to p = 60
-(0.29 s against 1.34 s).
+(0.32 s against 1.51 s).
 sigma_value runs it on integers for `eval`, `verify sigma` and zeta: about
 2 ms at p = 60 against about 270 ms to derive the form (degree 142,
 186-digit coefficients) and evaluate it (2-core x86-64, Python 3.11). Both
