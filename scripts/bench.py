@@ -1,9 +1,15 @@
 #!/usr/bin/env python3
 """Write one JSON record of the per-layer benchmark metrics.
 
-Every timing comes from perfbench/layers.py (``measure`` and
-``import_profile``), so the metric names are the per-layer names in
-BENCHMARK.json. The record also holds the git commit of this checkout (and
+Every layer timing comes from perfbench/layers.py (``measure`` and
+``import_profile``), so those metric names are the per-layer names in
+BENCHMARK.json. Beside them the record holds the wall time and peak RSS of
+three fresh ``python -m rayleigh_sums`` calls at 10^6 zeros (``CALLS``), as
+``fresh.<call>.wall_s`` and ``fresh.<call>.peak_rss_mb``. Each call is
+started from a small helper interpreter, since a child started by
+vfork/exec inherits its parent's RSS high-water mark: started from this
+script, whose numpy and perfbench imports take more, its ``ru_maxrss``
+would read this script's. The record also holds the git commit of this checkout (and
 whether its tracked files differ from it), the platform, and the Python,
 numpy and scipy versions, so that two records compare only when they come
 from one machine.
@@ -56,6 +62,27 @@ import numpy  # noqa: E402
 import scipy  # noqa: E402
 
 
+# the fresh-process calls, each at 10^6 zeros
+CALLS = {
+    "verify_sigma_1e6": ("verify", "sigma", "--p", "1", "--nu", "0", "--terms", "1000000"),
+    "verify_residues_1e6": (
+        "verify", "residues", "--p", "1.37", "--nu", "4.2", "--terms", "1000000",
+    ),
+    "zeros_1e6": ("zeros", "--nu", "0", "--count", "1000000"),
+}
+
+# the small helper: runs the call in argv[1:] with its stdout on /dev/null
+# and prints its wall time, its own ru_maxrss (kB) and its exit code
+_SPAWN = (
+    "import os, sys, time; "
+    "out = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]; "
+    "argv = [sys.executable, '-m', 'rayleigh_sums', *sys.argv[1:]]; "
+    "t = time.perf_counter(); "
+    "pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=out); "
+    "_, status, usage = os.wait4(pid, 0); "
+    "print(time.perf_counter() - t, usage.ru_maxrss, os.waitstatus_to_exitcode(status))"
+)
+
 # run in a fresh interpreter per side: argv[1] is this checkout's perfbench/
 _CHILD = (
     "import json, sys; sys.path.insert(0, sys.argv[1]); import layers; "
@@ -77,6 +104,23 @@ def _checkout(cwd: Path) -> dict:
     }
 
 
+def fresh_calls(env: dict, problems: list[str]) -> dict[str, float]:
+    """Wall time and peak RSS of each of CALLS in a fresh process, started
+    from the helper interpreter; a call that exits non-zero is a problem."""
+    metrics = {}
+    for name, argv in CALLS.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", _SPAWN, *argv],
+            env=env, cwd=ROOT, capture_output=True, text=True, check=True,
+        )
+        wall, rss_kb, code = proc.stdout.split()
+        if code != "0":
+            problems.append(f"{' '.join(argv)} exited {code}: {proc.stderr.strip()}")
+        metrics[f"fresh.{name}.wall_s"] = float(wall)
+        metrics[f"fresh.{name}.peak_rss_mb"] = int(rss_kb) / 1024
+    return metrics
+
+
 def _measure_side(src: Path) -> tuple[dict[str, float], list[str]]:
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
@@ -85,6 +129,7 @@ def _measure_side(src: Path) -> tuple[dict[str, float], list[str]]:
     )
     out = json.loads(proc.stdout.splitlines()[-1])
     out["metrics"].update(layers.import_profile(env, str(ROOT), 1))
+    out["metrics"].update(fresh_calls(env, out["problems"]))
     return out["metrics"], out["problems"]
 
 
@@ -122,9 +167,9 @@ def compare(rounds: int, base: Path) -> dict:
 def record(repeats: int) -> dict:
     """The single-tree part of the record: repeats, problems, metrics."""
     problems: list[str] = []
-    runs = [layers.measure(problems) for _ in range(repeats)]
-    metrics = {name: statistics.median(run[name] for run in runs) for name in runs[0]}
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    runs = [{**layers.measure(problems), **fresh_calls(env, problems)} for _ in range(repeats)]
+    metrics = {name: statistics.median(run[name] for run in runs) for name in runs[0]}
     metrics.update(layers.import_profile(env, str(ROOT), repeats))
     return {
         "repeats": repeats,

@@ -27,20 +27,23 @@ on Python floats, in at most about 25-55 ms, and loads no numpy, whose
 import costs about 0.1 s of a fresh process; so do the zero sums over its
 zeros and the ratio check, which is how the small `zeros`, `verify sigma`
 and `verify ratio` calls run on the standard library alone. Larger
-calls take the numpy engine, which works over blocks of _BLOCK = 8192
-zeros, so its temporaries take a constant of about 1.2 MB whatever the
-count. What grows with the count is measured by tracemalloc: 2 float64
-words per zero for bessel_zeros plus numeric_sigma (the zeros and their
-accuracy; 2.75 words per zero in all at 2e5 zeros) and 4 for
-verify_residue_identity, which keeps each term and its error bound for the
-sums (4.75 at 2e5).
+calls take the numpy engine, which yields blocks of _BLOCK = 8192 zeros,
+each once it is certified and gap-checked, and whose temporaries take a
+constant of about 1.2 MB whatever the count. The callers take the blocks
+as they come (`_zero_blocks`), so what grows with the count is what each
+keeps, as tracemalloc measures it: nothing for the sum of `verify sigma`
+(1.2 MB in all at 5e4 and at 4e5 zeros); 1 float64 word per zero for the
+`zeros` subcommand, which holds the zeros until every check has passed,
+and for verify_residue_identity, which holds the terms for its two sums
+(1.36 and 1.37 words per zero in all at 4e5); and 2 for bessel_zeros, which
+returns the zeros and their accuracies (2.78 at 2e5, with numeric_sigma).
 
 numpy is imported only by the code that works on arrays, never inside
 a per-point loop, and scipy only on the path above the cap, so importing this
 module (and the package) loads neither: the exact routes, and with them
 the `derive`, `eval`, `zeta` and `table` subcommands, run on the standard
 library alone. `bessel_zeros` returns float64 arrays whatever the engine,
-so it loads numpy; the CLI calls the engines through `_find_zeros`.
+so it loads numpy; the CLI takes the engines' blocks from `_zero_blocks`.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from itertools import chain
-from typing import TYPE_CHECKING, Callable
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .exact_algebra import _Record
 from .rayleigh_core import build_ratio_expansion
@@ -371,27 +374,39 @@ def bessel_zeros(nu: float, count: int) -> ZeroSet:
     in binary64, raises NumericError; a failed certificate names the worst
     zero, a failed gap check the first.
 
-    Two engines do this work (`_find_zeros` picks one): `_zeros_scalar`,
+    Two engines do this work (`_zero_blocks` picks one): `_zeros_scalar`,
     one zero at a time on Python floats, for small counts and orders, and
-    `_zeros_blocks`, over numpy blocks, for the rest. Both return the same
-    bits and raise the same errors.
+    `_zeros_blocks`, over numpy blocks, for the rest. Both give the same
+    bits and raise the same errors, and `_find_zeros` collects either into
+    two float64 arrays.
     """
     zeros, accuracy = _find_zeros(nu, count)
+    return ZeroSet(nu=float(nu), zeros=zeros, accuracy=accuracy)
+
+
+def _find_zeros(nu: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The zeros and accuracies of `bessel_zeros` as float64 arrays."""
     import numpy as np
 
-    return ZeroSet(
-        nu=float(nu),
-        zeros=np.asarray(zeros, dtype=float),
-        accuracy=np.asarray(accuracy, dtype=float),
-    )
+    zeros, accuracy = np.empty(count), np.empty(count)
+    start = 0
+    for z, acc in _zero_blocks(nu, count):
+        stop = start + len(z)
+        zeros[start:stop], accuracy[start:stop] = z, acc
+        start = stop
+    return zeros, accuracy
 
 
-def _find_zeros(
+def _zero_blocks(
     nu: float, count: int
-) -> tuple[list[float], list[float]] | tuple[np.ndarray, np.ndarray]:
-    """The zeros and accuracies of `bessel_zeros`: lists of Python floats
-    where count * (nu + 30) <= _SCALAR_WORK, which loads no numpy, and
-    float64 arrays otherwise."""
+) -> Iterator[tuple[list[float], list[float]]] | Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The zeros of `bessel_zeros` and their accuracies, block by block in
+    order: one pair of lists of Python floats where
+    count * (nu + 30) <= _SCALAR_WORK, which loads no numpy, and pairs of
+    float64 arrays of up to _BLOCK zeros otherwise. A check that fails
+    raises NumericError from the iterator once it has yielded the last
+    block, so a caller that acts only after the last block acts on checked
+    zeros alone."""
     if nu < 0:
         raise NumericError(f"nu must be >= 0, got {nu}")
     if count < 1:
@@ -401,8 +416,8 @@ def _find_zeros(
     return _zeros_blocks(nu, count)
 
 
-def _zeros_scalar(nu: float, count: int) -> tuple[list[float], list[float]]:
-    """`bessel_zeros` one zero at a time, on Python floats."""
+def _zeros_scalar(nu: float, count: int) -> Iterator[tuple[list[float], list[float]]]:
+    """`bessel_zeros` one zero at a time, on Python floats, as one block."""
     seeds = [_seeds(nu, float(k)) for k in range(1, count + 1)]
     if not all(map(math.isfinite, seeds)):
         raise NumericError(f"the zeros of J_{nu} cannot be seeded in binary64")
@@ -426,15 +441,12 @@ def _zeros_scalar(nu: float, count: int) -> tuple[list[float], list[float]]:
         size, scale = abs(f), max(abs(d), 1.0)
         if not size < 1e-12 * scale:
             uncertified = True
-        ratio = size / scale
-        if not ratio <= worst[0] and worst[0] == worst[0]:
-            worst = (ratio, k, size, x)
+        worst = _worse(worst, (size / scale, k, size, x))
         zeros.append(x)
         accuracy.append(abs(f / d) + four_ulps * x)
 
     if uncertified:
-        _, k, size, x = worst
-        raise _certificate_error(nu, k, size, x)
+        raise _certificate_error(nu, *worst[1:])
     for k in range(count - 2):
         g0, g1 = zeros[k + 1] - zeros[k], zeros[k + 2] - zeros[k + 1]
         change = g1 - g0
@@ -448,69 +460,105 @@ def _zeros_scalar(nu: float, count: int) -> tuple[list[float], list[float]]:
         if bad:
             raise _gap_error(nu, k, g1, g0, zeros[k + 2])
     _check_anchor(nu, zeros[:2], lambda grid: [pair(x)[0] for x in grid])
-    return zeros, accuracy
+    yield zeros, accuracy
 
 
-def _zeros_blocks(nu: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """`bessel_zeros` over numpy blocks of _BLOCK zeros.
+def _worse(worst: tuple, other: tuple) -> tuple:
+    """The worse of two certificates (ratio, index, |J|, x), the earlier one
+    first: as with np.argmax, the first nan ratio, else the first largest."""
+    return other if not other[0] <= worst[0] and worst[0] == worst[0] else worst
+
+
+def _zeros_blocks(nu: float, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """`bessel_zeros` over numpy blocks of _BLOCK zeros, yielding each block
+    once it is polished, certified and gap-checked.
 
     The gap check runs over windows that reach two zeros into the block
-    before. Every value depends on its own zero alone, so the result does
-    not depend on the block size, and the errors are raised after the last
-    block in the order one pass over all the zeros would raise them.
+    before, and the anchor checks the first two zeros, so only those four
+    are kept past their block. Every value depends on its own zero alone,
+    so the result does not depend on the block size, and the errors are
+    raised after the last block in the order one pass over all the zeros
+    would raise them: the worst certificate, then the first gap, then the
+    anchor.
     """
     import numpy as np
 
     pair = _jv_pair_at(nu)
-    zeros, accuracy = np.empty(count), np.empty(count)
-    worst = []  # per block: the largest |J| / max(1, |J'|), its index, |J| and x
+    worst = (-1.0, 0, 0.0, 0.0)
     uncertified = False
     bad_gap = None
-    # past binary64 the seeds, Newton steps and gaps turn inf or nan, which
-    # the checks report; numpy is kept from warning of it on stderr too
-    with np.errstate(all="ignore"):
-        for start in range(0, count, _BLOCK):
-            stop = min(start + _BLOCK, count)
-            x = zeros[start:stop]
-            x[:] = _seeds(nu, np.arange(start + 1, stop + 1, dtype=float))
-            if not np.all(np.isfinite(x)):
-                raise NumericError(f"the zeros of J_{nu} cannot be seeded in binary64")
-
-            # one pass over the block gives every zero its J and J', then Newton
-            # moves only the seeds whose step would still exceed half an ulp
-            f, g = pair(x)
-            d = (nu / x) * f - g
-            moving = np.flatnonzero(np.abs(f) > 0.5 * _EPS * x * np.abs(d))
-            for _ in range(6):
-                if moving.size == 0:
-                    break
-                xs = x[moving] - f[moving] / d[moving]
-                fs, gs = pair(xs)
-                ds = (nu / xs) * fs - gs
-                x[moving], f[moving], d[moving] = xs, fs, ds
-                moving = moving[np.abs(fs) > 0.5 * _EPS * xs * np.abs(ds)]
-
-            size, scale = np.abs(f), np.maximum(1.0, np.abs(d))
-            uncertified |= not np.all(size < 1e-12 * scale)
-            ratio = size / scale
-            i = int(np.argmax(ratio))
-            worst.append((ratio[i], start + i, size[i], x[i]))
-            accuracy[start:stop] = np.abs(f / d) + 4.0 * _EPS * x
-            if bad_gap is None:
-                lo = max(start - 2, 0)
+    head = []  # the first two zeros
+    tail = [], []  # the last two zeros so far and their accuracies
+    for start in range(0, count, _BLOCK):
+        x, accuracy, certified, block_worst = _polish_block(
+            nu, pair, start, min(start + _BLOCK, count)
+        )
+        uncertified |= not certified
+        worst = _worse(worst, block_worst)
+        if start == 0:
+            head = x[:2].tolist()
+        if bad_gap is None:
+            # inf and nan gaps past binary64 are the check's to report, not
+            # numpy's to warn of on stderr
+            with np.errstate(all="ignore"):
                 try:
-                    _check_gaps(nu, zeros[lo:stop], accuracy[lo:stop], lo)
+                    _check_gaps(
+                        nu,
+                        np.concatenate((tail[0], x)),
+                        np.concatenate((tail[1], accuracy)),
+                        start - len(tail[0]),
+                    )
                 except NumericError as e:
                     bad_gap = e
+            tail = (tail[0] + x[-2:].tolist())[-2:], (tail[1] + accuracy[-2:].tolist())[-2:]
+        yield x, accuracy
 
     if uncertified:
-        # argmax over the block maxima: the first nan, else the first largest
-        _, k, size, x = worst[int(np.argmax([w[0] for w in worst]))]
-        raise _certificate_error(nu, k, size, x)
+        raise _certificate_error(nu, *worst[1:])
     if bad_gap is not None:
         raise bad_gap
-    _check_anchor(nu, zeros[:2].tolist(), lambda grid: pair(np.array(grid))[0].tolist())
-    return zeros, accuracy
+    _check_anchor(nu, head, lambda grid: pair(np.array(grid))[0].tolist())
+
+
+def _polish_block(
+    nu: float, pair: Callable, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray, bool, tuple]:
+    """Zeros start + 1 to stop of J_nu, seeded and polished by Newton, with
+    their accuracies, whether all of them certify, and the worst
+    certificate (ratio, index, |J|, x). Its temporaries are freed on
+    return, before the block is handed on."""
+    import numpy as np
+
+    # past binary64 the seeds and Newton steps turn inf or nan, which the
+    # checks report; numpy is kept from warning of it on stderr too
+    with np.errstate(all="ignore"):
+        x = _seeds(nu, np.arange(start + 1, stop + 1, dtype=float))
+        if not np.all(np.isfinite(x)):
+            raise NumericError(f"the zeros of J_{nu} cannot be seeded in binary64")
+
+        # one pass over the block gives every zero its J and J', then Newton
+        # moves only the seeds whose step would still exceed half an ulp
+        f, g = pair(x)
+        d = (nu / x) * f - g
+        moving = np.flatnonzero(np.abs(f) > 0.5 * _EPS * x * np.abs(d))
+        for _ in range(6):
+            if moving.size == 0:
+                break
+            xs = x[moving] - f[moving] / d[moving]
+            fs, gs = pair(xs)
+            ds = (nu / xs) * fs - gs
+            x[moving], f[moving], d[moving] = xs, fs, ds
+            moving = moving[np.abs(fs) > 0.5 * _EPS * xs * np.abs(ds)]
+
+        size, scale = np.abs(f), np.maximum(1.0, np.abs(d))
+        ratio = size / scale
+        i = int(np.argmax(ratio))
+        return (
+            x,
+            np.abs(f / d) + 4.0 * _EPS * x,
+            bool(np.all(size < 1e-12 * scale)),
+            (ratio[i], start + i, size[i], x[i]),
+        )
 
 
 def _certificate_error(nu: float, k: int, size: float, x: float) -> NumericError:
@@ -615,27 +663,37 @@ def numeric_sigma(nu: float, p: float, zeros: ZeroSet) -> TailedSum:
         raise NumericError(f"p must be >= 1 for convergence, got {p}")
     if abs(nu - zeros.nu) > 1e-12 * max(1.0, abs(nu)):
         raise NumericError(f"order mismatch: nu={nu} but zero set has nu={zeros.nu}")
-    return _sigma_sum(nu, p, zeros.zeros)
+    z = zeros.zeros
+    return _sigma_sum(nu, p, (z[i : i + _BLOCK] for i in range(0, len(z), _BLOCK)))
 
 
-def _sigma_sum(nu: float, p: float, z: list[float] | np.ndarray) -> TailedSum:
-    """numeric_sigma over the zeros z of J_nu, p >= 1: on Python floats for
-    a list from the scalar zero finder, on numpy blocks for an array."""
-    big_k = len(z)
+def _sigma_sum(nu: float, p: float, blocks: Iterable[list[float] | np.ndarray]) -> TailedSum:
+    """numeric_sigma over the zeros of J_nu, p >= 1, taken block by block
+    in order: on Python floats for a list from the scalar zero finder, on
+    numpy for arrays. No block is kept past its powers."""
     e = -2.0 * p
+    big_k = 0
+    scalar = False
+
+    def powers():
+        nonlocal big_k, scalar
+        for z in blocks:
+            big_k += len(z)
+            scalar = isinstance(z, list)
+            # fsum reads a float64 array fastest through a memoryview
+            yield [x**e for x in z] if scalar else memoryview(z**e)
+
+    partial = math.fsum(chain.from_iterable(powers()))
     c = nu / 2.0 - 0.25
     # the allowance for the tail's McMahon zeros is their next asymptotic
     # correction, propagated through x**(-2p)
-    if isinstance(z, list):
-        partial = math.fsum(x**e for x in z)
+    if scalar:
         tail = [_mcmahon(nu, float(k)) for k in range(big_k + 1, big_k + _TAIL_TERMS + 1)]
         explicit = math.fsum(x**e for x, _ in tail)
         allowance = math.fsum(2.0 * p * x ** (e - 1.0) * dx for x, dx in tail)
     else:
         import numpy as np
 
-        powers = ((z[i : i + _BLOCK] ** e).tolist() for i in range(0, big_k, _BLOCK))
-        partial = math.fsum(chain.from_iterable(powers))
         ks = np.arange(big_k + 1, big_k + _TAIL_TERMS + 1, dtype=float)
         xt, delta = _mcmahon(nu, ks)
         explicit = math.fsum(xt**e)
@@ -729,7 +787,10 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
       |dt/dxi| = xi**-(p+1) |A B1/B - A1 - 2A/xi| / |B|;
       and three roundings for the power, product and quotient;
     - one rounding of the fsum.
-    Above _JV_ORDER_CAP, where scipy's jv has no stated bound, the same
+    The terms and their error bounds are computed over the zero finder's
+    blocks as they come, and only the terms are kept. Both are summed with
+    math.fsum, which rounds the exact sum once, so neither sum depends on
+    the block size. Above _JV_ORDER_CAP, where scipy's jv has no stated bound, the same
     kernel bound is assumed. An lhs below the smallest normal binary64
     number raises NumericError, since no sum can be checked against it, and
     so does an nu + p + 1 past lgamma's range (about 2.55e305).
@@ -743,32 +804,29 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
         raise NumericError(
             f"Gamma(nu+1) / (2^(p+1) Gamma(nu+p+1)) at p={p}, nu={nu} underflows binary64"
         )
-    import numpy as np
-
-    zs = bessel_zeros(nu, terms)
     pair_a, pair_b = _jv_pair_at(nu + p), _jv_pair_at(nu + 1.0)
-    vals, terms_err = np.empty(terms), np.empty(terms)
-    for i in range(0, terms, _BLOCK):
-        block = slice(i, i + _BLOCK)
-        z = zs.zeros[block]
-        a, a1 = pair_a(z)
-        b, b1 = pair_b(z)
-        power = z ** (-(p + 1.0))
-        v = vals[block] = power * a / b
-        kernel = _JV_PAIR_ERROR * _EPS * (np.hypot(a, a1) + np.abs(a / b) * np.hypot(b, b1))
-        slope = np.abs(a * b1 / b - a1 - 2.0 * a / z)
-        terms_err[block] = (
-            power / np.abs(b) * (kernel + zs.accuracy[block] * slope) + 3.0 * _EPS * np.abs(v)
-        )
-    half = terms // 2
-    partial_half = math.fsum(vals[:half])
-    partial = math.fsum(vals)
+    values = []  # the terms, one float64 array per block of zeros
+
+    def errors():
+        for z, accuracy in _zero_blocks(nu, terms):
+            v, err = _residue_terms(pair_a, pair_b, p, z, accuracy)
+            values.append(v)
+            yield memoryview(err)
+
+    # fsum is exact, so these sums do not depend on the block size either
+    terms_err = math.fsum(chain.from_iterable(errors()))
+
+    def terms_in_order():
+        return chain.from_iterable(map(memoryview, values))
+
+    partial_half = math.fsum(islice(terms_in_order(), terms // 2))
+    partial = math.fsum(terms_in_order())
     residual_half = abs(lhs - partial_half)
     residual = abs(lhs - partial)
 
     exponent = abs(_lgamma(nu + 1.0)) + (p + 1.0) * math.log(2.0) + abs(_lgamma(nu + p + 1.0))
     lhs_err = lhs * _EPS * (2.0 * exponent + 1.0)
-    rounding = lhs_err + float(np.sum(terms_err)) + _EPS * abs(partial)
+    rounding = lhs_err + terms_err + _EPS * abs(partial)
     return ResidueReport(
         lhs=lhs,
         partial_rhs=partial,
@@ -778,11 +836,35 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
     )
 
 
+def _residue_terms(
+    pair_a: Callable,
+    pair_b: Callable,
+    p: float,
+    z: list[float] | np.ndarray,
+    accuracy: list[float] | np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of the residue sum at a block of zeros z of J_nu and their
+    error bounds, as float64 arrays, where pair_a and pair_b are the J
+    kernels at nu + p and nu + 1. Its temporaries are freed on return."""
+    import numpy as np
+
+    z, accuracy = np.asarray(z, dtype=float), np.asarray(accuracy, dtype=float)
+    a, a1 = pair_a(z)
+    b, b1 = pair_b(z)
+    power = z ** (-(p + 1.0))
+    v = power * a / b
+    kernel = _JV_PAIR_ERROR * _EPS * (np.hypot(a, a1) + np.abs(a / b) * np.hypot(b, b1))
+    slope = np.abs(a * b1 / b - a1 - 2.0 * a / z)
+    err = power / np.abs(b) * (kernel + accuracy * slope) + 3.0 * _EPS * np.abs(v)
+    return v, err
+
+
 def verify_ratio_formula(nu: float, p: int, k: int) -> float:
     """|direct Bessel ratio - closed-form expansion| at the k-th zero of J_nu."""
     if k < 1:
         raise NumericError(f"k must be >= 1, got {k}")
-    xi = float(_find_zeros(nu, k)[0][k - 1])
+    for zeros, _ in _zero_blocks(nu, k):
+        xi = float(zeros[-1])
     try:
         expansion = build_ratio_expansion(p).evaluate_float(nu, xi)
     except (OverflowError, ValueError):  # a coefficient or an inf - inf past binary64

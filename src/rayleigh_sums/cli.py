@@ -22,10 +22,9 @@ import sys
 from fractions import Fraction
 
 from .bessel_numeric import (
-    _BLOCK,
     NumericError,
-    _find_zeros,
     _sigma_sum,
+    _zero_blocks,
     residue_tail_scale,
     verify_ratio_formula,
     verify_residue_identity,
@@ -67,18 +66,32 @@ def _require_tol(tol: float | None) -> None:
             raise UsageError(f"tol must be >= 0, got {tol}")
 
 
-# For nu >= 0, sigma(p, nu) <= sigma(1, nu) j_{nu,1}**(-2(p-1)) since every
-# zero is at least j_{nu,1}, and sigma(1, nu) = 1/(4(nu+1)) <= 1/4 while
-# j_{nu,1} >= j_{0,1} > 2.4. So sigma(p, nu) <= 2.4**(-2(p-1)) / 4, which is
-# below 2**-1075, where binary64 rounds to 0, from this p on: such a float
-# sigma is refused before its exact value is spent on (23 s at p = 1000).
-_SIGMA_UNDERFLOW_P = 426
+def _log2(x: Fraction) -> float:
+    """log2 of a positive rational, also one beyond binary64's range."""
+    return math.log2(x.numerator) - math.log2(x.denominator)
+
+
+def _sigma_underflows(p: int, nu: Fraction) -> bool:
+    """Whether sigma(p, nu), nu >= 0, is surely below 2**-1075, where
+    binary64 rounds it to 0.
+
+    Every zero is at least j_{nu,1}, which exceeds nu (DLMF 10.21(i)) and
+    j_{0,1} > 2.4, so with r = max(nu, 2.4)
+        sigma(p, nu) <= sigma(1, nu) j_{nu,1}**(-2(p-1)) < r**(-2(p-1)) / (4(nu+1)),
+    and that bound is below 2**-1075 where
+        p - 1 > (1073 - log2(nu+1)) / (2 log2 r).
+    The logs are taken of the numerator and denominator apart, and the
+    right side, at most 425, is compared with a margin of 1e-9, far above
+    their rounding."""
+    limit = (1073.0 - _log2(nu + 1)) / (2.0 * _log2(max(nu, Fraction(12, 5))))
+    return p - 1 > limit + 1e-9
 
 
 def _sigma_binary64(p: int, nu: Fraction) -> tuple[Fraction, float]:
     """sigma(p, nu) for nu >= 0, exactly and as a float, refusing a value
-    that underflows binary64."""
-    if p < _SIGMA_UNDERFLOW_P:
+    that underflows binary64: before its exact value is spent on where the
+    bound of `_sigma_underflows` shows it must (23 s at p = 1000)."""
+    if not _sigma_underflows(p, nu):
         exact = sigma_value(p, nu)
         value = float(exact)
         if value != 0.0:
@@ -130,7 +143,8 @@ def cmd_verify_sigma(args: argparse.Namespace) -> int:
     except OverflowError:
         raise UsageError(f"nu={args.nu} is out of binary64 range") from None
     exact, exact_f = _sigma_binary64(args.p, nu)
-    ts = _sigma_sum(nu_f, float(args.p), _find_zeros(nu_f, args.terms)[0])
+    blocks = (zeros for zeros, _ in _zero_blocks(nu_f, args.terms))
+    ts = _sigma_sum(nu_f, float(args.p), blocks)
     residual = abs(ts.value - exact_f)
     rel = residual / abs(exact_f)
     print(f"lhs = {exact_f!r} (exact {exact})")
@@ -217,12 +231,13 @@ def cmd_zeros(args: argparse.Namespace) -> int:
         raise UsageError("count must be >= 1")
     if not 1 <= args.digits <= 17:
         raise UsageError("digits must be in 1..17")
-    zeros = _find_zeros(args.nu, args.count)[0]
+    # the zeros are kept until every check has passed, so a failed one
+    # prints nothing
+    blocks = [zeros for zeros, _ in _zero_blocks(args.nu, args.count)]
     spec = f"%.{args.digits}f\n"
-    # a list from the scalar zero finder, else an array; one write per block,
+    # a list from the scalar zero finder, else arrays; one write per block,
     # since an unbuffered stdout makes a system call of every write
-    for i in range(0, len(zeros), _BLOCK):
-        block = zeros[i : i + _BLOCK]
+    for block in blocks:
         if not isinstance(block, list):
             block = block.tolist()
         sys.stdout.write("".join(map(spec.__mod__, block)))

@@ -16,6 +16,7 @@ from rayleigh_sums import (
     bessel_j,
     bessel_numeric,
     bessel_zeros,
+    cli,
     numeric_sigma,
     ratio_at_zero,
     residue_identity_lhs,
@@ -24,7 +25,7 @@ from rayleigh_sums import (
     verify_residue_identity,
 )
 
-from rayleigh_sums.bessel_numeric import _check_gaps, _mcmahon, _seeds
+from rayleigh_sums.bessel_numeric import _check_gaps, _mcmahon, _seeds, _sigma_sum, _zero_blocks
 
 from golden_forms import J0_ZEROS, SIGMA9_AT_0, ZERO_ABS_TOL
 
@@ -354,8 +355,9 @@ def test_engines_raise_the_same_errors(monkeypatch, k0):
 
 def test_engine_threshold_is_count_times_nu_plus_30(monkeypatch):
     found = []
-    monkeypatch.setattr(bessel_numeric, "_zeros_scalar", lambda nu, n: found.append("scalar"))
-    monkeypatch.setattr(bessel_numeric, "_zeros_blocks", lambda nu, n: found.append("blocks"))
+    # each engine yields blocks; these yield none
+    monkeypatch.setattr(bessel_numeric, "_zeros_scalar", lambda nu, n: found.append("scalar") or ())
+    monkeypatch.setattr(bessel_numeric, "_zeros_blocks", lambda nu, n: found.append("blocks") or ())
     limit = bessel_numeric._SCALAR_WORK
     cases = ((0.0, int(limit / 30)), (0.0, int(limit / 30) + 1), (170.0, 1000), (170.0, 1001))
     for nu, count in cases:
@@ -385,6 +387,12 @@ def test_zeroset_rejects_unsorted():
 _B = bessel_numeric._BLOCK
 
 
+def _streamed_sigma(nu, p, count):
+    """The sum `verify sigma` takes: over the zero finder's blocks as they
+    come, without a ZeroSet."""
+    return _sigma_sum(nu, p, (z for z, _ in _zero_blocks(nu, count)))
+
+
 @pytest.mark.parametrize("nu", [0.0, 0.5, 2.7, 50.0])
 def test_results_do_not_depend_on_the_block_size(monkeypatch, nu):
     counts = (_B - 1, _B, _B + 1, 2 * _B + 3)
@@ -395,6 +403,7 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, nu):
             zs = bessel_zeros(nu, n)
             out.append((zs.zeros.tobytes(), zs.accuracy.tobytes()))
             out.append((numeric_sigma(nu, 1.0, zs), numeric_sigma(nu, 3.5, zs)))
+            out.append(_streamed_sigma(nu, 1.0, n))
             out.append(verify_residue_identity(nu, 1.46, n))
         return out
 
@@ -412,6 +421,22 @@ def test_certificate_failure_names_the_global_index(monkeypatch):
         bessel_zeros(2.7, 2 * _B + 3)
 
 
+def test_cli_prints_nothing_when_a_later_block_fails(monkeypatch, capsys):
+    # the blocks before zero _B + 6 have passed, but nothing is printed
+    # until every check has
+    xi = bessel_zeros(2.7, _B + 6).zeros[-1]
+    _nan_near(monkeypatch, xi)
+    count = str(2 * _B + 3)
+    for argv in (
+        ["zeros", "--nu", "2.7", "--count", count],
+        ["verify", "sigma", "--p", "1", "--nu", "2.7", "--terms", count],
+    ):
+        assert cli.main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"numeric breakdown: zero {_B + 6} of J_2.7 failed certification")
+
+
 @pytest.mark.parametrize("missing", [_B - 1, _B, _B + 1, _B + 2])
 def test_gap_check_spans_the_block_edges(monkeypatch, missing):
     # seeds one index ahead from zero `missing` on skip that zero; the gap
@@ -420,6 +445,20 @@ def test_gap_check_spans_the_block_edges(monkeypatch, missing):
     monkeypatch.setattr(bessel_numeric, "_seeds", lambda nu, k: seeds(nu, k + (k >= missing)))
     with pytest.raises(NumericError, match=f"^zero {missing} of J_2.7 failed the index check"):
         bessel_zeros(2.7, _B + 10)
+
+
+def test_streamed_sum_memory_does_not_grow_with_the_count():
+    # the sum `verify sigma` takes keeps no zero past its block
+    _streamed_sigma(2.7, 1.0, 10**4)  # imports and caches outside the trace
+    peaks = []
+    for n in (5 * 10**4, 4 * 10**5):
+        tracemalloc.start()
+        try:
+            _streamed_sigma(2.7, 1.0, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.3 * 2**20
 
 
 def test_memory_per_zero_is_a_few_words():
@@ -437,7 +476,7 @@ def test_memory_per_zero_is_a_few_words():
     finally:
         tracemalloc.stop()
     assert zeros_and_sum <= 4 * 8 * n
-    assert residues <= 6 * 8 * n
+    assert residues <= 2 * 8 * n
 
 
 def test_numeric_sigma_basic_values(zero_cache):

@@ -84,10 +84,11 @@ def test_eval_float_underflow_is_numeric_breakdown(capsys):
 
 
 def test_float_sigma_that_must_underflow_fails_fast(capsys):
-    # for nu >= 0, sigma(p, nu) <= 2.4**(-2(p-1)) / 4 < 2**-1075 from p = 426
-    # on, so the float is refused before the exact value is computed
-    assert cli._SIGMA_UNDERFLOW_P == 426
+    # for nu >= 0, sigma(p, nu) <= max(nu, 2.4)**(-2(p-1)) / (4(nu+1)), which
+    # is below 2**-1075 from p = 426 on at nu = 0, so the float is refused
+    # before the exact value is computed
     assert float(sigma_value(426, 0)) == 0.0
+    assert cli._sigma_underflows(426, Fraction(0)) and not cli._sigma_underflows(425, Fraction(0))
     assert run(capsys, "eval", "--p", "300", "--nu", "0") == (0, "2.237962041795577e-229\n", "")
     rc, out, err = run(capsys, "verify", "sigma", "--p", "1000", "--nu", "1", "--terms", "2")
     assert (rc, out) == (4, "")
@@ -100,6 +101,32 @@ def test_float_sigma_that_must_underflow_fails_fast(capsys):
     )
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr == "numeric breakdown: sigma(p=100000, nu=0) underflows binary64\n"
+
+
+def test_float_sigma_underflow_bound_follows_nu(capsys, monkeypatch):
+    # at nu = 1000 the bound is below 2**-1075 from p = 55 on, since
+    # j_{nu,1} > nu; p = 53 is a subnormal
+    assert run(capsys, "eval", "--p", "53", "--nu", "1000") == (0, "1.8961e-319\n", "")
+    assert run(capsys, "eval", "--p", "426", "--nu", "0")[0] == 4
+
+    def refuse(*_):
+        raise AssertionError("sigma_value called for a sigma that must underflow")
+
+    monkeypatch.setattr(cli, "sigma_value", refuse)
+    for argv in (
+        ("eval", "--p", "55", "--nu", "1000"),
+        ("verify", "sigma", "--p", "425", "--nu", "1000", "--terms", "2"),
+        ("eval", "--p", "426", "--nu", "0"),
+    ):
+        p = argv[argv.index("--p") + 1]
+        nu = argv[argv.index("--nu") + 1]
+        assert run(capsys, *argv) == (
+            4, "", f"numeric breakdown: sigma(p={p}, nu={nu}) underflows binary64\n"
+        )
+    # an order beyond binary64's range, and one just below 2**1073 at p = 1
+    assert cli._sigma_underflows(1, Fraction(10**400))
+    assert cli._sigma_underflows(2, Fraction(2**1000))
+    assert not cli._sigma_underflows(1, Fraction(2**1072))
 
 
 def test_eval_pole_exit_code(capsys):
