@@ -89,8 +89,8 @@ def _sigma_underflows(p: int, nu: Fraction) -> bool:
 
 def _sigma_binary64(p: int, nu: Fraction) -> tuple[Fraction, float]:
     """sigma(p, nu) for nu >= 0, exactly and as a float, refusing a value
-    that underflows binary64: before its exact value is spent on where the
-    bound of `_sigma_underflows` shows it must (23 s at p = 1000)."""
+    that underflows binary64, and before any exact arithmetic (23 s at
+    p = 1000) wherever the bound of `_sigma_underflows` shows it must."""
     if not _sigma_underflows(p, nu):
         exact = sigma_value(p, nu)
         value = float(exact)
