@@ -4,7 +4,8 @@
 Every layer timing comes from perfbench/layers.py (``measure`` and
 ``import_profile``), so those metric names are the per-layer names in
 BENCHMARK.json. Beside them the record holds the wall time and peak RSS of
-three fresh ``python -m rayleigh_sums`` calls at 10^6 zeros (``CALLS``), as
+three fresh ``python -m rayleigh_sums`` calls at 10^6 zeros and of one small
+call whose cost is interpreter start, imports and parsing (``CALLS``), as
 ``fresh.<call>.wall_s`` and ``fresh.<call>.peak_rss_mb``. Each call is
 started from a small helper interpreter, since a child started by
 vfork/exec inherits its parent's RSS high-water mark: started from this
@@ -62,8 +63,9 @@ import numpy  # noqa: E402
 import scipy  # noqa: E402
 
 
-# the fresh-process calls, each at 10^6 zeros
+# the fresh-process calls: three at 10^6 zeros, and the floor of any call
 CALLS = {
+    "derive_p1": ("derive", "--p", "1"),
     "verify_sigma_1e6": ("verify", "sigma", "--p", "1", "--nu", "0", "--terms", "1000000"),
     "verify_residues_1e6": (
         "verify", "residues", "--p", "1.37", "--nu", "4.2", "--terms", "1000000",

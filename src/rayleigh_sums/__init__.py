@@ -16,43 +16,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FactoredRationalFn",
-    "NumericError",
-    "PI_50",
-    "PoleError",
-    "Poly",
-    "RatioExpansion",
-    "ResidueReport",
-    "SigmaTable",
-    "TailedSum",
-    "ZeroSet",
-    "ZetaValue",
-    "bessel_j",
-    "bessel_zeros",
-    "build_ratio_expansion",
-    "derive_sigma",
-    "derive_sigma_triangular",
-    "eval_sigma_exact",
-    "numeric_sigma",
-    "poly_gcd",
-    "q_max",
-    "ratio_at_zero",
-    "ratio_by_recurrence",
-    "ratio_coefficient",
-    "residue_identity_lhs",
-    "residue_tail_scale",
-    "sigma_value",
-    "spherical_sigma",
-    "sums_identity_defect",
-    "verify_ratio_formula",
-    "verify_residue_identity",
-    "zeta_even",
-    "zeta_float_str",
-    "__version__",
-]
-
-# The home module of every public name but __version__.
+# Every public name but __version__, by its home module: the one list of them.
 _EXPORTS = {
     "exact_algebra": ("FactoredRationalFn", "PoleError", "Poly", "poly_gcd"),
     "rayleigh_core": (
@@ -85,6 +49,7 @@ _EXPORTS = {
     "zeta": ("PI_50", "ZetaValue", "spherical_sigma", "zeta_even", "zeta_float_str"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = [*sorted(_HOME), "__version__"]
 
 
 def __getattr__(name: str):

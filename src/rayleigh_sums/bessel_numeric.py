@@ -449,15 +449,7 @@ def _zeros_scalar(nu: float, count: int) -> Iterator[tuple[list[float], list[flo
         raise _certificate_error(nu, *worst[1:])
     for k in range(count - 2):
         g0, g1 = zeros[k + 1] - zeros[k], zeros[k + 2] - zeros[k + 1]
-        change = g1 - g0
-        tol = 2.0 * (accuracy[k] + 2.0 * accuracy[k + 1] + accuracy[k + 2])
-        if nu > 0.5:
-            bad = change > tol
-        elif nu < 0.5:
-            bad = change < -tol
-        else:
-            bad = abs(change) > tol
-        if bad:
+        if _gap_breaks(nu, g1 - g0, *accuracy[k : k + 3]):
             raise _gap_error(nu, k, g1, g0, zeros[k + 2])
     _check_anchor(nu, zeros[:2], lambda grid: [pair(x)[0] for x in grid])
     yield zeros, accuracy
@@ -576,6 +568,20 @@ def _gap_error(nu: float, k: int, gap: float, before: float, x: float) -> Numeri
     )
 
 
+def _gap_breaks(nu: float, change, a0, a1, a2):
+    """Whether the change g_{k+1} - g_k of two neighbouring gaps breaks the
+    direction Sturm comparison fixes for this order (the gaps shrink for
+    nu > 1/2, grow for nu < 1/2 and are equal at 1/2), to within a
+    tolerance built from the accuracies a0, a1, a2 of the three zeros that
+    define them. On floats, or elementwise on float64 arrays."""
+    tol = 2.0 * (a0 + 2.0 * a1 + a2)
+    if nu > 0.5:
+        return change > tol
+    if nu < 0.5:
+        return change < -tol
+    return abs(change) > tol
+
+
 def _check_gaps(nu: float, zeros: np.ndarray, accuracy: np.ndarray, offset: int = 0) -> None:
     """Raise NumericError unless the gaps between consecutive zeros change
     monotonically in the direction Sturm comparison fixes for this order,
@@ -584,14 +590,7 @@ def _check_gaps(nu: float, zeros: np.ndarray, accuracy: np.ndarray, offset: int 
     import numpy as np
 
     gaps = np.diff(zeros)
-    change = np.diff(gaps)  # g_{k+1} - g_k
-    tol = 2.0 * (accuracy[:-2] + 2.0 * accuracy[1:-1] + accuracy[2:])
-    if nu > 0.5:
-        bad = change > tol
-    elif nu < 0.5:
-        bad = change < -tol
-    else:
-        bad = np.abs(change) > tol
+    bad = _gap_breaks(nu, np.diff(gaps), accuracy[:-2], accuracy[1:-1], accuracy[2:])
     if np.any(bad):
         k = int(np.argmax(bad))
         raise _gap_error(nu, offset + k, gaps[k + 1], gaps[k], zeros[k + 2])

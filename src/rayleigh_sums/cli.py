@@ -7,6 +7,9 @@ table. Text output is UTF-8, one result per line; closed forms render with
 3 evaluation at a pole, 4 numeric breakdown (a zero that cannot be
 certified or indexed, or a value that binary64 cannot carry).
 
+Each flag's range is checked by its argparse type, as the command line is
+parsed; only eval's nu >= 0 without --exact is a rule on two flags.
+
 `derive` and `table` print closed forms from rayleigh_core.derive_sigma;
 `eval`, `zeta` and the exact side of `verify sigma` need sigma at one
 rational nu only and take it from rayleigh_core.sigma_value.
@@ -19,6 +22,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 
 from .bessel_numeric import (
@@ -41,10 +45,27 @@ EXIT_NUMERIC = 4
 
 
 class UsageError(Exception):
-    """Bad argument values that argparse's type checks cannot catch."""
+    """A flag value that does not parse or is out of its range."""
 
 
-def _parse_rational(s: str) -> Fraction:
+def _number_type(parse: type, name: str, bad: Callable, rule: str) -> Callable[[str], float]:
+    """The argparse type of a flag read by parse (int or float): a float must
+    be finite, and "<name> must be <rule>" refuses a value where bad(value)
+    holds. It is named as parse is: argparse says "invalid int value: 'abc'"."""
+
+    def convert(s: str) -> float:
+        value = parse(s)
+        if parse is float and not math.isfinite(value):
+            raise UsageError(f"{name} must be finite, got {value}")
+        if bad(value):
+            raise UsageError(f"{name} must be {rule.format(value)}")
+        return value
+
+    convert.__name__ = parse.__name__
+    return convert
+
+
+def _rational(s: str) -> Fraction:
     """Exact rational from 'a/b' or a decimal string (scaled integer, never
     a binary float)."""
     try:
@@ -53,17 +74,16 @@ def _parse_rational(s: str) -> Fraction:
         raise UsageError(f"cannot parse rational {s!r}: {e}") from None
 
 
-def _require_finite(**values: float) -> None:
-    for name, x in values.items():
-        if not math.isfinite(x):
-            raise UsageError(f"{name} must be finite, got {x}")
-
-
-def _require_tol(tol: float | None) -> None:
-    if tol is not None:
-        _require_finite(tol=tol)
-        if tol < 0:
-            raise UsageError(f"tol must be >= 0, got {tol}")
+def _sigma_nu(s: str) -> Fraction:
+    """verify sigma's nu: a rational >= 0 that binary64 can carry."""
+    nu = _rational(s)
+    if nu < 0:
+        raise UsageError("nu must be >= 0")
+    try:
+        float(nu)
+    except OverflowError:
+        raise UsageError(f"nu={s} is out of binary64 range") from None
+    return nu
 
 
 def _log2(x: Fraction) -> float:
@@ -76,15 +96,16 @@ def _sigma_underflows(p: int, nu: Fraction) -> bool:
     binary64 rounds it to 0.
 
     Every zero is at least j_{nu,1}, which exceeds nu (DLMF 10.21(i)) and
-    j_{0,1} > 2.4, so with r = max(nu, 2.4)
+    j_{0,1} > 2.4, and j_{nu,1}**-4 <= sigma(2, nu) = 1 / (16(nu+1)^2(nu+2))
+    (Euler-Rayleigh), so with r = max(nu, 2.4, (16(nu+1)^2(nu+2))**(1/4))
         sigma(p, nu) <= sigma(1, nu) j_{nu,1}**(-2(p-1)) < r**(-2(p-1)) / (4(nu+1)),
     and that bound is below 2**-1075 where
         p - 1 > (1073 - log2(nu+1)) / (2 log2 r).
     The logs are taken of the numerator and denominator apart, and the
     right side, at most 425, is compared with a margin of 1e-9, far above
     their rounding."""
-    limit = (1073.0 - _log2(nu + 1)) / (2.0 * _log2(max(nu, Fraction(12, 5))))
-    return p - 1 > limit + 1e-9
+    log2_r = max(_log2(max(nu, Fraction(12, 5))), 1.0 + (2.0 * _log2(nu + 1) + _log2(nu + 2)) / 4.0)
+    return p - 1 > (1073.0 - _log2(nu + 1)) / (2.0 * log2_r) + 1e-9
 
 
 def _sigma_binary64(p: int, nu: Fraction) -> tuple[Fraction, float]:
@@ -104,45 +125,27 @@ def _render(f: FactoredRationalFn, fmt: str) -> str:
         return f.to_text()
     if fmt == "json":
         return json.dumps(f.to_json_dict(), sort_keys=True, separators=(",", ":"))
-    if fmt == "latex":
-        return f.to_latex()
-    raise UsageError(f"unknown format {fmt!r}")
+    return f.to_latex()
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
-    if args.p < 1:
-        raise UsageError("p must be >= 1")
     print(_render(derive_sigma(SigmaTable(), args.p), args.format))
     return EXIT_OK
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    if args.p < 1:
-        raise UsageError("p must be >= 1")
-    nu = _parse_rational(args.nu)
-    if not args.exact and nu < 0:
+    if not args.exact and args.nu < 0:
         raise UsageError("nu must be >= 0 unless --exact is given")
     if args.exact:
-        print(sigma_value(args.p, nu))
+        print(sigma_value(args.p, args.nu))
     else:
-        print(repr(_sigma_binary64(args.p, nu)[1]))
+        print(repr(_sigma_binary64(args.p, args.nu)[1]))
     return EXIT_OK
 
 
 def cmd_verify_sigma(args: argparse.Namespace) -> int:
-    if args.p < 1:
-        raise UsageError("p must be >= 1")
-    if args.terms < 2:
-        raise UsageError("terms must be >= 2")
-    _require_tol(args.tol)
-    nu = _parse_rational(args.nu)
-    if nu < 0:
-        raise UsageError("nu must be >= 0")
-    try:
-        nu_f = float(nu)
-    except OverflowError:
-        raise UsageError(f"nu={args.nu} is out of binary64 range") from None
-    exact, exact_f = _sigma_binary64(args.p, nu)
+    nu_f = float(args.nu)
+    exact, exact_f = _sigma_binary64(args.p, args.nu)
     blocks = (zeros for zeros, _ in _zero_blocks(nu_f, args.terms))
     ts = _sigma_sum(nu_f, float(args.p), blocks)
     residual = abs(ts.value - exact_f)
@@ -157,14 +160,6 @@ def cmd_verify_sigma(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_residues(args: argparse.Namespace) -> int:
-    _require_finite(p=args.p, nu=args.nu)
-    _require_tol(args.tol)
-    if args.p <= 0:
-        raise UsageError("p must be > 0")
-    if args.nu < 0:
-        raise UsageError("nu must be >= 0")
-    if args.terms < 2:
-        raise UsageError("terms must be >= 2")
     report = verify_residue_identity(args.nu, args.p, args.terms)
     scale = residue_tail_scale(args.nu, args.p, args.terms)
     print(f"lhs = {report.lhs!r}")
@@ -185,14 +180,6 @@ def cmd_verify_residues(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_ratio(args: argparse.Namespace) -> int:
-    _require_finite(nu=args.nu)
-    _require_tol(args.tol)
-    if args.p < 1:
-        raise UsageError("p must be >= 1")
-    if args.nu < 0:
-        raise UsageError("nu must be >= 0")
-    if args.k < 1:
-        raise UsageError("k must be >= 1")
     residual = verify_ratio_formula(args.nu, args.p, args.k)
     print(f"residual = {residual:.6e}")
     ok = residual <= args.tol
@@ -212,10 +199,6 @@ def _format_zeta(z: ZetaValue) -> str:
 
 
 def cmd_zeta(args: argparse.Namespace) -> int:
-    if args.p < 1:
-        raise UsageError("p must be >= 1")
-    if not 1 <= args.digits <= 45:
-        raise UsageError("digits must be in 1..45")
     z = zeta_even(args.p)
     print(_format_zeta(z))
     if args.float:
@@ -224,13 +207,6 @@ def cmd_zeta(args: argparse.Namespace) -> int:
 
 
 def cmd_zeros(args: argparse.Namespace) -> int:
-    _require_finite(nu=args.nu)
-    if args.nu < 0:
-        raise UsageError("nu must be >= 0")
-    if args.count < 1:
-        raise UsageError("count must be >= 1")
-    if not 1 <= args.digits <= 17:
-        raise UsageError("digits must be in 1..17")
     # the zeros are kept until every check has passed, so a failed one
     # prints nothing
     blocks = [zeros for zeros, _ in _zero_blocks(args.nu, args.count)]
@@ -245,8 +221,6 @@ def cmd_zeros(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    if args.pmax < 1:
-        raise UsageError("pmax must be >= 1")
     table = SigmaTable()
     derive_sigma(table, args.pmax)
     if args.format == "json":
@@ -271,15 +245,20 @@ def build_parser() -> argparse.ArgumentParser:
         "even-argument zeta values.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    p_type = _number_type(int, "p", lambda p: p < 1, ">= 1")
+    terms_type = _number_type(int, "terms", lambda n: n < 2, ">= 2")
+    nu_type = _number_type(float, "nu", lambda nu: nu < 0, ">= 0")
+    tol_type = _number_type(float, "tol", lambda tol: tol < 0, ">= 0, got {}")
+    rational = "rational 'a/b' or decimal string"
 
     p_derive = sub.add_parser("derive", help="derive the closed form of sigma(p, nu)")
-    p_derive.add_argument("--p", type=int, required=True)
+    p_derive.add_argument("--p", type=p_type, required=True)
     p_derive.add_argument("--format", choices=("text", "json", "latex"), default="text")
     p_derive.set_defaults(func=cmd_derive)
 
     p_eval = sub.add_parser("eval", help="evaluate sigma(p, nu) at a rational nu")
-    p_eval.add_argument("--p", type=int, required=True)
-    p_eval.add_argument("--nu", required=True, help="rational 'a/b' or decimal string")
+    p_eval.add_argument("--p", type=p_type, required=True)
+    p_eval.add_argument("--nu", type=_rational, required=True, help=rational)
     p_eval.add_argument("--exact", action="store_true", help="print an exact fraction")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -287,40 +266,46 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = p_verify.add_subparsers(dest="kind", required=True)
 
     v_res = vsub.add_parser("residues", help="Gamma constant vs weighted ratio sum")
-    v_res.add_argument("--p", type=float, required=True, help="any real p > 0")
-    v_res.add_argument("--nu", type=float, required=True)
-    v_res.add_argument("--terms", type=int, default=10000)
-    v_res.add_argument("--tol", type=float, default=None)
+    real_p = _number_type(float, "p", lambda p: p <= 0, "> 0")
+    v_res.add_argument("--p", type=real_p, required=True, help="any real p > 0")
+    v_res.add_argument("--nu", type=nu_type, required=True)
+    v_res.add_argument("--terms", type=terms_type, default=10000)
+    v_res.add_argument("--tol", type=tol_type, default=None)
     v_res.set_defaults(func=cmd_verify_residues)
 
     v_ratio = vsub.add_parser("ratio", help="ratio expansion vs direct evaluation")
-    v_ratio.add_argument("--p", type=int, required=True)
-    v_ratio.add_argument("--nu", type=float, required=True)
-    v_ratio.add_argument("--k", type=int, default=1, help="index of the zero to test")
-    v_ratio.add_argument("--tol", type=float, default=1e-8)
+    v_ratio.add_argument("--p", type=p_type, required=True)
+    v_ratio.add_argument("--nu", type=nu_type, required=True)
+    k_type = _number_type(int, "k", lambda k: k < 1, ">= 1")
+    v_ratio.add_argument("--k", type=k_type, default=1, help="index of the zero to test")
+    v_ratio.add_argument("--tol", type=tol_type, default=1e-8)
     v_ratio.set_defaults(func=cmd_verify_ratio)
 
     v_sigma = vsub.add_parser("sigma", help="closed form vs direct zero summation")
-    v_sigma.add_argument("--p", type=int, required=True)
-    v_sigma.add_argument("--nu", required=True, help="rational 'a/b' or decimal string")
-    v_sigma.add_argument("--terms", type=int, default=10000)
-    v_sigma.add_argument("--tol", type=float, default=1e-10)
+    v_sigma.add_argument("--p", type=p_type, required=True)
+    v_sigma.add_argument("--nu", type=_sigma_nu, required=True, help=rational)
+    v_sigma.add_argument("--terms", type=terms_type, default=10000)
+    v_sigma.add_argument("--tol", type=tol_type, default=1e-10)
     v_sigma.set_defaults(func=cmd_verify_sigma)
 
     p_zeta = sub.add_parser("zeta", help="exact zeta(2p)")
-    p_zeta.add_argument("--p", type=int, required=True)
+    p_zeta.add_argument("--p", type=p_type, required=True)
     p_zeta.add_argument("--float", action="store_true", help="also print a decimal value")
-    p_zeta.add_argument("--digits", type=int, default=30)
+    digits_45 = _number_type(int, "digits", lambda d: not 1 <= d <= 45, "in 1..45")
+    p_zeta.add_argument("--digits", type=digits_45, default=30)
     p_zeta.set_defaults(func=cmd_zeta)
 
     p_zeros = sub.add_parser("zeros", help="list the first zeros of J_nu")
-    p_zeros.add_argument("--nu", type=float, required=True)
-    p_zeros.add_argument("--count", type=int, required=True)
-    p_zeros.add_argument("--digits", type=int, default=15, help="decimal places")
+    p_zeros.add_argument("--nu", type=nu_type, required=True)
+    count_type = _number_type(int, "count", lambda n: n < 1, ">= 1")
+    p_zeros.add_argument("--count", type=count_type, required=True)
+    digits_17 = _number_type(int, "digits", lambda d: not 1 <= d <= 17, "in 1..17")
+    p_zeros.add_argument("--digits", type=digits_17, default=15, help="decimal places")
     p_zeros.set_defaults(func=cmd_zeros)
 
     p_table = sub.add_parser("table", help="closed forms for p = 1..pmax")
-    p_table.add_argument("--pmax", type=int, required=True)
+    pmax_type = _number_type(int, "pmax", lambda n: n < 1, ">= 1")
+    p_table.add_argument("--pmax", type=pmax_type, required=True)
     p_table.add_argument("--format", choices=("text", "json", "latex"), default="text")
     p_table.set_defaults(func=cmd_table)
 
@@ -334,10 +319,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
         return args.func(args)
+    except SystemExit as e:  # argparse's own errors and --help
+        return int(e.code or 0)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,6 +1,7 @@
 """End-to-end coverage of the command-line interface via main(argv)."""
 
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -128,6 +129,39 @@ def test_float_sigma_underflow_bound_follows_nu(capsys, monkeypatch):
     assert not cli._sigma_underflows(1, Fraction(2**1072))
 
 
+def test_float_sigma_underflow_bound_uses_sigma_2(capsys, monkeypatch):
+    # j_{nu,1}**-4 <= sigma(2, nu) = 1/(16(nu+1)^2(nu+2)) puts j_{2,1} above
+    # 576**(1/4) = 4.90, where nu and 2.4 give only 2.4, so at nu = 2 the
+    # float is refused from p = 235 on, not from p = 426; p = 227 is a
+    # subnormal
+    assert run(capsys, "eval", "--p", "227", "--nu", "2") == (0, "2.5e-323\n", "")
+
+    def refuse(*_):
+        raise AssertionError("sigma_value called for a sigma that must underflow")
+
+    monkeypatch.setattr(cli, "sigma_value", refuse)
+    for argv in (
+        ("eval", "--p", "235", "--nu", "2"),
+        ("verify", "sigma", "--p", "235", "--nu", "2", "--terms", "2"),
+    ):
+        assert run(capsys, *argv) == (
+            4, "", "numeric breakdown: sigma(p=235, nu=2) underflows binary64\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "nu, first",
+    [("0", 426), ("1/2", 332), ("1", 284), ("2", 235), ("3", 209), ("4", 192), ("10", 149),
+     ("16", 132), ("20", 125)],
+)
+def test_float_sigma_underflow_bound_is_sound(nu, first):
+    # the first p the bound refuses, and the two after it, really round to 0
+    nu = Fraction(nu)
+    assert next(p for p in itertools.count(1) if cli._sigma_underflows(p, nu)) == first
+    for p in range(first, first + 3):
+        assert float(sigma_value(p, nu)) == 0.0
+
+
 def test_eval_pole_exit_code(capsys):
     rc, out, err = run(capsys, "eval", "--p", "1", "--nu", "-1", "--exact")
     assert rc == 3
@@ -226,6 +260,48 @@ def test_out_of_range_float_inputs_are_usage_errors(capsys, argv):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+# one bad value per flag per subcommand, and the whole of stderr it gives
+_USAGE_MESSAGES = {
+    "derive --p 0": "error: p must be >= 1\n",
+    "derive --p abc": (
+        "usage: rayleigh derive [-h] --p P [--format {text,json,latex}]\n"
+        "rayleigh derive: error: argument --p: invalid int value: 'abc'\n"
+    ),
+    "eval --p 0 --nu 1": "error: p must be >= 1\n",
+    "eval --p 1 --nu 1/0": "error: cannot parse rational '1/0': Fraction(1, 0)\n",
+    "eval --p 1 --nu -0.5": "error: nu must be >= 0 unless --exact is given\n",
+    "verify sigma --p 0 --nu 1": "error: p must be >= 1\n",
+    "verify sigma --p 1 --nu -1": "error: nu must be >= 0\n",
+    "verify sigma --p 1 --nu 1e400": "error: nu=1e400 is out of binary64 range\n",
+    "verify sigma --p 1 --nu 1 --terms 1": "error: terms must be >= 2\n",
+    "verify sigma --p 1 --nu 1 --tol -0.5": "error: tol must be >= 0, got -0.5\n",
+    "verify residues --p 0 --nu 0": "error: p must be > 0\n",
+    "verify residues --p x --nu 0": (
+        "usage: rayleigh verify residues [-h] --p P --nu NU [--terms TERMS] [--tol TOL]\n"
+        "rayleigh verify residues: error: argument --p: invalid float value: 'x'\n"
+    ),
+    "verify residues --p 1 --nu -1": "error: nu must be >= 0\n",
+    "verify residues --p 1 --nu 0 --terms 1": "error: terms must be >= 2\n",
+    "verify residues --p 1 --nu 0 --tol nan": "error: tol must be finite, got nan\n",
+    "verify ratio --p 0 --nu 0": "error: p must be >= 1\n",
+    "verify ratio --p 2 --nu -1": "error: nu must be >= 0\n",
+    "verify ratio --p 2 --nu 0 --k 0": "error: k must be >= 1\n",
+    "verify ratio --p 2 --nu 0 --tol -1": "error: tol must be >= 0, got -1.0\n",
+    "zeta --p 0": "error: p must be >= 1\n",
+    "zeta --p 1 --digits 46": "error: digits must be in 1..45\n",
+    "zeros --nu -1 --count 2": "error: nu must be >= 0\n",
+    "zeros --nu nan --count 2": "error: nu must be finite, got nan\n",
+    "zeros --nu 0 --count 0": "error: count must be >= 1\n",
+    "zeros --nu 0 --count 2 --digits 18": "error: digits must be in 1..17\n",
+    "table --pmax 0": "error: pmax must be >= 1\n",
+}
+
+
+@pytest.mark.parametrize("command", list(_USAGE_MESSAGES))
+def test_usage_messages(capsys, command):
+    assert run(capsys, *command.split()) == (2, "", _USAGE_MESSAGES[command])
 
 
 def test_verify_residues_pass(capsys):

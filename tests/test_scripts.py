@@ -60,11 +60,11 @@ def test_bench_against_same_tree_writes_both_sides(tmp_path):
         assert 0 < stats["min"] == stats["q1"] == stats["median"] == stats["q3"]
     assert derive["change_lower"] in (0, 1)
     assert "import.total_s" in rec["metrics"]
-    # the fresh-process calls at 10^6 zeros, each side's own
+    # the fresh-process calls, each side's own
     fresh = {name for name in rec["metrics"] if name.startswith("fresh.")}
     assert fresh == {
         f"fresh.{call}.{metric}"
-        for call in ("verify_sigma_1e6", "verify_residues_1e6", "zeros_1e6")
+        for call in ("derive_p1", "verify_sigma_1e6", "verify_residues_1e6", "zeros_1e6")
         for metric in ("wall_s", "peak_rss_mb")
     }
     for name in fresh:
