@@ -449,7 +449,7 @@ def _zeros_scalar(nu: float, count: int) -> Iterator[tuple[list[float], list[flo
         raise _certificate_error(nu, *worst[1:])
     for k in range(count - 2):
         g0, g1 = zeros[k + 1] - zeros[k], zeros[k + 2] - zeros[k + 1]
-        if _gap_breaks(nu, g1 - g0, *accuracy[k : k + 3]):
+        if _gap_breaks(nu, g1 - g0, accuracy[k], accuracy[k + 1], accuracy[k + 2]):
             raise _gap_error(nu, k, g1, g0, zeros[k + 2])
     _check_anchor(nu, zeros[:2], lambda grid: [pair(x)[0] for x in grid])
     yield zeros, accuracy

@@ -50,8 +50,9 @@ class UsageError(Exception):
 
 def _number_type(parse: type, name: str, bad: Callable, rule: str) -> Callable[[str], float]:
     """The argparse type of a flag read by parse (int or float): a float must
-    be finite, and "<name> must be <rule>" refuses a value where bad(value)
-    holds. It is named as parse is: argparse says "invalid int value: 'abc'"."""
+    be finite, and "<name> must be <rule>", the rule formatted with the
+    value, refuses a value where bad(value) holds. It is named as parse is,
+    since argparse names the type in its own message: "invalid int value"."""
 
     def convert(s: str) -> float:
         value = parse(s)
