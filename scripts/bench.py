@@ -13,7 +13,12 @@ script, whose numpy and perfbench imports take more, its ``ru_maxrss``
 would read this script's. The record also holds the git commit of this checkout (and
 whether its tracked files differ from it), the platform, and the Python,
 numpy and scipy versions, so that two records compare only when they come
-from one machine.
+from one machine. Every child reads and writes its bytecode under one
+PYTHONPYCACHEPREFIX directory, empty at the start of each run of this
+script and filled by one untimed call per tree, so no side reads the
+bytecode left in its tree's __pycache__ (PYTHONDONTWRITEBYTECODE stops the
+writing of a cache, not the reading of a stale one) and no timed call
+compiles.
 
     python3 scripts/bench.py --repeats 5 --out bench.json
 
@@ -52,6 +57,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -123,8 +129,22 @@ def fresh_calls(env: dict, problems: list[str]) -> dict[str, float]:
     return metrics
 
 
-def _measure_side(src: Path) -> tuple[dict[str, float], list[str]]:
-    env = dict(os.environ, PYTHONPATH=str(src))
+def _warm_env(src: Path, cache: str) -> dict:
+    """The environment of a child that imports the package from src. All
+    its bytecode, the standard library's and numpy's too, is read from and
+    written to cache, which one call of `zeros` on the numpy engine fills
+    first; so no call compiles what the timed calls import, and none reads
+    the bytecode left in a tree's __pycache__."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONPYCACHEPREFIX=cache)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    subprocess.run(
+        [sys.executable, "-m", "rayleigh_sums", "zeros", "--nu", "0", "--count", "10000"],
+        env=env, cwd=ROOT, stdout=subprocess.DEVNULL, check=True,
+    )
+    return env
+
+
+def _measure_side(env: dict) -> tuple[dict[str, float], list[str]]:
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, str(ROOT / "perfbench")],
         env=env, cwd=ROOT, capture_output=True, text=True, check=True,
@@ -140,14 +160,14 @@ def _summary(xs: list[float]) -> dict[str, float]:
     return {"min": min(xs), "q1": q1, "median": median, "q3": q3}
 
 
-def compare(rounds: int, base: Path) -> dict:
+def compare(rounds: int, base: Path, cache: str) -> dict:
     """The interleaved A/B part of the record: base, rounds, problems, metrics."""
-    sides = {"base": base, "change": SRC}
+    envs = {"base": _warm_env(base, cache), "change": _warm_env(SRC, cache)}
     runs: dict[str, list[dict[str, float]]] = {"base": [], "change": []}
     problems: set[str] = set()
     for i in range(rounds):
         for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-            metrics, found = _measure_side(sides[side])
+            metrics, found = _measure_side(envs[side])
             runs[side].append(metrics)
             problems.update(f"{side}: {problem}" for problem in found)
     metrics = {
@@ -166,10 +186,10 @@ def compare(rounds: int, base: Path) -> dict:
     }
 
 
-def record(repeats: int) -> dict:
+def record(repeats: int, cache: str) -> dict:
     """The single-tree part of the record: repeats, problems, metrics."""
     problems: list[str] = []
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = _warm_env(SRC, cache)
     runs = [{**layers.measure(problems), **fresh_calls(env, problems)} for _ in range(repeats)]
     metrics = {name: statistics.median(run[name] for run in runs) for name in runs[0]}
     metrics.update(layers.import_profile(env, str(ROOT), repeats))
@@ -205,13 +225,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
-    if args.against is None:
-        measured = record(args.repeats)
-    else:
-        base = Path(args.against).resolve()
-        if not (base / "rayleigh_sums").is_dir():
-            parser.error(f"--against {args.against}: no rayleigh_sums package there")
-        measured = compare(args.repeats, base)
+    base = None if args.against is None else Path(args.against).resolve()
+    if base is not None and not (base / "rayleigh_sums").is_dir():
+        parser.error(f"--against {args.against}: no rayleigh_sums package there")
+    with tempfile.TemporaryDirectory() as cache:
+        if base is None:
+            measured = record(args.repeats, cache)
+        else:
+            measured = compare(args.repeats, base, cache)
     rec = {**_checkout(ROOT), **machine(), **measured}
     Path(args.out).write_text(json.dumps(rec, indent=2) + "\n", encoding="utf-8")
     for problem in rec["problems"]:

@@ -3,13 +3,15 @@
 
 For each order in --nu-list the script computes one batch of zeros and
 compares the tail-corrected sums for p = 1..pmax against the exact rational
-evaluations, printing the relative residual and the reported tail bound.
-Exits nonzero if any point misses --tol.
+evaluations, printing the relative residual, the reported tail bound and
+the ratio |exact - value| / tail_bound. Exits nonzero if any point misses
+--tol or exceeds its bound.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import time
 from fractions import Fraction
 
@@ -42,23 +44,34 @@ def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
     table = SigmaTable()
     derive_sigma(table, args.pmax)
-    failures = 0
-    print(f"{'nu':>6} {'p':>3} {'exact':>24} {'relative':>12} {'tail bound':>12}")
+    failures = broken = 0
+    print(f"{'nu':>6} {'p':>3} {'exact':>24} {'relative':>12} {'tail bound':>12} {'err/bound':>10}")
     for nu in args.nus:
         t0 = time.perf_counter()
         zeros = bessel_zeros(float(nu), args.terms)
         for p in range(1, args.pmax + 1):
-            exact = float(eval_sigma_exact(table[p], nu))
+            exact_q = eval_sigma_exact(table[p], nu)
+            exact = float(exact_q)
             ts = numeric_sigma(float(nu), p, zeros)
             rel = abs(ts.value - exact) / abs(exact)
-            flag = "" if rel <= args.tol else "  MISS"
+            err = abs(Fraction(ts.value) - exact_q)
+            # a bound of 0 comes with a value of 0, which misses sigma > 0
+            ratio = float(err / Fraction(ts.tail_bound)) if ts.tail_bound else math.inf
+            flag = ("" if rel <= args.tol else "  MISS") + ("" if ratio <= 1 else "  BOUND")
             failures += rel > args.tol
-            print(f"{str(nu):>6} {p:>3} {exact:>24.17g} {rel:>12.3e} {ts.tail_bound:>12.3e}{flag}")
+            broken += ratio > 1
+            print(
+                f"{str(nu):>6} {p:>3} {exact:>24.17g} {rel:>12.3e} {ts.tail_bound:>12.3e}"
+                f" {ratio:>10.3g}{flag}"
+            )
         print(f"       ({args.terms} zeros of J_{nu} in {time.perf_counter() - t0:.2f}s)")
     if failures:
         print(f"{failures} grid points missed tol {args.tol:g}")
+    if broken:
+        print(f"{broken} grid points exceeded their tail bound")
+    if failures or broken:
         return 1
-    print(f"all points within relative {args.tol:g}")
+    print(f"all points within relative {args.tol:g} and within their tail bound")
     return 0
 
 

@@ -52,6 +52,7 @@ import math
 import sys
 from bisect import bisect_left
 from itertools import chain, islice
+from operator import truediv
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .exact_algebra import _Record
@@ -631,87 +632,91 @@ def _check_anchor(
 
 
 class TailedSum(_Record):
-    """Truncated zero sum with an estimated tail added on; all four fields
-    are floats.
-
-    value = partial + tail_estimate; tail_bound is a best-effort bound on
-    |true tail - tail_estimate| from the integral bracket of the remainder
-    plus an allowance for the asymptotic zero approximation used in the
-    explicit continuation terms.
-    """
+    """Truncated zero sum with its tail added on; all four fields are
+    floats. value = partial + tail_estimate, and tail_bound bounds
+    |sigma - value|: the tail's truncation, the zeros' accuracy and the
+    roundings (see `_sigma_sum`)."""
 
     __slots__ = ("partial", "tail_estimate", "tail_bound", "value")
 
 
-# Zeros past the last computed one that numeric_sigma sums from McMahon's
-# expansion before it integrates the rest of the tail.
-_TAIL_TERMS = 2000
-
-
 def numeric_sigma(nu: float, p: float, zeros: ZeroSet) -> TailedSum:
-    """sum_k xi_k**(-2p) from computed zeros plus a tail correction.
-
-    The tail beyond the last computed zero is summed explicitly for
-    _TAIL_TERMS further zeros approximated by the asymptotic formula, and
-    the remainder beyond those is integrated: with g(k) = (pi(k+c))**(-2p),
-    c = nu/2 - 1/4, the midpoint rule gives
-    sum_{k>N} g(k) ~ pi**(-2p) (N + c + 1/2)**(1-2p) / (2p - 1),
-    bracketed above and below by shifting the start point by half a step.
-    """
+    """sum_k xi_k**(-2p) over a zero set plus the tail past it, with a bound
+    on its error: `_sigma_sum` over the set's zeros and accuracies."""
     if p < 1:
         raise NumericError(f"p must be >= 1 for convergence, got {p}")
     if abs(nu - zeros.nu) > 1e-12 * max(1.0, abs(nu)):
         raise NumericError(f"order mismatch: nu={nu} but zero set has nu={zeros.nu}")
-    z = zeros.zeros
-    return _sigma_sum(nu, p, (z[i : i + _BLOCK] for i in range(0, len(z), _BLOCK)))
+    z, acc = zeros.zeros, zeros.accuracy
+    blocks = ((z[i : i + _BLOCK], acc[i : i + _BLOCK]) for i in range(0, len(z), _BLOCK))
+    return _sigma_sum(nu, p, blocks)
 
 
-def _sigma_sum(nu: float, p: float, blocks: Iterable[list[float] | np.ndarray]) -> TailedSum:
-    """numeric_sigma over the zeros of J_nu, p >= 1, taken block by block
-    in order: on Python floats for a list from the scalar zero finder, on
-    numpy for arrays. No block is kept past its powers."""
+# B_2k / (2k)! for k = 1..7 (DLMF 24.2.1)
+_BERNOULLI = (
+    1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000, 1 / 74724249600
+)
+
+
+def _hurwitz_zeta(s: float, q: float) -> tuple[float, float]:
+    """zeta(s, q) = sum_{n>=0} (q + n)**(-s) for s > 1, q > 0, and the size
+    of the last term it adds. The terms are added until q + n >= s + 10,
+    and the rest is Euler-Maclaurin's sum (DLMF 2.10.1) to the B_14 term,
+    whose terms shrink there, so the last bounds the remainder. A power
+    that underflows is 0.0."""
+    n = max(0, math.ceil(s + 10.0 - q))
+    terms = [(q + i) ** -s for i in range(n)]
+    x = q + n
+    power = x**-s
+    terms += [x * power / (s - 1.0), 0.5 * power]
+    rising, power = s, power / x  # s(s+1)...(s+2k-2) and x**(1-s-2k)
+    for k, b in enumerate(_BERNOULLI, 1):
+        terms.append(b * rising * power)
+        rising, power = rising * (s + 2 * k - 1) * (s + 2 * k), power / (x * x)
+    return math.fsum(terms), abs(terms[-1])
+
+
+def _sigma_sum(nu: float, p: float, blocks: Iterable[tuple]) -> TailedSum:
+    """numeric_sigma over the zero finder's (zeros, accuracy) blocks of
+    J_nu, p >= 1, in order: on Python floats for lists from the scalar zero
+    finder, on numpy for arrays. No block is kept past its powers.
+
+    Past the N zeros summed, McMahon's expansion (DLMF 10.21.19) to beta**-5,
+    xi_k = beta_k (1 - a1 beta_k**-2 - a2 beta_k**-4 - a3 beta_k**-6) with
+    beta_k = pi(k + nu/2 - 1/4), gives xi_k**-s = sum_{j<=3} d_j beta_k**(-s-2j),
+    s = 2p, and summed over k > N each power is pi**(-s-2j) zeta(s+2j, N + 3/4 + nu/2).
+    tail_bound adds the last of those terms, the Euler-Maclaurin remainders,
+    s max_k(acc_k / xi_k) value (the zeros' accuracy through xi**-s) and
+    2 eps value (the roundings); a max does not depend on the block size."""
     e = -2.0 * p
-    big_k = 0
-    scalar = False
+    count, worst = 0, 0.0  # the zeros summed, and max_k acc_k / xi_k
 
     def powers():
-        nonlocal big_k, scalar
-        for z in blocks:
-            big_k += len(z)
+        nonlocal count, worst
+        for z, acc in blocks:
+            count += len(z)
             scalar = isinstance(z, list)
+            worst = max(worst, max(map(truediv, acc, z)) if scalar else float((acc / z).max()))
             # fsum reads a float64 array fastest through a memoryview
             yield [x**e for x in z] if scalar else memoryview(z**e)
 
     partial = math.fsum(chain.from_iterable(powers()))
-    c = nu / 2.0 - 0.25
-    # the allowance for the tail's McMahon zeros is their next asymptotic
-    # correction, propagated through x**(-2p)
-    if scalar:
-        tail = [_mcmahon(nu, float(k)) for k in range(big_k + 1, big_k + _TAIL_TERMS + 1)]
-        explicit = math.fsum(x**e for x, _ in tail)
-        allowance = math.fsum(2.0 * p * x ** (e - 1.0) * dx for x, dx in tail)
-    else:
-        import numpy as np
-
-        ks = np.arange(big_k + 1, big_k + _TAIL_TERMS + 1, dtype=float)
-        xt, delta = _mcmahon(nu, ks)
-        explicit = math.fsum(xt**e)
-        allowance = float(np.sum(2.0 * p * xt ** (e - 1.0) * delta))
-
-    n_rest = big_k + _TAIL_TERMS
-    scale = math.pi ** (-2.0 * p) / (2.0 * p - 1.0)
-    mid = scale * (n_rest + c + 0.5) ** (1.0 - 2.0 * p)
-    upper = scale * (n_rest + c) ** (1.0 - 2.0 * p)
-    lower = scale * (n_rest + c + 1.0) ** (1.0 - 2.0 * p)
-
-    tail_estimate = explicit + mid
-    tail_bound = (upper - lower) + allowance
-    return TailedSum(
-        partial=partial,
-        tail_estimate=tail_estimate,
-        tail_bound=tail_bound,
-        value=partial + tail_estimate,
-    )
+    s, mu = -e, 4.0 * nu * nu
+    a1, a2 = (mu - 1.0) / 8.0, (mu - 1.0) * (7.0 * mu - 31.0) / 384.0
+    a3 = (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0) / 15360.0
+    # the coefficients of u, u**2 and u**3 in (1 - u)**-s
+    b1, b2, b3 = s, s * (s + 1.0) / 2.0, s * (s + 1.0) * (s + 2.0) / 6.0
+    d = (1.0, b1 * a1, b1 * a2 + b2 * a1 * a1, b1 * a3 + 2.0 * b2 * a1 * a2 + b3 * a1 * a1 * a1)
+    tail, remainder = [], 0.0
+    for j, dj in enumerate(d):
+        zeta, last = _hurwitz_zeta(s + 2 * j, count + 0.75 + nu / 2.0)
+        scale = dj * math.pi ** (-s - 2 * j)
+        tail.append(scale * zeta)
+        remainder += abs(scale) * last
+    tail_estimate = math.fsum(tail)
+    value = partial + tail_estimate
+    bound = abs(tail[-1]) + remainder + (s * worst + 2.0 * _EPS) * value
+    return TailedSum(partial=partial, tail_estimate=tail_estimate, tail_bound=bound, value=value)
 
 
 def ratio_at_zero(nu: float, p: int, zero: float) -> float:

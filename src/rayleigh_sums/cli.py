@@ -147,8 +147,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_verify_sigma(args: argparse.Namespace) -> int:
     nu_f = float(args.nu)
     exact, exact_f = _sigma_binary64(args.p, args.nu)
-    blocks = (zeros for zeros, _ in _zero_blocks(nu_f, args.terms))
-    ts = _sigma_sum(nu_f, float(args.p), blocks)
+    ts = _sigma_sum(nu_f, float(args.p), _zero_blocks(nu_f, args.terms))
     residual = abs(ts.value - exact_f)
     rel = residual / abs(exact_f)
     print(f"lhs = {exact_f!r} (exact {exact})")

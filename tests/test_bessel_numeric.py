@@ -25,7 +25,14 @@ from rayleigh_sums import (
     verify_residue_identity,
 )
 
-from rayleigh_sums.bessel_numeric import _check_gaps, _mcmahon, _seeds, _sigma_sum, _zero_blocks
+from rayleigh_sums.bessel_numeric import (
+    _check_gaps,
+    _hurwitz_zeta,
+    _mcmahon,
+    _seeds,
+    _sigma_sum,
+    _zero_blocks,
+)
 
 from golden_forms import J0_ZEROS, SIGMA9_AT_0, ZERO_ABS_TOL
 
@@ -390,7 +397,7 @@ _B = bessel_numeric._BLOCK
 def _streamed_sigma(nu, p, count):
     """The sum `verify sigma` takes: over the zero finder's blocks as they
     come, without a ZeroSet."""
-    return _sigma_sum(nu, p, (z for z, _ in _zero_blocks(nu, count)))
+    return _sigma_sum(nu, p, _zero_blocks(nu, count))
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 2.7, 50.0])
@@ -512,6 +519,35 @@ def test_numeric_sigma_validation(zero_cache):
         numeric_sigma(0.0, 0.5, zs)
     with pytest.raises(NumericError):
         numeric_sigma(1.0, 2, zs)
+
+
+def _hurwitz_reference(s, q):
+    """zeta(s, q) to 80 digits: the terms to q + 2000, then Euler-Maclaurin
+    to the B_38 term, all in mpmath arithmetic. mpmath.zeta itself is not
+    used: at s = 40, q = 300.75 it gives 6.1204688601e-99 at 50 digits and
+    6.1204688592e-99 at 60, against 6.12046885891e-99."""
+    with mpmath.workdps(80):
+        s, q = mpmath.mpf(s), mpmath.mpf(q)
+        head = mpmath.fsum((q + n) ** -s for n in range(2000))
+        x = q + 2000
+        rest = x ** (1 - s) / (s - 1) + x**-s / 2
+        for k in range(1, 20):
+            rising = mpmath.rf(s, 2 * k - 1)
+            rest += mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * rising * x ** (1 - s - 2 * k)
+        return float(head + rest)
+
+
+@pytest.mark.parametrize("s", [2.0, 2.5, 4.0, 40.0])
+def test_hurwitz_zeta_is_within_its_last_term(s):
+    eps = np.finfo(float).eps
+    for q in (2.75, 3.0, 25.75, 300.75, 100000.75):
+        value, last = _hurwitz_zeta(s, q)
+        ref = _hurwitz_reference(s, q)
+        assert abs(value - ref) <= last + 8 * eps * abs(ref), (q, value, ref, last)
+
+
+def test_hurwitz_zeta_underflows_to_zero():
+    assert _hurwitz_zeta(850.0, 2.75)[0] == 0.0
 
 
 def test_ratio_at_zero_identity_and_formulas(zero_cache):
