@@ -704,9 +704,9 @@ def _sigma_sum(nu: float, p: float, blocks: Iterable[tuple]) -> TailedSum:
     s, mu = -e, 4.0 * nu * nu
     a1, a2 = (mu - 1.0) / 8.0, (mu - 1.0) * (7.0 * mu - 31.0) / 384.0
     a3 = (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0) / 15360.0
-    # the coefficients of u, u**2 and u**3 in (1 - u)**-s
-    b1, b2, b3 = s, s * (s + 1.0) / 2.0, s * (s + 1.0) * (s + 2.0) / 6.0
-    d = (1.0, b1 * a1, b1 * a2 + b2 * a1 * a1, b1 * a3 + 2.0 * b2 * a1 * a2 + b3 * a1 * a1 * a1)
+    # s, b2 and b3 are the coefficients of u, u**2 and u**3 in (1 - u)**-s
+    b2, b3 = s * (s + 1.0) / 2.0, s * (s + 1.0) * (s + 2.0) / 6.0
+    d = (1.0, s * a1, s * a2 + b2 * a1 * a1, s * a3 + 2.0 * b2 * a1 * a2 + b3 * a1 * a1 * a1)
     tail, remainder = [], 0.0
     for j, dj in enumerate(d):
         zeta, last = _hurwitz_zeta(s + 2 * j, count + 0.75 + nu / 2.0)

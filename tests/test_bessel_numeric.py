@@ -25,14 +25,8 @@ from rayleigh_sums import (
     verify_residue_identity,
 )
 
-from rayleigh_sums.bessel_numeric import (
-    _check_gaps,
-    _hurwitz_zeta,
-    _mcmahon,
-    _seeds,
-    _sigma_sum,
-    _zero_blocks,
-)
+from rayleigh_sums.bessel_numeric import _check_gaps, _mcmahon, _seeds, _sigma_sum, _zero_blocks
+from rayleigh_sums.bessel_numeric import _hurwitz_zeta
 
 from golden_forms import J0_ZEROS, SIGMA9_AT_0, ZERO_ABS_TOL
 
@@ -532,8 +526,8 @@ def _hurwitz_reference(s, q):
         x = q + 2000
         rest = x ** (1 - s) / (s - 1) + x**-s / 2
         for k in range(1, 20):
-            rising = mpmath.rf(s, 2 * k - 1)
-            rest += mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * rising * x ** (1 - s - 2 * k)
+            coefficient = mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k)
+            rest += coefficient * mpmath.rf(s, 2 * k - 1) * x ** (1 - s - 2 * k)
         return float(head + rest)
 
 
