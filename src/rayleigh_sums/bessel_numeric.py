@@ -642,7 +642,8 @@ class TailedSum(_Record):
 
 def numeric_sigma(nu: float, p: float, zeros: ZeroSet) -> TailedSum:
     """sum_k xi_k**(-2p) over a zero set plus the tail past it, with a bound
-    on its error: `_sigma_sum` over the set's zeros and accuracies."""
+    on its error: `_sigma_sum` over the set's zeros and accuracies, which
+    adds the finder's zeros up to K0 where the set ends before."""
     if p < 1:
         raise NumericError(f"p must be >= 1 for convergence, got {p}")
     if abs(nu - zeros.nu) > 1e-12 * max(1.0, abs(nu)):
@@ -676,24 +677,57 @@ def _hurwitz_zeta(s: float, q: float) -> tuple[float, float]:
     return math.fsum(terms), abs(terms[-1])
 
 
+# The most zeros the K0 rule makes `_sigma_sum` find: K0 passes it above
+# nu = 21430, where finding them takes about 5 s of a fresh `verify sigma`
+# (2-core x86-64), and it grows as 12.2 nu.
+_K0_MAX = 2**18
+
+
+def _summed_zeros(nu: float, count: int) -> int:
+    """The real zeros `_sigma_sum` sums when it is given `count`: at least
+    K0 = ceil(40 max(nu, 1) / pi - (nu/2 - 1/4)), so that the tail starts
+    where beta_k = pi(k + nu/2 - 1/4) > 40 max(nu, 1). A K0 above both
+    count and _K0_MAX raises NumericError."""
+    k0 = math.ceil(40.0 * max(nu, 1.0) / math.pi - (nu / 2.0 - 0.25))
+    if k0 > max(count, _K0_MAX):
+        raise NumericError(
+            f"the zero sum of J_{nu} needs its first {k0} zeros (K0), more than {_K0_MAX}"
+        )
+    return max(count, k0)
+
+
 def _sigma_sum(nu: float, p: float, blocks: Iterable[tuple]) -> TailedSum:
     """numeric_sigma over the zero finder's (zeros, accuracy) blocks of
     J_nu, p >= 1, in order: on Python floats for lists from the scalar zero
     finder, on numpy for arrays. No block is kept past its powers.
 
-    Past the N zeros summed, McMahon's expansion (DLMF 10.21.19) to beta**-5,
+    Where the N zeros given end before K0 (`_summed_zeros`), zeros N+1..K0
+    are summed too, from the zero finder's blocks: McMahon's expansion holds
+    only where beta_k is large against nu, and fails just past a few zeros
+    of a large order. Past the last zero summed, McMahon's expansion
+    (DLMF 10.21.19) to beta**-5,
     xi_k = beta_k (1 - a1 beta_k**-2 - a2 beta_k**-4 - a3 beta_k**-6) with
     beta_k = pi(k + nu/2 - 1/4), gives xi_k**-s = sum_{j<=3} d_j beta_k**(-s-2j),
-    s = 2p, and summed over k > N each power is pi**(-s-2j) zeta(s+2j, N + 3/4 + nu/2).
+    s = 2p, and summed over k > K0 each power is pi**(-s-2j) zeta(s+2j, K0 + 3/4 + nu/2).
+    partial is the sum over the real zeros, tail_estimate that of the powers.
     tail_bound adds the last of those terms, the Euler-Maclaurin remainders,
     s max_k(acc_k / xi_k) value (the zeros' accuracy through xi**-s) and
     2 eps value (the roundings); a max does not depend on the block size."""
     e = -2.0 * p
     count, worst = 0, 0.0  # the zeros summed, and max_k acc_k / xi_k
 
+    def to_k0():
+        # the finder starts at zero 1, so the N zeros given are dropped
+        given, seen = count, 0
+        k0 = _summed_zeros(nu, given)
+        for z, acc in _zero_blocks(nu, k0) if k0 > given else ():
+            skip, seen = max(0, given - seen), seen + len(z)
+            if skip < len(z):
+                yield z[skip:], acc[skip:]
+
     def powers():
         nonlocal count, worst
-        for z, acc in blocks:
+        for z, acc in chain(blocks, to_k0()):
             count += len(z)
             scalar = isinstance(z, list)
             worst = max(worst, max(map(truediv, acc, z)) if scalar else float((acc / z).max()))

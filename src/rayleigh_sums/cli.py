@@ -13,6 +13,11 @@ parsed; only eval's nu >= 0 without --exact is a rule on two flags.
 `derive` and `table` print closed forms from rayleigh_core.derive_sigma;
 `eval`, `zeta` and the exact side of `verify sigma` need sigma at one
 rational nu only and take it from rayleigh_core.sigma_value.
+
+The three `verify` commands print "name = value" lines and share one
+verdict, `_verdict`, on an error budget: sigma's is tail_bound, residues'
+tail_scale + rounding, and ratio has none yet, so it passes under its --tol
+alone (1e-8 by default).
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from fractions import Fraction
 from .bessel_numeric import (
     NumericError,
     _sigma_sum,
+    _summed_zeros,
     _zero_blocks,
     residue_tail_scale,
     verify_ratio_formula,
@@ -144,19 +150,28 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _verdict(
+    residual: float, tol: float | None, budget: float = math.inf, reference: float = 0.0
+) -> int:
+    """Print a verify command's result line and return its exit code. With
+    --tol the check passes where residual <= tol, an absolute tolerance in
+    place of the error budget; without, where residual <= budget < |reference|,
+    since a budget that reaches |reference| would pass a value of 0 too."""
+    ok = residual <= tol if tol is not None else residual <= budget < abs(reference)
+    print(f"result: {'PASS' if ok else 'FAIL'}")
+    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+
+
 def cmd_verify_sigma(args: argparse.Namespace) -> int:
     nu_f = float(args.nu)
     exact, exact_f = _sigma_binary64(args.p, args.nu)
-    ts = _sigma_sum(nu_f, float(args.p), _zero_blocks(nu_f, args.terms))
-    residual = abs(ts.value - exact_f)
-    rel = residual / abs(exact_f)
+    ts = _sigma_sum(nu_f, float(args.p), _zero_blocks(nu_f, _summed_zeros(nu_f, args.terms)))
+    residual = float(abs(Fraction(ts.value) - exact))
     print(f"lhs = {exact_f!r} (exact {exact})")
     print(f"rhs = {ts.value!r}")
     print(f"residual = {residual:.6e}")
     print(f"tail_bound = {ts.tail_bound:.6e}")
-    ok = rel <= args.tol
-    print(f"result: {'PASS' if ok else 'FAIL'} (relative {rel:.3e}, tol {args.tol:.3e})")
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    return _verdict(residual, args.tol, ts.tail_bound, exact_f)
 
 
 def cmd_verify_residues(args: argparse.Namespace) -> int:
@@ -168,23 +183,17 @@ def cmd_verify_residues(args: argparse.Namespace) -> int:
     print(f"tail_scale = {scale:.6e}")
     print(f"rounding = {report.rounding:.6e}")
     print(f"converging = {report.converging}")
-    # a residual within the rounding cannot shrink further on more terms;
-    # a bound not below |lhs| would pass a sum of 0 too, so it proves nothing
+    # the tail scale counts only where the sum converges, or has settled:
+    # a residual within the rounding cannot shrink further on more terms
     settled = report.residual <= report.rounding
-    bound = scale + report.rounding
-    ok = (args.tol is not None and report.residual <= args.tol) or (
-        (report.converging or settled) and report.residual <= bound < abs(report.lhs)
-    )
-    print(f"result: {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    budget = report.rounding + (scale if report.converging or settled else 0.0)
+    return _verdict(report.residual, args.tol, budget, report.lhs)
 
 
 def cmd_verify_ratio(args: argparse.Namespace) -> int:
     residual = verify_ratio_formula(args.nu, args.p, args.k)
     print(f"residual = {residual:.6e}")
-    ok = residual <= args.tol
-    print(f"result: {'PASS' if ok else 'FAIL'} (tol {args.tol:.3e})")
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    return _verdict(residual, args.tol)
 
 
 def _format_zeta(z: ZetaValue) -> str:
@@ -249,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     terms_type = _number_type(int, "terms", lambda n: n < 2, ">= 2")
     nu_type = _number_type(float, "nu", lambda nu: nu < 0, ">= 0")
     tol_type = _number_type(float, "tol", lambda tol: tol < 0, ">= 0, got {}")
+    tol_help = "absolute; replaces the error budget"
     rational = "rational 'a/b' or decimal string"
 
     p_derive = sub.add_parser("derive", help="derive the closed form of sigma(p, nu)")
@@ -270,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     v_res.add_argument("--p", type=real_p, required=True, help="any real p > 0")
     v_res.add_argument("--nu", type=nu_type, required=True)
     v_res.add_argument("--terms", type=terms_type, default=10000)
-    v_res.add_argument("--tol", type=tol_type, default=None)
+    v_res.add_argument("--tol", type=tol_type, default=None, help=tol_help)
     v_res.set_defaults(func=cmd_verify_residues)
 
     v_ratio = vsub.add_parser("ratio", help="ratio expansion vs direct evaluation")
@@ -278,14 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
     v_ratio.add_argument("--nu", type=nu_type, required=True)
     k_type = _number_type(int, "k", lambda k: k < 1, ">= 1")
     v_ratio.add_argument("--k", type=k_type, default=1, help="index of the zero to test")
-    v_ratio.add_argument("--tol", type=tol_type, default=1e-8)
+    v_ratio.add_argument("--tol", type=tol_type, default=1e-8, help=tol_help)
     v_ratio.set_defaults(func=cmd_verify_ratio)
 
     v_sigma = vsub.add_parser("sigma", help="closed form vs direct zero summation")
     v_sigma.add_argument("--p", type=p_type, required=True)
     v_sigma.add_argument("--nu", type=_sigma_nu, required=True, help=rational)
     v_sigma.add_argument("--terms", type=terms_type, default=10000)
-    v_sigma.add_argument("--tol", type=tol_type, default=1e-10)
+    v_sigma.add_argument("--tol", type=tol_type, default=None, help=tol_help)
     v_sigma.set_defaults(func=cmd_verify_sigma)
 
     p_zeta = sub.add_parser("zeta", help="exact zeta(2p)")

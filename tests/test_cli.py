@@ -235,6 +235,63 @@ def test_verify_sigma_underflow_is_numeric_breakdown(capsys):
     assert err == "numeric breakdown: sigma(p=40, nu=1000000) underflows binary64\n"
 
 
+@pytest.mark.parametrize("p, nu", [("2", "50"), ("9", "1000")])
+def test_verify_sigma_passes_with_few_zeros_at_large_order(capsys, p, nu):
+    # two zeros ask for a tail where McMahon's expansion fails; the sum
+    # reaches K0 on real zeros first, so the budget holds and is met
+    rc, out, _ = run(capsys, "verify", "sigma", "--p", p, "--nu", nu, "--terms", "2")
+    assert (rc, out.splitlines()[-1]) == (0, "result: PASS")
+
+
+def test_verify_sigma_budget_rejects_a_wrong_sigma(capsys, monkeypatch):
+    # without --tol the verdict reads tail_bound, far below 1e-12 relative
+    # here, so a sigma off by that much fails
+    argv = ("verify", "sigma", "--p", "3", "--nu", "1", "--terms", "300")
+    assert run(capsys, *argv)[0] == 0
+    exact = cli.sigma_value
+    monkeypatch.setattr(
+        cli, "sigma_value", lambda p, nu: exact(p, nu) * (1 + Fraction(1, 10**12))
+    )
+    rc, out, _ = run(capsys, *argv)
+    assert (rc, out.splitlines()[-1]) == (1, "result: FAIL")
+
+
+def test_verify_sigma_refuses_a_k0_past_its_cap(capsys):
+    # K0 grows as 12.2 nu; at nu = 1e8 it would take hours of zero finding
+    assert run(capsys, "verify", "sigma", "--p", "1", "--nu", "1e8", "--terms", "2") == (
+        4,
+        "",
+        "numeric breakdown: the zero sum of J_100000000.0 needs its first 1223239545 zeros "
+        "(K0), more than 262144\n",
+    )
+
+
+_VERIFY_FIELDS = {
+    "sigma --p 3 --nu 1 --terms 300": ("lhs", "rhs", "residual", "tail_bound"),
+    "residues --p 1.5 --nu 0.25 --terms 2000": (
+        "lhs", "rhs", "residual", "tail_scale", "rounding", "converging"
+    ),
+    "ratio --p 5 --nu 0 --k 3": ("residual",),
+}
+
+
+@pytest.mark.parametrize("command", list(_VERIFY_FIELDS))
+def test_verify_output_fields(capsys, command):
+    # what perfbench/checks.py parses: "name = value" lines, sigma's lhs as
+    # "<float> (exact <fraction>)", and a last line "result: PASS"
+    rc, out, _ = run(capsys, "verify", *command.split())
+    *lines, last = out.splitlines()
+    assert [line.split(" = ")[0] for line in lines] == list(_VERIFY_FIELDS[command])
+    fields = dict(line.split(" = ") for line in lines)
+    if command.startswith("sigma"):
+        fields["lhs"], exact = fields["lhs"].split(" (exact ")
+        assert float(fields["lhs"]) == float(Fraction(exact.removesuffix(")")))
+    for name in ("lhs", "rhs", "residual"):
+        if name in fields:
+            float(fields[name])
+    assert (rc, last) == (0, "result: PASS")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
