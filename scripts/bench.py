@@ -1,38 +1,34 @@
 #!/usr/bin/env python3
-"""Write one JSON record of the per-layer benchmark metrics.
-
-Every layer timing comes from perfbench/layers.py (``measure`` and
-``import_profile``), so those metric names are the per-layer names in
-BENCHMARK.json. Beside them the record holds the wall time and peak RSS of
-three fresh ``python -m rayleigh_sums`` calls at 10^6 zeros and of one small
-call whose cost is interpreter start, imports and parsing (``CALLS``), as
-``fresh.<call>.wall_s`` and ``fresh.<call>.peak_rss_mb``. Each call is
-started from a small helper interpreter, since a child started by
-vfork/exec inherits its parent's RSS high-water mark: started from this
-script, whose numpy and perfbench imports take more, its ``ru_maxrss``
-would read this script's. The record also holds the git commit of this checkout (and
-whether its tracked files differ from it), the platform, and the Python,
-numpy and scipy versions, so that two records compare only when they come
-from one machine. Every child reads and writes its bytecode under one
-PYTHONPYCACHEPREFIX directory, empty at the start of each run of this
-script and filled by one untimed call per tree, so no side reads the
-bytecode left in its tree's __pycache__ (PYTHONDONTWRITEBYTECODE stops the
-writing of a cache, not the reading of a stale one) and no timed call
-compiles.
-
-    python3 scripts/bench.py --repeats 5 --out bench.json
-
-measures the package in this checkout's src/ in this process, and each
-metric is the median over ``--repeats`` runs.
+"""Write one JSON record of an interleaved A/B of the per-layer benchmark metrics.
 
     python3 scripts/bench.py --repeats 10 --against ../base/src --out ab.json
 
 compares this checkout's src/ (the change) with another tree's src/ (the
-base), for example a clone of the parent commit. Each of the ``--repeats``
-rounds measures both sides once, each in a fresh interpreter with
-PYTHONPATH set to that side's src/, alternating which side goes first, so
-that drift of the machine reaches both sides alike. Both sides run this
-checkout's perfbench/layers.py. The record then reads
+base), for example a clone of the parent commit. To measure one tree, pass
+its own src/ as the base: the spread between the two sides is then the
+noise floor. Each of the ``--repeats`` rounds measures both sides once,
+each in a fresh interpreter with PYTHONPATH set to that side's src/,
+alternating which side goes first, so that drift of the machine reaches
+both sides alike; this script itself imports neither tree.
+
+Every layer timing comes from this checkout's perfbench/layers.py
+(``measure`` and ``import_profile``), so those metric names are the
+per-layer names in BENCHMARK.json. Beside them each side has the wall time
+and peak RSS of three fresh ``python -m rayleigh_sums`` calls at 10^6 zeros
+and of one small call whose cost is interpreter start, imports and parsing
+(``CALLS``), as ``fresh.<call>.wall_s`` and ``fresh.<call>.peak_rss_mb``.
+Each call is started from a small helper interpreter, since a child started
+by vfork/exec inherits its parent's RSS high-water mark: started from this
+script, whose numpy and perfbench imports take more, its ``ru_maxrss``
+would read this script's. The record also holds the git commit of each
+side's checkout (and whether its tracked files differ from it), the
+platform, and the Python, numpy and scipy versions, so that two records
+compare only when they come from one machine. Every child reads and writes
+its bytecode under one PYTHONPYCACHEPREFIX directory, empty at the start of
+each run of this script and filled by one untimed call per tree, so no side
+reads the bytecode left in its tree's __pycache__ (PYTHONDONTWRITEBYTECODE
+stops the writing of a cache, not the reading of a stale one) and no timed
+call compiles. The record reads
 
     {"commit", "dirty",                      # the change
      "platform", ..., "scipy",
@@ -62,7 +58,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-sys.path[:0] = [str(ROOT / "perfbench"), str(SRC)]
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import layers  # noqa: E402
 import numpy  # noqa: E402
@@ -186,20 +182,6 @@ def compare(rounds: int, base: Path, cache: str) -> dict:
     }
 
 
-def record(repeats: int, cache: str) -> dict:
-    """The single-tree part of the record: repeats, problems, metrics."""
-    problems: list[str] = []
-    env = _warm_env(SRC, cache)
-    runs = [{**layers.measure(problems), **fresh_calls(env, problems)} for _ in range(repeats)]
-    metrics = {name: statistics.median(run[name] for run in runs) for name in runs[0]}
-    metrics.update(layers.import_profile(env, str(ROOT), repeats))
-    return {
-        "repeats": repeats,
-        "problems": sorted(set(problems)),
-        "metrics": dict(sorted(metrics.items())),
-    }
-
-
 def machine() -> dict:
     return {
         "platform": platform.platform(),
@@ -213,26 +195,20 @@ def machine() -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=5, help="rounds of the A/B")
     parser.add_argument(
-        "--repeats", type=int, default=5,
-        help="runs to take the median of; with --against, rounds of the A/B",
-    )
-    parser.add_argument(
-        "--against", metavar="DIR",
-        help="another tree's src/ to compare with, interleaved round by round",
+        "--against", metavar="DIR", required=True,
+        help="the base tree's src/, measured round by round against this checkout's",
     )
     parser.add_argument("--out", required=True, help="path of the JSON record to write")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
-    base = None if args.against is None else Path(args.against).resolve()
-    if base is not None and not (base / "rayleigh_sums").is_dir():
+    base = Path(args.against).resolve()
+    if not (base / "rayleigh_sums").is_dir():
         parser.error(f"--against {args.against}: no rayleigh_sums package there")
     with tempfile.TemporaryDirectory() as cache:
-        if base is None:
-            measured = record(args.repeats, cache)
-        else:
-            measured = compare(args.repeats, base, cache)
+        measured = compare(args.repeats, base, cache)
     rec = {**_checkout(ROOT), **machine(), **measured}
     Path(args.out).write_text(json.dumps(rec, indent=2) + "\n", encoding="utf-8")
     for problem in rec["problems"]:

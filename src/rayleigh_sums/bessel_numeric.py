@@ -14,12 +14,15 @@ steps where x >= 30 and x >= mu, Miller's backward recurrence elsewhere.
 It takes one Python float, on `math` alone, or a float64 array, on numpy,
 and gives a point the same bits either way. Against mpmath it is within
 8 eps of the envelope for mu <= 50 and within 46 eps at x ~ mu = 1000, where
-scipy.special.jv is off by up to 1.6e5 eps (at mu = 1000, x = 67385). It
-also spares the `zeros` and `verify` subcommands the import of
-scipy.special, about 0.28 s. Its cost grows with the order, so above
-_JV_ORDER_CAP = 5000, where it becomes slower than jv, scipy.special.jv is
-used instead; that path is the only one to the largest orders (the zeros
-certify up to nu = 1e10).
+scipy.special.jv is off by up to 1.6e5 eps (at mu = 1000, x = 67385). Its
+test stops there: above mu = 1000 it was measured at 143 eps (mu = 2000,
+the third zero) and 277 eps (mu = 4999, the first zero). It also spares
+the `zeros` and `verify` subcommands the import of scipy.special, about
+0.28 s. Its cost grows with the order, so above _JV_ORDER_CAP = 5000, where
+it becomes slower than jv, scipy.special.jv is used instead; that path is
+the only one to the largest orders (the first 100 zeros certify up to
+nu = 1e10, but at nu = 1e5 zero 1190517, near x = 3.9e6, fails its
+certificate on jv's error).
 
 The zero finder has two engines with the same checks and the same bits.
 Where count * (nu + 30) <= _SCALAR_WORK = 2e5 it runs one zero at a time
@@ -108,7 +111,9 @@ _HANKEL_TERMS = 10
 _BIG = 2.0**500
 # Error bound of the J kernel, for a float and an array alike, in units of
 # eps * hypot(J_mu(x), J_{mu+1}(x)), as its test against mpmath asserts in
-# every regime (worst measured: 46, at x ~ mu = 1000; 7.6 for mu <= 50).
+# every regime for mu <= 1000 (worst measured: 46, at x ~ mu = 1000; 7.6
+# for mu <= 50). Above mu = 1000 it is not a bound: 143 at the third zero
+# of J_2000 and 277 at the first zero of J_4999.
 _JV_PAIR_ERROR = 64.0
 
 
@@ -828,8 +833,10 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
     The terms and their error bounds are computed over the zero finder's
     blocks as they come, and only the terms are kept. Both are summed with
     math.fsum, which rounds the exact sum once, so neither sum depends on
-    the block size. Above _JV_ORDER_CAP, where scipy's jv has no stated bound, the same
-    kernel bound is assumed. An lhs below the smallest normal binary64
+    the block size. The kernel bound holds only where its test reaches,
+    orders up to 1000, so above an order of about 1000 rounding is not a
+    bound; above _JV_ORDER_CAP, where scipy's jv has no stated bound, the
+    same kernel bound is assumed. An lhs below the smallest normal binary64
     number raises NumericError, since no sum can be checked against it, and
     so does an nu + p + 1 past lgamma's range (about 2.55e305).
     """

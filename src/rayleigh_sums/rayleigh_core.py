@@ -148,13 +148,9 @@ class SigmaTable(dict):
     """A dict p -> closed form of sigma(p, nu), extended on demand by the
     solvers.
 
-    Keys stay contiguous 1..p_max because the solvers fill every gap they
-    need. Values, once written, are immutable FactoredRationalFn safe to
-    share."""
-
-    @property
-    def p_max(self) -> int:
-        return len(self)
+    Keys stay contiguous 1..len(table) because the solvers fill every gap
+    they need. Values, once written, are immutable FactoredRationalFn safe
+    to share."""
 
 
 # a term num / (2**two * prod_m (nu+m)**sh[m]) as (num, two, sh)

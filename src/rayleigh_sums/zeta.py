@@ -24,11 +24,13 @@ from .exact_algebra import _Record
 from .rayleigh_core import SigmaTable, sigma_value
 
 PI_50 = "3.14159265358979323846264338327950288419716939937511"
+_TRIAL_BOUND = 10**6
 
 
-def _trial_factor(n: int, bound: int = 10**6) -> tuple[tuple[int, int], ...]:
-    """Factor n > 0 by trial division with primes <= bound; any remaining
-    cofactor larger than the bound is reported as a single unfactored entry."""
+def _trial_factor(n: int) -> tuple[tuple[int, int], ...]:
+    """Factor n > 0 by trial division with primes <= _TRIAL_BOUND; any
+    remaining cofactor larger than that is reported as a single unfactored
+    entry."""
     if n < 1:
         raise ValueError("can only factor positive integers")
     out: list[tuple[int, int]] = []
@@ -40,7 +42,7 @@ def _trial_factor(n: int, bound: int = 10**6) -> tuple[tuple[int, int], ...]:
         if e:
             out.append((d, e))
     d = 5
-    while d * d <= n and d <= bound:
+    while d * d <= n and d <= _TRIAL_BOUND:
         for cand in (d, d + 2):
             e = 0
             while n % cand == 0:

@@ -96,7 +96,7 @@ def test_table_extends_contiguously():
     t = SigmaTable()
     derive_sigma(t, 9)
     assert sorted(t) == list(range(1, 10))
-    assert t.p_max == 9
+    assert len(t) == 9
     assert 5 in t
     assert t[1] == golden_frf(1)
 

@@ -17,18 +17,16 @@ ROOT = Path(__file__).resolve().parent.parent
         ("derive_table.py", "--pmax", "5"),
         ("crosscheck_grid.py", "--pmax", "2", "--nu-list", "0,1/2", "--terms", "500"),
         ("residue_scan.py", "--pairs", "1.5:0.25", "--doublings", "1"),
-        ("bench.py", "--repeats", "1", "--out", "{tmp}/bench.json"),
     ],
     ids=lambda argv: argv[0],
 )
-def test_script_runs(argv, tmp_path):
+def test_script_runs(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    args = [a.format(tmp=tmp_path) for a in argv[1:]]
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *args],
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
         capture_output=True,
         text=True,
         env=env,
@@ -51,6 +49,10 @@ def test_bench_against_same_tree_writes_both_sides(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     rec = json.loads(out.read_text(encoding="utf-8"))
+    assert set(rec) == {
+        "commit", "dirty", "platform", "machine", "cpu_count", "python", "numpy", "scipy",
+        "base", "rounds", "problems", "metrics",
+    }
     assert rec["rounds"] == 1
     assert rec["base"]["src"] == str(src)
     assert rec["problems"] == []
@@ -70,3 +72,16 @@ def test_bench_against_same_tree_writes_both_sides(tmp_path):
     for name in fresh:
         for side in ("base", "change"):
             assert rec["metrics"][name][side]["min"] > 0
+
+
+def test_bench_requires_a_base(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--repeats", "1", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "the following arguments are required: --against" in proc.stderr
+    assert not out.exists()

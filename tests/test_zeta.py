@@ -103,7 +103,7 @@ def test_trial_factor_basics():
 
 def test_trial_factor_leftover_cofactor():
     n = 1000003 * 1000033
-    got = _trial_factor(n, bound=1000)
+    got = _trial_factor(n)
     assert got == ((n, 1),)
 
 
