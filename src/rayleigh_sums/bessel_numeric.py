@@ -54,6 +54,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
+from fractions import Fraction
 from itertools import chain, islice
 from operator import truediv
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
@@ -824,19 +825,16 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
       |lgamma(nu+p+1)|: an ulp of each of the three parts of the exponent,
       as much again for the two subtractions, and one rounding of exp;
     - each term t = xi**-(p+1) A/B, A = J_{nu+p}(xi), B = J_{nu+1}(xi):
-      the kernel's error, _JV_PAIR_ERROR eps times hypot(A, A1) and
-      hypot(B, B1) with A1 = J_{nu+p+1}(xi), B1 = J_{nu+2}(xi), through
-      A/B; the zero's accuracy times
+      the kernel's error on A/B (`_kernel_ratio_error`, with
+      A1 = J_{nu+p+1}(xi), B1 = J_{nu+2}(xi)); the zero's accuracy times
       |dt/dxi| = xi**-(p+1) |A B1/B - A1 - 2A/xi| / |B|;
       and three roundings for the power, product and quotient;
     - one rounding of the fsum.
     The terms and their error bounds are computed over the zero finder's
     blocks as they come, and only the terms are kept. Both are summed with
     math.fsum, which rounds the exact sum once, so neither sum depends on
-    the block size. The kernel bound holds only where its test reaches,
-    orders up to 1000, so above an order of about 1000 rounding is not a
-    bound; above _JV_ORDER_CAP, where scipy's jv has no stated bound, the
-    same kernel bound is assumed. An lhs below the smallest normal binary64
+    the block size. Above an order of about 1000 rounding is not a bound,
+    since the kernel's is not. An lhs below the smallest normal binary64
     number raises NumericError, since no sum can be checked against it, and
     so does an nu + p + 1 past lgamma's range (about 2.55e305).
     """
@@ -898,22 +896,56 @@ def _residue_terms(
     b, b1 = pair_b(z)
     power = z ** (-(p + 1.0))
     v = power * a / b
-    kernel = _JV_PAIR_ERROR * _EPS * (np.hypot(a, a1) + np.abs(a / b) * np.hypot(b, b1))
+    kernel = _kernel_ratio_error(np.hypot, a, a1, b, b1)
     slope = np.abs(a * b1 / b - a1 - 2.0 * a / z)
     err = power / np.abs(b) * (kernel + accuracy * slope) + 3.0 * _EPS * np.abs(v)
     return v, err
 
 
+def _kernel_ratio_error(hypot: Callable, a, a1, b, b1):
+    """|b| times the J kernel's error bound on a / b, for pairs (a, a1) and
+    (b, b1) from `_jv_pair_at`: floats with math.hypot, arrays with np.hypot.
+    It is a bound up to order 1000, where the kernel's test reaches; above, and
+    on scipy's jv past _JV_ORDER_CAP, which states no bound, it is assumed."""
+    return _JV_PAIR_ERROR * _EPS * (hypot(a, a1) + abs(a / b) * hypot(b, b1))
+
+
 def verify_ratio_formula(nu: float, p: int, k: int) -> float:
-    """|direct Bessel ratio - closed-form expansion| at the k-th zero of J_nu."""
-    if k < 1:
-        raise NumericError(f"k must be >= 1, got {k}")
-    for zeros, _ in _zero_blocks(nu, k):
-        xi = float(zeros[-1])
-    try:
-        expansion = build_ratio_expansion(p).evaluate_float(nu, xi)
-    except (OverflowError, ValueError):  # a coefficient or an inf - inf past binary64
-        expansion = math.nan
-    if not math.isfinite(expansion):
-        raise NumericError(f"the ratio expansion for p={p} at x={xi:.6f} is not finite in binary64")
-    return abs(ratio_at_zero(nu, p, xi) - expansion)
+    """|direct Bessel ratio - closed-form expansion| at the k-th zero of J_nu:
+    the residual of `_ratio_check`, which raises where binary64 cannot check it."""
+    return _ratio_check(nu, p, k)[0]
+
+
+def _ratio_check(nu: float, p: int, k: int) -> tuple[float, float, float]:
+    """(residual, budget, ratio) at the k-th zero x of J_nu: ratio =
+    J_{nu+p}(x) / J_{nu+1}(x) from the kernel, residual = |ratio - A_p(x)|,
+    the expansion A_p exact at the binary64 nu and x, rounded once.
+
+    The chain r_{n+1} = (2(nu+n)/x) r_n - r_{n-1} gives A_p from (r_0, r_1) =
+    (0, 1) and B_p from (1, 0), with J_{nu+p}/J_{nu+1} = A_p + B_p J_nu/J_{nu+1}
+    at every x (Lommel, DLMF 10.6(ii)). As J_{nu+1} = -J'_nu at a zero of
+    J_nu, A_p errs at x by at most |B_p(x)| times the zero's accuracy, to first
+    order; the budget adds `_kernel_ratio_error` and two roundings. Where it
+    reaches |ratio| no binary64 zero can check A_p, and NumericError is
+    raised before A_p is evaluated (0.3 s at p = 170 on a 2-core x86-64)."""
+    if k < 1 or p < 1:
+        raise NumericError(f"p and k must be >= 1, got p={p}, k={k}")
+    for zeros, accuracy in _zero_blocks(nu, k):
+        x, acc = float(zeros[-1]), float(accuracy[-1])
+    (a, a1), (b, b1) = _jv_pair_at(nu + p)(x), _jv_pair_at(nu + 1.0)(x)
+    ratio, nu_q, x_q = a / b, Fraction(nu), Fraction(x)
+    r0, r1 = Fraction(1), Fraction(0)
+    for n in range(1, p):
+        r0, r1 = r1, 2 * (nu_q + n) / x_q * r1 - r0
+    # capped at |ratio|, which is refused anyway, so that a B_p past binary64
+    # (p = 400 at nu = 2.5) never meets a float
+    lommel = float(min(abs(r1) * Fraction(acc), abs(ratio)))
+    budget = lommel + _kernel_ratio_error(math.hypot, a, a1, b, b1) / abs(b) + 2 * _EPS * abs(ratio)
+    if not budget < abs(ratio):
+        raise NumericError(
+            f"the ratio expansion for p={p} cannot be checked in binary64 at x={x:.6f}: "
+            f"its error budget reaches |ratio| = {abs(ratio):.3e}"
+        )
+    u = 2 / x_q
+    expansion = sum(c.evaluate(nu_q) * u**m for _, c, m in build_ratio_expansion(p).terms)
+    return float(abs(Fraction(ratio) - expansion)), budget, ratio

@@ -5,7 +5,8 @@ table. Text output is UTF-8, one result per line; closed forms render with
 'v' for nu in text mode and in display math in latex mode. Exit codes:
 0 success or verification pass, 1 verification failure, 2 usage error,
 3 evaluation at a pole, 4 numeric breakdown (a zero that cannot be
-certified or indexed, or a value that binary64 cannot carry).
+certified or indexed, a value that binary64 cannot carry, or a ratio
+expansion that it cannot check).
 
 Each flag's range is checked by its argparse type, as the command line is
 parsed; only eval's nu >= 0 without --exact is a rule on two flags.
@@ -16,8 +17,8 @@ rational nu only and take it from rayleigh_core.sigma_value.
 
 The three `verify` commands print "name = value" lines and share one
 verdict, `_verdict`, on an error budget: sigma's is tail_bound, residues'
-tail_scale + rounding, and ratio has none yet, so it passes under its --tol
-alone (1e-8 by default).
+tail_scale + rounding, and ratio's budget, from the zero's accuracy through
+the Lommel polynomial B_p, the J kernel's error and two roundings.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from fractions import Fraction
 
 from .bessel_numeric import (
     NumericError,
+    _ratio_check,
     _sigma_sum,
     _summed_zeros,
     _zero_blocks,
     residue_tail_scale,
-    verify_ratio_formula,
     verify_residue_identity,
 )
 from .exact_algebra import FactoredRationalFn, PoleError
@@ -150,9 +151,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verdict(
-    residual: float, tol: float | None, budget: float = math.inf, reference: float = 0.0
-) -> int:
+def _verdict(residual: float, tol: float | None, budget: float, reference: float) -> int:
     """Print a verify command's result line and return its exit code. With
     --tol the check passes where residual <= tol, an absolute tolerance in
     place of the error budget; without, where residual <= budget < |reference|,
@@ -191,9 +190,10 @@ def cmd_verify_residues(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_ratio(args: argparse.Namespace) -> int:
-    residual = verify_ratio_formula(args.nu, args.p, args.k)
+    residual, budget, ratio = _ratio_check(args.nu, args.p, args.k)
     print(f"residual = {residual:.6e}")
-    return _verdict(residual, args.tol)
+    print(f"budget = {budget:.6e}")
+    return _verdict(residual, args.tol, budget, ratio)
 
 
 def _format_zeta(z: ZetaValue) -> str:
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     v_ratio.add_argument("--nu", type=nu_type, required=True)
     k_type = _number_type(int, "k", lambda k: k < 1, ">= 1")
     v_ratio.add_argument("--k", type=k_type, default=1, help="index of the zero to test")
-    v_ratio.add_argument("--tol", type=tol_type, default=1e-8, help=tol_help)
+    v_ratio.add_argument("--tol", type=tol_type, default=None, help=tol_help)
     v_ratio.set_defaults(func=cmd_verify_ratio)
 
     v_sigma = vsub.add_parser("sigma", help="closed form vs direct zero summation")

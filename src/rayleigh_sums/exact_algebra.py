@@ -199,12 +199,6 @@ class Poly(_Record):
             v = v * x + c
         return v
 
-    def evaluate_float(self, x: float) -> float:
-        v = 0.0
-        for c in reversed(self.coeffs):
-            v = v * x + float(c)
-        return v
-
     def content(self) -> int:
         """gcd of the coefficients (0 for the zero polynomial)."""
         return math.gcd(*self.coeffs)

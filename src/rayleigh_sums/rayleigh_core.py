@@ -91,12 +91,6 @@ class RatioExpansion(_Record):
 
     __slots__ = ("p", "terms")
 
-    def evaluate_float(self, nu: float, xi: float) -> float:
-        u = 2.0 / xi
-        return math.fsum(
-            coeff.evaluate_float(nu) * u**power for _, coeff, power in self.terms
-        )
-
     def u_coefficients(self) -> tuple[Poly, ...]:
         """Polynomial in u = 1/xi: entry j is the nu-polynomial at u**j."""
         out = [Poly.zero()] * self.p

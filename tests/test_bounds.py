@@ -1,12 +1,15 @@
 """Every printed bound checked against the truth: each sigma bound must hold,
-|sigma(p, nu) - value| <= tail_bound, against the exact closed form."""
+|sigma(p, nu) - value| <= tail_bound, against the exact closed form, and
+each ratio budget must cover the ratio's error and the expansion's, against
+mpmath at 60 digits."""
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from rayleigh_sums import bessel_zeros, numeric_sigma, sigma_value
-from rayleigh_sums.bessel_numeric import _sigma_sum, _zero_blocks
+from rayleigh_sums.bessel_numeric import NumericError, _ratio_check, _sigma_sum, _zero_blocks
 
 NUS = (Fraction(0), Fraction(1, 2), Fraction(27, 10), Fraction(50), Fraction(600), Fraction(1000))
 # with 2 and 10 zeros McMahon's expansion fails just past the last one at
@@ -26,3 +29,33 @@ def test_sigma_bound_holds(nu, count):
         streamed = _sigma_sum(float(nu), float(p), _zero_blocks(float(nu), count))
         for ts in (streamed, numeric_sigma(float(nu), p, zeros)):
             assert abs(Fraction(ts.value) - exact) <= ts.tail_bound, (p, ts)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 2.7, 10.0, 50.0])
+def test_ratio_budget_holds(nu):
+    # A_p comes from the three-term chain started at (r_0, r_1) = (0, 1), a
+    # route independent of the expansion, so the residual must be its
+    # distance from the kernel's ratio, rounded once
+    refused = []
+    for p in (2, 5, 10, 20):
+        for k in (1, 3, 10):
+            try:
+                residual, budget, ratio = _ratio_check(nu, p, k)
+            except NumericError as e:
+                assert "cannot be checked in binary64" in str(e)
+                refused.append((p, k))
+                continue
+            x = float(bessel_zeros(nu, k).zeros[-1])
+            nu_q, x_q = Fraction(nu), Fraction(x)
+            r0, r1 = Fraction(0), Fraction(1)
+            for n in range(1, p):
+                r0, r1 = r1, 2 * (nu_q + n) / x_q * r1 - r0
+            assert residual == float(abs(Fraction(ratio) - r1)), (p, k)
+            with mpmath.workdps(60):
+                true = mpmath.besselj(nu + p, x) / mpmath.besselj(nu + 1, x)
+                expansion = mpmath.mpf(r1.numerator) / r1.denominator
+                error = abs(true - expansion) + abs(mpmath.mpf(ratio) - true)
+                assert error <= budget, (p, k, error, budget)
+    # at the first zero of J_nu, nu <= 2.7, |B_20| times the zero's accuracy
+    # alone reaches |ratio|
+    assert refused == ([(20, 1)] if nu < 10 else [])

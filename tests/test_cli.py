@@ -271,7 +271,7 @@ _VERIFY_FIELDS = {
     "residues --p 1.5 --nu 0.25 --terms 2000": (
         "lhs", "rhs", "residual", "tail_scale", "rounding", "converging"
     ),
-    "ratio --p 5 --nu 0 --k 3": ("residual",),
+    "ratio --p 5 --nu 0 --k 3": ("residual", "budget"),
 }
 
 
@@ -425,22 +425,40 @@ def test_verify_residues_past_lgamma_range_is_numeric_breakdown(capsys):
 
 
 def test_verify_ratio_expansion_past_binary64_is_numeric_breakdown(capsys):
-    # at p = 170 the float terms reach inf - inf, and at p = 200 a
-    # coefficient does not convert to a float
-    for p in ("170", "200"):
-        rc, out, err = run(capsys, "verify", "ratio", "--p", p, "--nu", "2.5")
-        assert rc == 4
-        assert out == ""
-        assert err == (
-            f"numeric breakdown: the ratio expansion for p={p} at x=5.763459 "
-            "is not finite in binary64\n"
+    # the budget is refused before the expansion is evaluated; at p = 400
+    # |B_p| passes 1.8e308 and J_{nu+p} underflows to 0
+    for p, ratio in (("170", "2.090e-233"), ("200", "7.979e-288"), ("400", "0.000e+00")):
+        assert run(capsys, "verify", "ratio", "--p", p, "--nu", "2.5") == (
+            4,
+            "",
+            f"numeric breakdown: the ratio expansion for p={p} cannot be checked in "
+            f"binary64 at x=5.763459: its error budget reaches |ratio| = {ratio}\n",
+        )
+
+
+@pytest.mark.parametrize(
+    "p, nu, x, ratio",
+    [("20", "0", "2.404826", "2.949e-17"), ("30", "10", "14.475501", "4.523e-14"),
+     ("60", "50", "57.116899", "5.701e-21")],
+)
+def test_verify_ratio_budget_past_ratio_is_numeric_breakdown(capsys, p, nu, x, ratio):
+    # at the first zero |B_p| times the zero's accuracy reaches |ratio|, so
+    # no binary64 zero can check the expansion, with or without --tol
+    for tol in ((), ("--tol", "1")):
+        assert run(capsys, "verify", "ratio", "--p", p, "--nu", nu, "--k", "1", *tol) == (
+            4,
+            "",
+            f"numeric breakdown: the ratio expansion for p={p} cannot be checked in "
+            f"binary64 at x={x}: its error budget reaches |ratio| = {ratio}\n",
         )
 
 
 def test_verify_ratio_pass(capsys):
-    rc, out, _ = run(capsys, "verify", "ratio", "--p", "5", "--nu", "0", "--k", "3")
-    assert rc == 0
-    assert "result: PASS" in out
+    for p in ("5", "20"):
+        rc, out, _ = run(capsys, "verify", "ratio", "--p", p, "--nu", "0", "--k", "3")
+        fields = dict(line.split(" = ") for line in out.splitlines()[:-1])
+        assert float(fields["residual"]) <= float(fields["budget"])
+        assert (rc, out.splitlines()[-1]) == (0, "result: PASS")
 
 
 def test_verify_ratio_fail_tiny_tol(capsys):

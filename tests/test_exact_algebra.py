@@ -157,9 +157,3 @@ def test_poly_text_and_latex_terms():
     assert poly_text(p) == "v^2 - 4"
     assert poly_latex(p) == r"\nu^{2}-4"
     assert poly_text(Poly((0, -1))) == "-v"
-
-
-def test_evaluate_float_matches_exact():
-    num = golden_frf(6).numerator
-    exact = float(num.evaluate(Fraction(27, 10)))
-    assert abs(num.evaluate_float(2.7) - exact) < 1e-15 * abs(exact) * 10
