@@ -40,7 +40,6 @@ _EXPORTS = {
         "bessel_j",
         "bessel_zeros",
         "numeric_sigma",
-        "ratio_at_zero",
         "residue_identity_lhs",
         "residue_tail_scale",
         "verify_ratio_formula",

@@ -76,6 +76,15 @@ class NumericError(RuntimeError):
     """Numeric breakdown: bad seed, bad certification or index, bad input."""
 
 
+def _require_budget_below(budget: float, reference: float, check: str, name: str) -> None:
+    """Raise NumericError, as "<check>: its error budget reaches |<name>| =
+    ...", unless budget < |reference|: a check whose error budget reaches
+    the value it checks would pass a computed 0 too, so it decides nothing.
+    The one refusal rule of the three `verify` checks."""
+    if not budget < abs(reference):
+        raise NumericError(f"{check}: its error budget reaches |{name}| = {abs(reference):.3e}")
+
+
 def bessel_j(order: float, x: float) -> float:
     """J_order(x) for order >= 0, x > 0, to near machine precision.
 
@@ -759,24 +768,6 @@ def _sigma_sum(nu: float, p: float, blocks: Iterable[tuple]) -> TailedSum:
     return TailedSum(partial=partial, tail_estimate=tail_estimate, tail_bound=bound, value=value)
 
 
-def ratio_at_zero(nu: float, p: int, zero: float) -> float:
-    """J_{nu+p}(zero) / J_{nu+1}(zero) for a zero of J_nu.
-
-    At a true simple zero of J_nu the denominator equals -J'_nu(zero) and
-    sits on the oscillation envelope, so a tiny denominator means the input
-    was not actually a zero of J_nu.
-    """
-    if p < 1:
-        raise NumericError(f"p must be a positive integer, got {p}")
-    den = bessel_j(nu + 1, zero)
-    if abs(den) < 1e-6:
-        raise NumericError(
-            f"denominator underflow: |J_(nu+1)({zero})| = {abs(den):.3e}; "
-            "input is not a zero of J_nu"
-        )
-    return bessel_j(nu + p, zero) / den
-
-
 def _lgamma(x: float) -> float:
     """math.lgamma, raising NumericError where it overflows (x above about
     2.55e305) instead of OverflowError."""
@@ -941,11 +932,8 @@ def _ratio_check(nu: float, p: int, k: int) -> tuple[float, float, float]:
     # (p = 400 at nu = 2.5) never meets a float
     lommel = float(min(abs(r1) * Fraction(acc), abs(ratio)))
     budget = lommel + _kernel_ratio_error(math.hypot, a, a1, b, b1) / abs(b) + 2 * _EPS * abs(ratio)
-    if not budget < abs(ratio):
-        raise NumericError(
-            f"the ratio expansion for p={p} cannot be checked in binary64 at x={x:.6f}: "
-            f"its error budget reaches |ratio| = {abs(ratio):.3e}"
-        )
+    check = f"the ratio expansion for p={p} cannot be checked in binary64 at x={x:.6f}"
+    _require_budget_below(budget, ratio, check, "ratio")
     u = 2 / x_q
     expansion = sum(c.evaluate(nu_q) * u**m for _, c, m in build_ratio_expansion(p).terms)
     return float(abs(Fraction(ratio) - expansion)), budget, ratio

@@ -5,8 +5,8 @@ table. Text output is UTF-8, one result per line; closed forms render with
 'v' for nu in text mode and in display math in latex mode. Exit codes:
 0 success or verification pass, 1 verification failure, 2 usage error,
 3 evaluation at a pole, 4 numeric breakdown (a zero that cannot be
-certified or indexed, a value that binary64 cannot carry, or a ratio
-expansion that it cannot check).
+certified or indexed, a value that binary64 cannot carry, or a verify
+check whose error budget reaches the value it checks).
 
 Each flag's range is checked by its argparse type, as the command line is
 parsed; only eval's nu >= 0 without --exact is a rule on two flags.
@@ -16,9 +16,12 @@ parsed; only eval's nu >= 0 without --exact is a rule on two flags.
 rational nu only and take it from rayleigh_core.sigma_value.
 
 The three `verify` commands print "name = value" lines and share one
-verdict, `_verdict`, on an error budget: sigma's is tail_bound, residues'
-tail_scale + rounding, and ratio's budget, from the zero's accuracy through
-the Lommel polynomial B_p, the J kernel's error and two roundings.
+rule on an error budget: sigma's is tail_bound, residues' rounding, plus
+tail_scale where the sum converges, and ratio's budget, from the zero's
+accuracy through the Lommel polynomial B_p, the J kernel's error and two
+roundings. A budget that reaches |lhs| or |ratio| is refused (exit 4)
+before any line is printed; otherwise `_verdict` passes the check where
+residual <= budget, and fails it (exit 1) where not.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from fractions import Fraction
 from .bessel_numeric import (
     NumericError,
     _ratio_check,
+    _require_budget_below,
     _sigma_sum,
     _summed_zeros,
     _zero_blocks,
@@ -57,16 +61,16 @@ class UsageError(Exception):
 
 def _number_type(parse: type, name: str, bad: Callable, rule: str) -> Callable[[str], float]:
     """The argparse type of a flag read by parse (int or float): a float must
-    be finite, and "<name> must be <rule>", the rule formatted with the
-    value, refuses a value where bad(value) holds. It is named as parse is,
-    since argparse names the type in its own message: "invalid int value"."""
+    be finite, and "<name> must be <rule>" refuses a value where bad(value)
+    holds. It is named as parse is, since argparse names the type in its
+    own message: "invalid int value"."""
 
     def convert(s: str) -> float:
         value = parse(s)
         if parse is float and not math.isfinite(value):
             raise UsageError(f"{name} must be finite, got {value}")
         if bad(value):
-            raise UsageError(f"{name} must be {rule.format(value)}")
+            raise UsageError(f"{name} must be {rule}")
         return value
 
     convert.__name__ = parse.__name__
@@ -151,12 +155,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verdict(residual: float, tol: float | None, budget: float, reference: float) -> int:
-    """Print a verify command's result line and return its exit code. With
-    --tol the check passes where residual <= tol, an absolute tolerance in
-    place of the error budget; without, where residual <= budget < |reference|,
-    since a budget that reaches |reference| would pass a value of 0 too."""
-    ok = residual <= tol if tol is not None else residual <= budget < abs(reference)
+def _verdict(residual: float, budget: float) -> int:
+    """Print a verify command's result line and return its exit code: the
+    check passes where residual <= budget. The caller has refused a budget
+    that reaches |reference| before printing, by `_require_budget_below`."""
+    ok = residual <= budget
     print(f"result: {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
@@ -164,36 +167,41 @@ def _verdict(residual: float, tol: float | None, budget: float, reference: float
 def cmd_verify_sigma(args: argparse.Namespace) -> int:
     nu_f = float(args.nu)
     exact, exact_f = _sigma_binary64(args.p, args.nu)
-    ts = _sigma_sum(nu_f, float(args.p), _zero_blocks(nu_f, _summed_zeros(nu_f, args.terms)))
+    count = _summed_zeros(nu_f, args.terms)
+    ts = _sigma_sum(nu_f, float(args.p), _zero_blocks(nu_f, count))
     residual = float(abs(Fraction(ts.value) - exact))
+    check = f"sigma(p={args.p}, nu={args.nu}) cannot be checked on {count} zeros"
+    _require_budget_below(ts.tail_bound, exact_f, check, "lhs")
     print(f"lhs = {exact_f!r} (exact {exact})")
     print(f"rhs = {ts.value!r}")
     print(f"residual = {residual:.6e}")
     print(f"tail_bound = {ts.tail_bound:.6e}")
-    return _verdict(residual, args.tol, ts.tail_bound, exact_f)
+    return _verdict(residual, ts.tail_bound)
 
 
 def cmd_verify_residues(args: argparse.Namespace) -> int:
     report = verify_residue_identity(args.nu, args.p, args.terms)
     scale = residue_tail_scale(args.nu, args.p, args.terms)
+    # tail_scale sizes the remainder only where the sum converges
+    budget = report.rounding + (scale if report.converging else 0.0)
+    check = (
+        f"the residue identity for p={args.p}, nu={args.nu} cannot be checked on {args.terms} zeros"
+    )
+    _require_budget_below(budget, report.lhs, check, "lhs")
     print(f"lhs = {report.lhs!r}")
     print(f"rhs = {report.partial_rhs!r}")
     print(f"residual = {report.residual:.6e}")
     print(f"tail_scale = {scale:.6e}")
     print(f"rounding = {report.rounding:.6e}")
     print(f"converging = {report.converging}")
-    # the tail scale counts only where the sum converges, or has settled:
-    # a residual within the rounding cannot shrink further on more terms
-    settled = report.residual <= report.rounding
-    budget = report.rounding + (scale if report.converging or settled else 0.0)
-    return _verdict(report.residual, args.tol, budget, report.lhs)
+    return _verdict(report.residual, budget)
 
 
 def cmd_verify_ratio(args: argparse.Namespace) -> int:
-    residual, budget, ratio = _ratio_check(args.nu, args.p, args.k)
+    residual, budget, _ = _ratio_check(args.nu, args.p, args.k)
     print(f"residual = {residual:.6e}")
     print(f"budget = {budget:.6e}")
-    return _verdict(residual, args.tol, budget, ratio)
+    return _verdict(residual, budget)
 
 
 def _format_zeta(z: ZetaValue) -> str:
@@ -257,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_type = _number_type(int, "p", lambda p: p < 1, ">= 1")
     terms_type = _number_type(int, "terms", lambda n: n < 2, ">= 2")
     nu_type = _number_type(float, "nu", lambda nu: nu < 0, ">= 0")
-    tol_type = _number_type(float, "tol", lambda tol: tol < 0, ">= 0, got {}")
-    tol_help = "absolute; replaces the error budget"
     rational = "rational 'a/b' or decimal string"
 
     p_derive = sub.add_parser("derive", help="derive the closed form of sigma(p, nu)")
@@ -280,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     v_res.add_argument("--p", type=real_p, required=True, help="any real p > 0")
     v_res.add_argument("--nu", type=nu_type, required=True)
     v_res.add_argument("--terms", type=terms_type, default=10000)
-    v_res.add_argument("--tol", type=tol_type, default=None, help=tol_help)
     v_res.set_defaults(func=cmd_verify_residues)
 
     v_ratio = vsub.add_parser("ratio", help="ratio expansion vs direct evaluation")
@@ -288,14 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     v_ratio.add_argument("--nu", type=nu_type, required=True)
     k_type = _number_type(int, "k", lambda k: k < 1, ">= 1")
     v_ratio.add_argument("--k", type=k_type, default=1, help="index of the zero to test")
-    v_ratio.add_argument("--tol", type=tol_type, default=None, help=tol_help)
     v_ratio.set_defaults(func=cmd_verify_ratio)
 
     v_sigma = vsub.add_parser("sigma", help="closed form vs direct zero summation")
     v_sigma.add_argument("--p", type=p_type, required=True)
     v_sigma.add_argument("--nu", type=_sigma_nu, required=True, help=rational)
     v_sigma.add_argument("--terms", type=terms_type, default=10000)
-    v_sigma.add_argument("--tol", type=tol_type, default=None, help=tol_help)
     v_sigma.set_defaults(func=cmd_verify_sigma)
 
     p_zeta = sub.add_parser("zeta", help="exact zeta(2p)")

@@ -18,7 +18,6 @@ from rayleigh_sums import (
     bessel_zeros,
     cli,
     numeric_sigma,
-    ratio_at_zero,
     residue_identity_lhs,
     residue_tail_scale,
     verify_ratio_formula,
@@ -542,22 +541,6 @@ def test_hurwitz_zeta_is_within_its_last_term(s):
 
 def test_hurwitz_zeta_underflows_to_zero():
     assert _hurwitz_zeta(850.0, 2.75)[0] == 0.0
-
-
-def test_ratio_at_zero_identity_and_formulas(zero_cache):
-    xi1 = zero_cache(0.0, 1).zeros[0]
-    assert ratio_at_zero(0.0, 1, xi1) == 1.0
-    assert abs(ratio_at_zero(0.0, 2, xi1) - 2.0 / xi1) < 1e-12
-    assert abs(ratio_at_zero(0.0, 3, xi1) - (8.0 / xi1**2 - 1.0)) < 1e-12
-
-
-def test_ratio_at_zero_denominator_underflow(zero_cache):
-    # the first zero of J_1 annihilates the denominator J_{nu+1} for nu=0
-    j1_first = bessel_zeros(1.0, 1).zeros[0]
-    with pytest.raises(NumericError, match="denominator underflow"):
-        ratio_at_zero(0.0, 2, j1_first)
-    with pytest.raises(NumericError):
-        ratio_at_zero(0.0, 0, 2.4)
 
 
 def test_residue_identity_integer_cases():

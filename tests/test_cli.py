@@ -212,20 +212,10 @@ def test_eval_float_rejects_negative_nu(capsys):
 
 
 def test_verify_sigma_pass(capsys):
-    rc, out, _ = run(
-        capsys, "verify", "sigma", "--p", "3", "--nu", "1", "--terms", "5000", "--tol", "1e-10"
-    )
+    rc, out, _ = run(capsys, "verify", "sigma", "--p", "3", "--nu", "1", "--terms", "5000")
     assert rc == 0
     assert "result: PASS" in out
     assert "tail_bound" in out
-
-
-def test_verify_sigma_fail_on_impossible_tol(capsys):
-    rc, out, _ = run(
-        capsys, "verify", "sigma", "--p", "3", "--nu", "1", "--terms", "200", "--tol", "1e-30"
-    )
-    assert rc == 1
-    assert "result: FAIL" in out
 
 
 def test_verify_sigma_underflow_is_numeric_breakdown(capsys):
@@ -244,8 +234,8 @@ def test_verify_sigma_passes_with_few_zeros_at_large_order(capsys, p, nu):
 
 
 def test_verify_sigma_budget_rejects_a_wrong_sigma(capsys, monkeypatch):
-    # without --tol the verdict reads tail_bound, far below 1e-12 relative
-    # here, so a sigma off by that much fails
+    # the verdict reads tail_bound, far below 1e-12 relative here, so a
+    # sigma off by that much fails
     argv = ("verify", "sigma", "--p", "3", "--nu", "1", "--terms", "300")
     assert run(capsys, *argv)[0] == 0
     exact = cli.sigma_value
@@ -254,6 +244,26 @@ def test_verify_sigma_budget_rejects_a_wrong_sigma(capsys, monkeypatch):
     )
     rc, out, _ = run(capsys, *argv)
     assert (rc, out.splitlines()[-1]) == (1, "result: FAIL")
+
+
+def test_verify_sigma_refuses_a_budget_that_reaches_sigma(capsys, monkeypatch):
+    # a tail_bound above sigma = 3.3e-4 would pass a sum of 0 too: no
+    # verdict, exit 4
+    tailed = cli._sigma_sum
+
+    def loose(*args):
+        ts = tailed(*args)
+        return bessel_numeric.TailedSum(
+            partial=ts.partial, tail_estimate=ts.tail_estimate, tail_bound=1.0, value=ts.value
+        )
+
+    monkeypatch.setattr(cli, "_sigma_sum", loose)
+    assert run(capsys, "verify", "sigma", "--p", "3", "--nu", "1", "--terms", "300") == (
+        4,
+        "",
+        "numeric breakdown: sigma(p=3, nu=1) cannot be checked on 300 zeros: "
+        "its error budget reaches |lhs| = 3.255e-04\n",
+    )
 
 
 def test_verify_sigma_refuses_a_k0_past_its_cap(capsys):
@@ -301,16 +311,9 @@ def test_verify_output_fields(capsys, command):
         ("verify", "residues", "--p", "inf", "--nu", "0"),
         ("verify", "ratio", "--p", "2", "--nu", "nan", "--k", "1"),
         ("verify", "sigma", "--p", "1", "--nu", "1e400"),
-        ("verify", "sigma", "--p", "1", "--nu", "0", "--tol", "nan"),
-        ("verify", "sigma", "--p", "1", "--nu", "0", "--tol", "-0.5"),
-        ("verify", "ratio", "--p", "2", "--nu", "0", "--tol", "nan"),
-        ("verify", "ratio", "--p", "2", "--nu", "0", "--tol", "inf"),
-        ("verify", "residues", "--p", "1", "--nu", "0", "--tol", "nan"),
-        ("verify", "residues", "--p", "1", "--nu", "0", "--tol=-inf"),
     ],
     ids=["zeros-nu-inf", "zeros-nu-nan", "residues-nu-nan", "residues-p-inf",
-         "ratio-nu-nan", "sigma-nu-overflow", "sigma-tol-nan", "sigma-tol-negative",
-         "ratio-tol-nan", "ratio-tol-inf", "residues-tol-nan", "residues-tol-neginf"],
+         "ratio-nu-nan", "sigma-nu-overflow"],
 )
 def test_out_of_range_float_inputs_are_usage_errors(capsys, argv):
     rc, out, err = run(capsys, *argv)
@@ -319,7 +322,8 @@ def test_out_of_range_float_inputs_are_usage_errors(capsys, argv):
     assert err.startswith("error: ")
 
 
-# one bad value per flag per subcommand, and the whole of stderr it gives
+# one bad value per flag per subcommand, and the whole of stderr it gives;
+# --tol, which no verify command takes, is an unrecognized argument
 _USAGE_MESSAGES = {
     "derive --p 0": "error: p must be >= 1\n",
     "derive --p abc": (
@@ -333,19 +337,28 @@ _USAGE_MESSAGES = {
     "verify sigma --p 1 --nu -1": "error: nu must be >= 0\n",
     "verify sigma --p 1 --nu 1e400": "error: nu=1e400 is out of binary64 range\n",
     "verify sigma --p 1 --nu 1 --terms 1": "error: terms must be >= 2\n",
-    "verify sigma --p 1 --nu 1 --tol -0.5": "error: tol must be >= 0, got -0.5\n",
+    "verify sigma --p 1 --nu 1 --tol -0.5": (
+        "usage: rayleigh [-h] {derive,eval,verify,zeta,zeros,table} ...\n"
+        "rayleigh: error: unrecognized arguments: --tol -0.5\n"
+    ),
     "verify residues --p 0 --nu 0": "error: p must be > 0\n",
     "verify residues --p x --nu 0": (
-        "usage: rayleigh verify residues [-h] --p P --nu NU [--terms TERMS] [--tol TOL]\n"
+        "usage: rayleigh verify residues [-h] --p P --nu NU [--terms TERMS]\n"
         "rayleigh verify residues: error: argument --p: invalid float value: 'x'\n"
     ),
     "verify residues --p 1 --nu -1": "error: nu must be >= 0\n",
     "verify residues --p 1 --nu 0 --terms 1": "error: terms must be >= 2\n",
-    "verify residues --p 1 --nu 0 --tol nan": "error: tol must be finite, got nan\n",
+    "verify residues --p 1 --nu 0 --tol nan": (
+        "usage: rayleigh [-h] {derive,eval,verify,zeta,zeros,table} ...\n"
+        "rayleigh: error: unrecognized arguments: --tol nan\n"
+    ),
     "verify ratio --p 0 --nu 0": "error: p must be >= 1\n",
     "verify ratio --p 2 --nu -1": "error: nu must be >= 0\n",
     "verify ratio --p 2 --nu 0 --k 0": "error: k must be >= 1\n",
-    "verify ratio --p 2 --nu 0 --tol -1": "error: tol must be >= 0, got -1.0\n",
+    "verify ratio --p 2 --nu 0 --tol -1": (
+        "usage: rayleigh [-h] {derive,eval,verify,zeta,zeros,table} ...\n"
+        "rayleigh: error: unrecognized arguments: --tol -1\n"
+    ),
     "zeta --p 0": "error: p must be >= 1\n",
     "zeta --p 1 --digits 46": "error: digits must be in 1..45\n",
     "zeros --nu -1 --count 2": "error: nu must be >= 0\n",
@@ -387,18 +400,18 @@ def test_verify_residues_allows_for_rounding(capsys, monkeypatch):
     assert "result: FAIL" in out
 
 
-@pytest.mark.parametrize("p", ["1e-300", "0.01"])
-def test_verify_residues_fails_when_the_bound_reaches_lhs(capsys, p):
+@pytest.mark.parametrize(
+    "p, lhs", [("1e-300", "5.000e-01"), ("0.01", "4.944e-01")], ids=["1e-300", "0.01"]
+)
+def test_verify_residues_refuses_a_budget_that_reaches_lhs(capsys, p, lhs):
     # with 100 terms the tail scale exceeds lhs (3.2e299 against 0.5 at
-    # p = 1e-300), so a sum of 0 would pass the bound too: that proves nothing
-    rc, out, _ = run(capsys, "verify", "residues", "--p", p, "--nu", "1", "--terms", "100")
-    lhs, scale, rounding = (
-        float(line.split(" = ")[1]) for line in out.splitlines()
-        if line.startswith(("lhs = ", "tail_scale = ", "rounding = "))
+    # p = 1e-300), so a sum of 0 would pass the budget too: no verdict
+    assert run(capsys, "verify", "residues", "--p", p, "--nu", "1", "--terms", "100") == (
+        4,
+        "",
+        f"numeric breakdown: the residue identity for p={float(p)}, nu=1.0 cannot be checked "
+        f"on 100 zeros: its error budget reaches |lhs| = {lhs}\n",
     )
-    assert scale + rounding >= abs(lhs)
-    assert rc == 1
-    assert "result: FAIL" in out
 
 
 def test_verify_residues_underflowing_lhs_is_numeric_breakdown(capsys):
@@ -443,14 +456,13 @@ def test_verify_ratio_expansion_past_binary64_is_numeric_breakdown(capsys):
 )
 def test_verify_ratio_budget_past_ratio_is_numeric_breakdown(capsys, p, nu, x, ratio):
     # at the first zero |B_p| times the zero's accuracy reaches |ratio|, so
-    # no binary64 zero can check the expansion, with or without --tol
-    for tol in ((), ("--tol", "1")):
-        assert run(capsys, "verify", "ratio", "--p", p, "--nu", nu, "--k", "1", *tol) == (
-            4,
-            "",
-            f"numeric breakdown: the ratio expansion for p={p} cannot be checked in "
-            f"binary64 at x={x}: its error budget reaches |ratio| = {ratio}\n",
-        )
+    # no binary64 zero can check the expansion
+    assert run(capsys, "verify", "ratio", "--p", p, "--nu", nu, "--k", "1") == (
+        4,
+        "",
+        f"numeric breakdown: the ratio expansion for p={p} cannot be checked in "
+        f"binary64 at x={x}: its error budget reaches |ratio| = {ratio}\n",
+    )
 
 
 def test_verify_ratio_pass(capsys):
@@ -461,11 +473,28 @@ def test_verify_ratio_pass(capsys):
         assert (rc, out.splitlines()[-1]) == (0, "result: PASS")
 
 
-def test_verify_ratio_fail_tiny_tol(capsys):
-    rc, out, _ = run(
-        capsys, "verify", "ratio", "--p", "5", "--nu", "0", "--k", "3", "--tol", "1e-300"
-    )
-    assert rc == 1
+def test_verify_ratio_budget_rejects_a_wrong_expansion(capsys, monkeypatch):
+    # the budget is 2.4e-14 against a ratio of 0.107 here, so an expansion
+    # off by 1e-12 relative fails
+    argv = ("verify", "ratio", "--p", "5", "--nu", "0", "--k", "3")
+    assert run(capsys, *argv)[0] == 0
+    exact = bessel_numeric.build_ratio_expansion
+
+    class Off:
+        def __init__(self, coefficient):
+            self.coefficient = coefficient
+
+        def evaluate(self, nu):
+            return self.coefficient.evaluate(nu) * (1 + Fraction(1, 10**12))
+
+    def wrong(p):
+        expansion = exact(p)
+        terms = tuple((q, Off(c), m) for q, c, m in expansion.terms)
+        return type(expansion)(p=p, terms=terms)
+
+    monkeypatch.setattr(bessel_numeric, "build_ratio_expansion", wrong)
+    rc, out, _ = run(capsys, *argv)
+    assert (rc, out.splitlines()[-1]) == (1, "result: FAIL")
 
 
 def test_zeta_exact_strings(capsys):
@@ -611,6 +640,8 @@ def test_unknown_arguments_are_usage_errors(capsys):
     assert run(capsys, "derive", "--p", "1", "--bogus")[0] == 2
     assert run(capsys, "derive", "--p", "1", "--cache", "x")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
+    for command in ("sigma --p 3 --nu 1", "residues --p 1 --nu 0", "ratio --p 2 --nu 0"):
+        assert run(capsys, "verify", *command.split(), "--tol", "1")[0] == 2
     assert run(capsys)[0] == 2
 
 
