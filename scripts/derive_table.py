@@ -17,9 +17,6 @@ from rayleigh_sums import SigmaTable, derive_sigma
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pmax", type=int, default=40, help="largest p to derive")
-    parser.add_argument(
-        "--show-forms", action="store_true", help="also print each closed form"
-    )
     args = parser.parse_args(argv)
     if args.pmax < 1:
         parser.error("--pmax must be >= 1")
@@ -38,8 +35,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{p:>3} {f.numerator.degree:>8} {digits:>7} {f.two_exponent:>5} "
             f"{f.shift_factors[-1][0]:>6} {time.perf_counter() - t0:>8.3f}"
         )
-        if args.show_forms:
-            print(f"    sigma({p}) = {f.to_text()}")
     return 0
 
 

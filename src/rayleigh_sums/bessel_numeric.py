@@ -46,7 +46,9 @@ a per-point loop, and scipy only on the path above the cap, so importing this
 module (and the package) loads neither: the exact routes, and with them
 the `derive`, `eval`, `zeta` and `table` subcommands, run on the standard
 library alone. `bessel_zeros` returns float64 arrays whatever the engine,
-so it loads numpy; the CLI takes the engines' blocks from `_zero_blocks`.
+so it loads numpy; the CLI takes the engines' blocks from `_zero_blocks`,
+and each `verify` command's `Check` from `_sigma_check`, `_residue_check`
+or `_ratio_check`, where its budget rule lives.
 """
 
 from __future__ import annotations
@@ -83,6 +85,15 @@ def _require_budget_below(budget: float, reference: float, check: str, name: str
     The one refusal rule of the three `verify` checks."""
     if not budget < abs(reference):
         raise NumericError(f"{check}: its error budget reaches |{name}| = {abs(reference):.3e}")
+
+
+class Check(_Record):
+    """A `verify` check: lhs, the reference, against rhs; residual, their
+    distance; terms, the (name, value) pairs printed after it, in order; and
+    budget. It passes where residual <= budget; a budget that reaches |lhs|
+    is refused (`_require_budget_below`) before a Check is made."""
+
+    __slots__ = ("lhs", "rhs", "residual", "terms", "budget")
 
 
 def bessel_j(order: float, x: float) -> float:
@@ -768,6 +779,19 @@ def _sigma_sum(nu: float, p: float, blocks: Iterable[tuple]) -> TailedSum:
     return TailedSum(partial=partial, tail_estimate=tail_estimate, tail_bound=bound, value=value)
 
 
+def _sigma_check(nu: Fraction, p: int, terms: int, exact: Fraction) -> Check:
+    """sigma(p, nu) = exact > 0 against `_sigma_sum` over the first `terms`
+    zeros of J_nu, or K0 (`_summed_zeros`) where that is more, with budget
+    tail_bound; the residual is exact, rounded once."""
+    nu_f = float(nu)
+    count = _summed_zeros(nu_f, terms)
+    ts = _sigma_sum(nu_f, float(p), _zero_blocks(nu_f, count))
+    check = f"sigma(p={p}, nu={nu}) cannot be checked on {count} zeros"
+    _require_budget_below(ts.tail_bound, float(exact), check, "lhs")
+    residual = float(abs(Fraction(ts.value) - exact))
+    return Check(exact, ts.value, residual, (("tail_bound", ts.tail_bound),), ts.tail_bound)
+
+
 def _lgamma(x: float) -> float:
     """math.lgamma, raising NumericError where it overflows (x above about
     2.55e305) instead of OverflowError."""
@@ -870,6 +894,18 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
     )
 
 
+def _residue_check(nu: float, p: float, terms: int) -> Check:
+    """`verify_residue_identity` as a check, with budget rounding plus the
+    tail scale where the sum converges, the only place that scale sizes it."""
+    report = verify_residue_identity(nu, p, terms)
+    scale = residue_tail_scale(nu, p, terms)
+    budget = report.rounding + (scale if report.converging else 0.0)
+    check = f"the residue identity for p={p}, nu={nu} cannot be checked on {terms} zeros"
+    _require_budget_below(budget, report.lhs, check, "lhs")
+    named = ("tail_scale", scale), ("rounding", report.rounding), ("converging", report.converging)
+    return Check(report.lhs, report.partial_rhs, report.residual, named, budget)
+
+
 def _residue_terms(
     pair_a: Callable,
     pair_b: Callable,
@@ -904,13 +940,13 @@ def _kernel_ratio_error(hypot: Callable, a, a1, b, b1):
 def verify_ratio_formula(nu: float, p: int, k: int) -> float:
     """|direct Bessel ratio - closed-form expansion| at the k-th zero of J_nu:
     the residual of `_ratio_check`, which raises where binary64 cannot check it."""
-    return _ratio_check(nu, p, k)[0]
+    return _ratio_check(nu, p, k).residual
 
 
-def _ratio_check(nu: float, p: int, k: int) -> tuple[float, float, float]:
-    """(residual, budget, ratio) at the k-th zero x of J_nu: ratio =
-    J_{nu+p}(x) / J_{nu+1}(x) from the kernel, residual = |ratio - A_p(x)|,
-    the expansion A_p exact at the binary64 nu and x, rounded once.
+def _ratio_check(nu: float, p: int, k: int) -> Check:
+    """The ratio expansion at the k-th zero x of J_nu: lhs is ratio =
+    J_{nu+p}(x) / J_{nu+1}(x) from the kernel, rhs the expansion A_p exact at
+    the binary64 nu and x, and the residual |ratio - A_p(x)|, both rounded once.
 
     The chain r_{n+1} = (2(nu+n)/x) r_n - r_{n-1} gives A_p from (r_0, r_1) =
     (0, 1) and B_p from (1, 0), with J_{nu+p}/J_{nu+1} = A_p + B_p J_nu/J_{nu+1}
@@ -936,4 +972,5 @@ def _ratio_check(nu: float, p: int, k: int) -> tuple[float, float, float]:
     _require_budget_below(budget, ratio, check, "ratio")
     u = 2 / x_q
     expansion = sum(c.evaluate(nu_q) * u**m for _, c, m in build_ratio_expansion(p).terms)
-    return float(abs(Fraction(ratio) - expansion)), budget, ratio
+    residual = float(abs(Fraction(ratio) - expansion))
+    return Check(ratio, float(expansion), residual, (("budget", budget),), budget)

@@ -15,13 +15,11 @@ parsed; only eval's nu >= 0 without --exact is a rule on two flags.
 `eval`, `zeta` and the exact side of `verify sigma` need sigma at one
 rational nu only and take it from rayleigh_core.sigma_value.
 
-The three `verify` commands print "name = value" lines and share one
-rule on an error budget: sigma's is tail_bound, residues' rounding, plus
-tail_scale where the sum converges, and ratio's budget, from the zero's
-accuracy through the Lommel polynomial B_p, the J kernel's error and two
-roundings. A budget that reaches |lhs| or |ratio| is refused (exit 4)
-before any line is printed; otherwise `_verdict` passes the check where
-residual <= budget, and fails it (exit 1) where not.
+The three `verify` commands are one, `cmd_verify`, over the checks in
+bessel_numeric (`_sigma_check`, `_residue_check`, `_ratio_check`), where
+each budget rule and its refusal (exit 4) live. It prints the `Check` that
+one returns as "name = value" lines and passes it where residual <= budget,
+or fails it (exit 1).
 """
 
 from __future__ import annotations
@@ -37,12 +35,9 @@ from fractions import Fraction
 from .bessel_numeric import (
     NumericError,
     _ratio_check,
-    _require_budget_below,
-    _sigma_sum,
-    _summed_zeros,
+    _residue_check,
+    _sigma_check,
     _zero_blocks,
-    residue_tail_scale,
-    verify_residue_identity,
 )
 from .exact_algebra import FactoredRationalFn, PoleError
 from .rayleigh_core import SigmaTable, derive_sigma, sigma_value
@@ -120,15 +115,14 @@ def _sigma_underflows(p: int, nu: Fraction) -> bool:
     return p - 1 > (1073.0 - _log2(nu + 1)) / (2.0 * log2_r) + 1e-9
 
 
-def _sigma_binary64(p: int, nu: Fraction) -> tuple[Fraction, float]:
-    """sigma(p, nu) for nu >= 0, exactly and as a float, refusing a value
-    that underflows binary64, and before any exact arithmetic (23 s at
+def _sigma_binary64(p: int, nu: Fraction) -> Fraction:
+    """sigma(p, nu) for nu >= 0, exactly, refusing a value whose float
+    underflows binary64, and before any exact arithmetic (23 s at
     p = 1000) wherever the bound of `_sigma_underflows` shows it must."""
     if not _sigma_underflows(p, nu):
         exact = sigma_value(p, nu)
-        value = float(exact)
-        if value != 0.0:
-            return exact, value
+        if float(exact) != 0.0:
+            return exact
     raise NumericError(f"sigma(p={p}, nu={nu}) underflows binary64")
 
 
@@ -151,57 +145,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.exact:
         print(sigma_value(args.p, args.nu))
     else:
-        print(repr(_sigma_binary64(args.p, args.nu)[1]))
+        print(repr(float(_sigma_binary64(args.p, args.nu))))
     return EXIT_OK
 
 
-def _verdict(residual: float, budget: float) -> int:
-    """Print a verify command's result line and return its exit code: the
-    check passes where residual <= budget. The caller has refused a budget
-    that reaches |reference| before printing, by `_require_budget_below`."""
-    ok = residual <= budget
+def cmd_verify(args: argparse.Namespace) -> int:
+    check = args.check(args)
+    exact = f" (exact {check.lhs})" if isinstance(check.lhs, Fraction) else ""
+    print(f"lhs = {float(check.lhs)!r}{exact}")
+    print(f"rhs = {check.rhs!r}")
+    print(f"residual = {check.residual:.6e}")
+    for name, value in check.terms:
+        print(f"{name} = {value}" if isinstance(value, bool) else f"{name} = {value:.6e}")
+    ok = check.residual <= check.budget
     print(f"result: {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
-
-
-def cmd_verify_sigma(args: argparse.Namespace) -> int:
-    nu_f = float(args.nu)
-    exact, exact_f = _sigma_binary64(args.p, args.nu)
-    count = _summed_zeros(nu_f, args.terms)
-    ts = _sigma_sum(nu_f, float(args.p), _zero_blocks(nu_f, count))
-    residual = float(abs(Fraction(ts.value) - exact))
-    check = f"sigma(p={args.p}, nu={args.nu}) cannot be checked on {count} zeros"
-    _require_budget_below(ts.tail_bound, exact_f, check, "lhs")
-    print(f"lhs = {exact_f!r} (exact {exact})")
-    print(f"rhs = {ts.value!r}")
-    print(f"residual = {residual:.6e}")
-    print(f"tail_bound = {ts.tail_bound:.6e}")
-    return _verdict(residual, ts.tail_bound)
-
-
-def cmd_verify_residues(args: argparse.Namespace) -> int:
-    report = verify_residue_identity(args.nu, args.p, args.terms)
-    scale = residue_tail_scale(args.nu, args.p, args.terms)
-    # tail_scale sizes the remainder only where the sum converges
-    budget = report.rounding + (scale if report.converging else 0.0)
-    check = (
-        f"the residue identity for p={args.p}, nu={args.nu} cannot be checked on {args.terms} zeros"
-    )
-    _require_budget_below(budget, report.lhs, check, "lhs")
-    print(f"lhs = {report.lhs!r}")
-    print(f"rhs = {report.partial_rhs!r}")
-    print(f"residual = {report.residual:.6e}")
-    print(f"tail_scale = {scale:.6e}")
-    print(f"rounding = {report.rounding:.6e}")
-    print(f"converging = {report.converging}")
-    return _verdict(report.residual, budget)
-
-
-def cmd_verify_ratio(args: argparse.Namespace) -> int:
-    residual, budget, _ = _ratio_check(args.nu, args.p, args.k)
-    print(f"residual = {residual:.6e}")
-    print(f"budget = {budget:.6e}")
-    return _verdict(residual, budget)
 
 
 def _format_zeta(z: ZetaValue) -> str:
@@ -279,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="numeric verification of the identities")
+    p_verify.set_defaults(func=cmd_verify)
     vsub = p_verify.add_subparsers(dest="kind", required=True)
 
     v_res = vsub.add_parser("residues", help="Gamma constant vs weighted ratio sum")
@@ -286,20 +245,22 @@ def build_parser() -> argparse.ArgumentParser:
     v_res.add_argument("--p", type=real_p, required=True, help="any real p > 0")
     v_res.add_argument("--nu", type=nu_type, required=True)
     v_res.add_argument("--terms", type=terms_type, default=10000)
-    v_res.set_defaults(func=cmd_verify_residues)
+    v_res.set_defaults(check=lambda a: _residue_check(a.nu, a.p, a.terms))
 
     v_ratio = vsub.add_parser("ratio", help="ratio expansion vs direct evaluation")
     v_ratio.add_argument("--p", type=p_type, required=True)
     v_ratio.add_argument("--nu", type=nu_type, required=True)
     k_type = _number_type(int, "k", lambda k: k < 1, ">= 1")
     v_ratio.add_argument("--k", type=k_type, default=1, help="index of the zero to test")
-    v_ratio.set_defaults(func=cmd_verify_ratio)
+    v_ratio.set_defaults(check=lambda a: _ratio_check(a.nu, a.p, a.k))
 
     v_sigma = vsub.add_parser("sigma", help="closed form vs direct zero summation")
     v_sigma.add_argument("--p", type=p_type, required=True)
     v_sigma.add_argument("--nu", type=_sigma_nu, required=True, help=rational)
     v_sigma.add_argument("--terms", type=terms_type, default=10000)
-    v_sigma.set_defaults(func=cmd_verify_sigma)
+    v_sigma.set_defaults(
+        check=lambda a: _sigma_check(a.nu, a.p, a.terms, _sigma_binary64(a.p, a.nu))
+    )
 
     p_zeta = sub.add_parser("zeta", help="exact zeta(2p)")
     p_zeta.add_argument("--p", type=p_type, required=True)

@@ -34,13 +34,13 @@ def test_sigma_bound_holds(nu, count):
 @pytest.mark.parametrize("nu", [0.0, 0.5, 2.7, 10.0, 50.0])
 def test_ratio_budget_holds(nu):
     # A_p comes from the three-term chain started at (r_0, r_1) = (0, 1), a
-    # route independent of the expansion, so the residual must be its
-    # distance from the kernel's ratio, rounded once
+    # route independent of the expansion, so rhs must be it rounded once and
+    # the residual its distance from the kernel's ratio, rounded once
     refused = []
     for p in (2, 5, 10, 20):
         for k in (1, 3, 10):
             try:
-                residual, budget, ratio = _ratio_check(nu, p, k)
+                check = _ratio_check(nu, p, k)
             except NumericError as e:
                 assert "cannot be checked in binary64" in str(e)
                 refused.append((p, k))
@@ -50,12 +50,13 @@ def test_ratio_budget_holds(nu):
             r0, r1 = Fraction(0), Fraction(1)
             for n in range(1, p):
                 r0, r1 = r1, 2 * (nu_q + n) / x_q * r1 - r0
-            assert residual == float(abs(Fraction(ratio) - r1)), (p, k)
+            assert check.residual == float(abs(Fraction(check.lhs) - r1)), (p, k)
+            assert check.rhs == float(r1), (p, k)
             with mpmath.workdps(60):
                 true = mpmath.besselj(nu + p, x) / mpmath.besselj(nu + 1, x)
                 expansion = mpmath.mpf(r1.numerator) / r1.denominator
-                error = abs(true - expansion) + abs(mpmath.mpf(ratio) - true)
-                assert error <= budget, (p, k, error, budget)
+                error = abs(true - expansion) + abs(mpmath.mpf(check.lhs) - true)
+                assert error <= check.budget, (p, k, error, check.budget)
     # at the first zero of J_nu, nu <= 2.7, |B_20| times the zero's accuracy
     # alone reaches |ratio|
     assert refused == ([(20, 1)] if nu < 10 else [])

@@ -249,7 +249,7 @@ def test_verify_sigma_budget_rejects_a_wrong_sigma(capsys, monkeypatch):
 def test_verify_sigma_refuses_a_budget_that_reaches_sigma(capsys, monkeypatch):
     # a tail_bound above sigma = 3.3e-4 would pass a sum of 0 too: no
     # verdict, exit 4
-    tailed = cli._sigma_sum
+    tailed = bessel_numeric._sigma_sum
 
     def loose(*args):
         ts = tailed(*args)
@@ -257,7 +257,7 @@ def test_verify_sigma_refuses_a_budget_that_reaches_sigma(capsys, monkeypatch):
             partial=ts.partial, tail_estimate=ts.tail_estimate, tail_bound=1.0, value=ts.value
         )
 
-    monkeypatch.setattr(cli, "_sigma_sum", loose)
+    monkeypatch.setattr(bessel_numeric, "_sigma_sum", loose)
     assert run(capsys, "verify", "sigma", "--p", "3", "--nu", "1", "--terms", "300") == (
         4,
         "",
@@ -281,14 +281,22 @@ _VERIFY_FIELDS = {
     "residues --p 1.5 --nu 0.25 --terms 2000": (
         "lhs", "rhs", "residual", "tail_scale", "rounding", "converging"
     ),
-    "ratio --p 5 --nu 0 --k 3": ("residual", "budget"),
+    "ratio --p 5 --nu 0 --k 3": ("lhs", "rhs", "residual", "budget"),
+}
+
+# the check each command's lines must print, for the same arguments
+_VERIFY_CHECKS = {
+    "sigma": lambda: bessel_numeric._sigma_check(Fraction(1), 3, 300, sigma_value(3, 1)),
+    "residues": lambda: bessel_numeric._residue_check(0.25, 1.5, 2000),
+    "ratio": lambda: bessel_numeric._ratio_check(0.0, 5, 3),
 }
 
 
 @pytest.mark.parametrize("command", list(_VERIFY_FIELDS))
 def test_verify_output_fields(capsys, command):
     # what perfbench/checks.py parses: "name = value" lines, sigma's lhs as
-    # "<float> (exact <fraction>)", and a last line "result: PASS"
+    # "<float> (exact <fraction>)", and a last line "result: PASS"; the lines
+    # are the check's record, and its budget alone decides the exit code
     rc, out, _ = run(capsys, "verify", *command.split())
     *lines, last = out.splitlines()
     assert [line.split(" = ")[0] for line in lines] == list(_VERIFY_FIELDS[command])
@@ -297,8 +305,17 @@ def test_verify_output_fields(capsys, command):
         fields["lhs"], exact = fields["lhs"].split(" (exact ")
         assert float(fields["lhs"]) == float(Fraction(exact.removesuffix(")")))
     for name in ("lhs", "rhs", "residual"):
-        if name in fields:
-            float(fields[name])
+        float(fields[name])
+    check = _VERIFY_CHECKS[command.split()[0]]()
+    exact = f" (exact {check.lhs})" if isinstance(check.lhs, Fraction) else ""
+    terms = [f"{n} = {v}" if isinstance(v, bool) else f"{n} = {v:.6e}" for n, v in check.terms]
+    assert lines == [
+        f"lhs = {float(check.lhs)!r}{exact}",
+        f"rhs = {check.rhs!r}",
+        f"residual = {check.residual:.6e}",
+        *terms,
+    ]
+    assert rc == (0 if check.residual <= check.budget else 1)
     assert (rc, last) == (0, "result: PASS")
 
 

@@ -1,6 +1,6 @@
 """What each process loads. Importing the package loads none of its
 modules, and the CLI loads its four layers but not `dataclasses` or
-`inspect`. The exact subcommands run without numpy or scipy, and so do the
+`inspect`; of bessel_numeric it takes the verify checks, not their rules. The exact subcommands run without numpy or scipy, and so do the
 small numeric ones, whose zeros come from the scalar zero finder below its
 work threshold; larger numeric calls load numpy, and only orders above the
 cap of the numpy Bessel kernel load scipy. The CLI runs OpenBLAS on one
@@ -10,6 +10,7 @@ The pytest process has numpy loaded already, so each check runs a fresh
 interpreter with PYTHONPATH=src and reads its sys.modules.
 """
 
+import ast
 import copy
 import importlib
 import json
@@ -33,6 +34,7 @@ from rayleigh_sums import (
     ZeroSet,
     ZetaValue,
     bessel_numeric,
+    cli,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -112,6 +114,20 @@ def test_small_numeric_calls_load_neither_numpy_nor_scipy():
     assert len(seen) == 6
 
 
+def test_cli_takes_only_the_checks_from_bessel_numeric():
+    # the K0 rule, _sigma_sum and each budget rule live in the checks
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "bessel_numeric" in ast.unparse(node)
+    ]
+    assert [(n.level, n.module) for n in imported] == [(1, "bessel_numeric")]
+    assert {a.name for a in imported[0].names} == {
+        "NumericError", "_zero_blocks", "_sigma_check", "_residue_check", "_ratio_check"
+    }
+
+
 def test_zeros_loads_numpy_and_scipy():
     # numpy above the scalar engine's threshold and for the residue check,
     # scipy only for an order above the kernel's cap; this also confirms
@@ -182,6 +198,11 @@ _RECORDS = [
     ),
     (TailedSum, (1.0, 0.5, 1e-9, 1.5), (1.0, 0.5, 1e-9, 1.25)),
     (ResidueReport, (0.25, 0.24, 0.01, True, 1e-15), (0.25, 0.24, 0.01, False, 1e-15)),
+    (
+        bessel_numeric.Check,
+        (0.25, 0.24, 0.01, (("budget", 0.02),), 0.02),
+        (0.25, 0.24, 0.01, (("budget", 0.005),), 0.005),
+    ),
 ]
 
 
