@@ -20,9 +20,9 @@ the third zero) and 277 eps (mu = 4999, the first zero). It also spares
 the `zeros` and `verify` subcommands the import of scipy.special, about
 0.28 s. Its cost grows with the order, so above _JV_ORDER_CAP = 5000, where
 it becomes slower than jv, scipy.special.jv is used instead; that path is
-the only one to the largest orders (the first 100 zeros certify up to
-nu = 1e10, but at nu = 1e5 zero 1190517, near x = 3.9e6, fails its
-certificate on jv's error).
+the only one to the largest orders (the first 2417 zeros certify at
+nu = 1e10 but only the first 29 at 1e11, and at nu = 1e5 zero 485530, near
+x = 1.68e6, is the first to fail its certificate on jv's error).
 
 The zero finder has two engines with the same checks and the same bits.
 Where count * (nu + 30) <= _SCALAR_WORK = 2e5 it runs one zero at a time
@@ -31,8 +31,9 @@ import costs about 0.1 s of a fresh process; so do the zero sums over its
 zeros and the ratio check, which is how the small `zeros`, `verify sigma`
 and `verify ratio` calls run on the standard library alone. Larger
 calls take the numpy engine, which yields blocks of _BLOCK = 8192 zeros,
-each once it is certified and gap-checked, and whose temporaries take a
-constant of about 1.2 MB whatever the count. The callers take the blocks
+each once it is certified and gap-checked, and raises at the first block
+with a fault; its temporaries take a constant of about 1.2 MB whatever
+the count. The callers take the blocks
 as they come (`_zero_blocks`), so what grows with the count is what each
 keeps, as tracemalloc measures it: nothing for the sum of `verify sigma`
 (1.2 MB in all at 5e4 and at 4e5 zeros); 1 float64 word per zero for the
@@ -396,10 +397,11 @@ def bessel_zeros(nu: float, count: int) -> ZeroSet:
     from max(nu, 1) up to xi_1, and negative from there to xi_2, which one
     J_nu evaluation on a grid of step pi/8 (less than any gap) confirms; the
     gaps cannot see zero 2 skipped, since a first gap may be the largest.
-    Either failure, a seed that is not
-    finite, or an order so large that a step of pi/8 no longer advances x
-    in binary64, raises NumericError; a failed certificate names the worst
-    zero, a failed gap check the first.
+    A seed that is not finite, a failed certificate, either failed index
+    check, or an order so large that a step of pi/8 no longer advances x in
+    binary64 raises NumericError at the first fault met. The checks run in
+    that order block by block, the anchor after the first block, and a
+    failed certificate or gap check names the first zero that fails it.
 
     Two engines do this work (`_zero_blocks` picks one): `_zeros_scalar`,
     one zero at a time on Python floats, for small counts and orders, and
@@ -431,9 +433,9 @@ def _zero_blocks(
     order: one pair of lists of Python floats where
     count * (nu + 30) <= _SCALAR_WORK, which loads no numpy, and pairs of
     float64 arrays of up to _BLOCK zeros otherwise. A check that fails
-    raises NumericError from the iterator once it has yielded the last
-    block, so a caller that acts only after the last block acts on checked
-    zeros alone."""
+    raises NumericError from the iterator in place of the block where it
+    failed, and no block is yielded before it is checked, so a caller that
+    acts only after the last block acts on checked zeros alone."""
     if nu < 0:
         raise NumericError(f"nu must be >= 0, got {nu}")
     if count < 1:
@@ -451,10 +453,6 @@ def _zeros_scalar(nu: float, count: int) -> Iterator[tuple[list[float], list[flo
     pair = _jv_pair_at(nu)
     half_ulp, four_ulps = 0.5 * _EPS, 4.0 * _EPS
     zeros, accuracy = [], []
-    # the largest |J| / max(1, |J'|), its index, |J| and x; as with
-    # np.argmax, the first nan, else the first largest
-    worst = (-1.0, 0, 0.0, 0.0)
-    uncertified = False
     for k, x in enumerate(seeds):
         f, g = pair(x)
         d = (nu / x) * f - g
@@ -465,15 +463,11 @@ def _zeros_scalar(nu: float, count: int) -> Iterator[tuple[list[float], list[flo
             f, g = pair(x)
             d = (nu / x) * f - g
         # max(abs(d), 1.0) is nan for a nan d, as np.maximum(1.0, |d|) is
-        size, scale = abs(f), max(abs(d), 1.0)
-        if not size < 1e-12 * scale:
-            uncertified = True
-        worst = _worse(worst, (size / scale, k, size, x))
+        if not abs(f) < 1e-12 * max(abs(d), 1.0):
+            raise _certificate_error(nu, k, abs(f), x)
         zeros.append(x)
         accuracy.append(abs(f / d) + four_ulps * x)
 
-    if uncertified:
-        raise _certificate_error(nu, *worst[1:])
     for k in range(count - 2):
         g0, g1 = zeros[k + 1] - zeros[k], zeros[k + 2] - zeros[k + 1]
         if _gap_breaks(nu, g1 - g0, accuracy[k], accuracy[k + 1], accuracy[k + 2]):
@@ -482,70 +476,42 @@ def _zeros_scalar(nu: float, count: int) -> Iterator[tuple[list[float], list[flo
     yield zeros, accuracy
 
 
-def _worse(worst: tuple, other: tuple) -> tuple:
-    """The worse of two certificates (ratio, index, |J|, x), the earlier one
-    first: as with np.argmax, the first nan ratio, else the first largest."""
-    return other if not other[0] <= worst[0] and worst[0] == worst[0] else worst
-
-
 def _zeros_blocks(nu: float, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """`bessel_zeros` over numpy blocks of _BLOCK zeros, yielding each block
-    once it is polished, certified and gap-checked.
+    once it is polished, certified and gap-checked, and the first once the
+    anchor has checked it too.
 
     The gap check runs over windows that reach two zeros into the block
-    before, and the anchor checks the first two zeros, so only those four
-    are kept past their block. Every value depends on its own zero alone,
-    so the result does not depend on the block size, and the errors are
-    raised after the last block in the order one pass over all the zeros
-    would raise them: the worst certificate, then the first gap, then the
-    anchor.
+    before, so only those two are kept past their block. Every value
+    depends on its own zero alone, so the result does not depend on the
+    block size, and the first block with a fault raises the error one pass
+    over all the zeros would: the seeds, then the first uncertified zero,
+    then the first broken gap, then the anchor.
     """
     import numpy as np
 
     pair = _jv_pair_at(nu)
-    worst = (-1.0, 0, 0.0, 0.0)
-    uncertified = False
-    bad_gap = None
-    head = []  # the first two zeros
     tail = [], []  # the last two zeros so far and their accuracies
     for start in range(0, count, _BLOCK):
-        x, accuracy, certified, block_worst = _polish_block(
-            nu, pair, start, min(start + _BLOCK, count)
-        )
-        uncertified |= not certified
-        worst = _worse(worst, block_worst)
+        x, accuracy = _polish_block(nu, pair, start, min(start + _BLOCK, count))
+        zeros, acc = np.concatenate((tail[0], x)), np.concatenate((tail[1], accuracy))
+        # inf and nan gaps past binary64 are the check's to report, not
+        # numpy's to warn of on stderr
+        with np.errstate(all="ignore"):
+            _check_gaps(nu, zeros, acc, start - len(tail[0]))
         if start == 0:
-            head = x[:2].tolist()
-        if bad_gap is None:
-            # inf and nan gaps past binary64 are the check's to report, not
-            # numpy's to warn of on stderr
-            with np.errstate(all="ignore"):
-                try:
-                    _check_gaps(
-                        nu,
-                        np.concatenate((tail[0], x)),
-                        np.concatenate((tail[1], accuracy)),
-                        start - len(tail[0]),
-                    )
-                except NumericError as e:
-                    bad_gap = e
-            tail = (tail[0] + x[-2:].tolist())[-2:], (tail[1] + accuracy[-2:].tolist())[-2:]
+            _check_anchor(nu, x[:2].tolist(), lambda grid: pair(np.array(grid))[0].tolist())
+        tail = zeros[-2:].tolist(), acc[-2:].tolist()
         yield x, accuracy
-
-    if uncertified:
-        raise _certificate_error(nu, *worst[1:])
-    if bad_gap is not None:
-        raise bad_gap
-    _check_anchor(nu, head, lambda grid: pair(np.array(grid))[0].tolist())
 
 
 def _polish_block(
     nu: float, pair: Callable, start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray, bool, tuple]:
-    """Zeros start + 1 to stop of J_nu, seeded and polished by Newton, with
-    their accuracies, whether all of them certify, and the worst
-    certificate (ratio, index, |J|, x). Its temporaries are freed on
-    return, before the block is handed on."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Zeros start + 1 to stop of J_nu, seeded and polished by Newton, and
+    their accuracies; the first zero that does not certify raises
+    NumericError. Its temporaries are freed on return, before the block is
+    handed on."""
     import numpy as np
 
     # past binary64 the seeds and Newton steps turn inf or nan, which the
@@ -569,15 +535,12 @@ def _polish_block(
             x[moving], f[moving], d[moving] = xs, fs, ds
             moving = moving[np.abs(fs) > 0.5 * _EPS * xs * np.abs(ds)]
 
-        size, scale = np.abs(f), np.maximum(1.0, np.abs(d))
-        ratio = size / scale
-        i = int(np.argmax(ratio))
-        return (
-            x,
-            np.abs(f / d) + 4.0 * _EPS * x,
-            bool(np.all(size < 1e-12 * scale)),
-            (ratio[i], start + i, size[i], x[i]),
-        )
+        size = np.abs(f)
+        bad = ~(size < 1e-12 * np.maximum(1.0, np.abs(d)))
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise _certificate_error(nu, start + i, size[i], x[i])
+        return x, np.abs(f / d) + 4.0 * _EPS * x
 
 
 def _certificate_error(nu: float, k: int, size: float, x: float) -> NumericError:

@@ -303,9 +303,9 @@ def test_engines_give_the_same_bits(nu, count):
     assert _engine_result("blocks", nu, count) == scalar
 
 
-def _nan_near(monkeypatch, xi):
-    """Make the J kernel return nan for J_mu within 1 of xi, for a float and
-    an array alike."""
+def _break_near(monkeypatch, faults):
+    """Make the J kernel return J_mu = value within 1 of xi, for each
+    (xi, value) in faults, for a float and an array alike."""
     jv_pair_at = bessel_numeric._jv_pair_at
 
     def broken_at(mu):
@@ -313,9 +313,11 @@ def _nan_near(monkeypatch, xi):
 
         def broken(x):
             ja, jb = pair(x)
-            if isinstance(x, float):
-                return (math.nan if abs(x - xi) < 1.0 else ja), jb
-            ja[np.abs(x - xi) < 1.0] = np.nan
+            for xi, value in faults:
+                if isinstance(x, float):
+                    ja = value if abs(x - xi) < 1.0 else ja
+                else:
+                    ja[np.abs(x - xi) < 1.0] = value
             return ja, jb
 
         return broken
@@ -326,9 +328,10 @@ def _nan_near(monkeypatch, xi):
 @pytest.mark.parametrize("k0", [1, 2, 3, 7, 300])
 def test_engines_raise_the_same_errors(monkeypatch, k0):
     # a skipped zero k0 fails the gap check (or the anchor, at k0 = 1 and
-    # 2), a nan seed the seeding, a nan J near zero k0 the certificate
+    # 2), a nan seed the seeding, a nan J near zero k0 the certificate, and
+    # so does a small |J| there ahead of a larger one at zero k0 + 5
     seeds = bessel_numeric._seeds
-    xi = bessel_zeros(2.7, k0).zeros[-1]
+    xi, *_, xi_later = bessel_zeros(2.7, k0 + 5).zeros[k0 - 1 :]
 
     def results():
         out = {e: _engine_result(e, 2.7, 400) for e in _ENGINES}
@@ -349,8 +352,12 @@ def test_engines_raise_the_same_errors(monkeypatch, k0):
     assert results() == "the zeros of J_2.7 cannot be seeded in binary64"
 
     monkeypatch.setattr(bessel_numeric, "_seeds", seeds)
-    _nan_near(monkeypatch, xi)
+    _break_near(monkeypatch, [(xi, math.nan)])
     assert results().startswith(f"zero {k0} of J_2.7 failed certification")
+
+    monkeypatch.undo()
+    _break_near(monkeypatch, [(xi, 1e-11), (xi_later, 1e-6)])
+    assert results().startswith(f"zero {k0} of J_2.7 failed certification: |J|=1.000e-11")
 
 
 def test_engine_threshold_is_count_times_nu_plus_30(monkeypatch):
@@ -413,19 +420,26 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, nu):
 
 
 def test_certificate_failure_names_the_global_index(monkeypatch):
-    # zero _B + 6, in the second block, cannot be evaluated
+    # zero _B + 6, in the second block, fails its certificate, and zero
+    # 2 _B + 2, in the third, fails it by more; the second block raises, and
+    # the third is never polished
     target = _B + 6
-    xi = bessel_zeros(2.7, target).zeros[-1]
-    _nan_near(monkeypatch, xi)
+    zeros = bessel_zeros(2.7, 2 * _B + 2).zeros
+    _break_near(monkeypatch, [(zeros[target - 1], 1e-11), (zeros[-1], 1e-6)])
+    polish_block, polished = bessel_numeric._polish_block, []
+    monkeypatch.setattr(
+        bessel_numeric, "_polish_block", lambda *a: polished.append(a) or polish_block(*a)
+    )
     with pytest.raises(NumericError, match=f"^zero {target} of J_2.7 failed certification"):
         bessel_zeros(2.7, 2 * _B + 3)
+    assert len(polished) == 2
 
 
 def test_cli_prints_nothing_when_a_later_block_fails(monkeypatch, capsys):
     # the blocks before zero _B + 6 have passed, but nothing is printed
     # until every check has
     xi = bessel_zeros(2.7, _B + 6).zeros[-1]
-    _nan_near(monkeypatch, xi)
+    _break_near(monkeypatch, [(xi, math.nan)])
     count = str(2 * _B + 3)
     for argv in (
         ["zeros", "--nu", "2.7", "--count", count],
