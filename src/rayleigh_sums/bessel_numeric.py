@@ -33,14 +33,13 @@ and `verify ratio` calls run on the standard library alone. Larger
 calls take the numpy engine, which yields blocks of _BLOCK = 8192 zeros,
 each once it is certified and gap-checked, and raises at the first block
 with a fault; its temporaries take a constant of about 1.2 MB whatever
-the count. The callers take the blocks
-as they come (`_zero_blocks`), so what grows with the count is what each
-keeps, as tracemalloc measures it: nothing for the sum of `verify sigma`
-(1.2 MB in all at 5e4 and at 4e5 zeros); 1 float64 word per zero for the
-`zeros` subcommand, which holds the zeros until every check has passed,
-and for verify_residue_identity, which holds the terms for its two sums
-(1.36 and 1.37 words per zero in all at 4e5); and 2 for bessel_zeros, which
-returns the zeros and their accuracies (2.78 at 2e5, with numeric_sigma).
+the count. The callers take the blocks as they come (`_zero_blocks`), so
+what grows with the count is what each keeps, as tracemalloc measures it:
+nothing for the sums of `verify sigma` and `verify residues` (1.2 and
+1.5 MB in all, at 5e4 and at 4e5 zeros alike); 1 float64 word per zero for
+the `zeros` subcommand, which holds the zeros until every check has passed;
+and 2 for bessel_zeros, which returns the zeros and their accuracies (2.78
+at 2e5, with numeric_sigma).
 
 numpy is imported only by the code that works on arrays, never inside
 a per-point loop, and scipy only on the path above the cap, so importing this
@@ -58,7 +57,7 @@ import math
 import sys
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from operator import truediv
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -227,14 +226,14 @@ def _jv_pair_at(mu: float) -> Callable:
     return pair
 
 
-def _hankel_coefficients(nu: float) -> tuple[list[float], list[float]]:
+def _hankel_coefficients(nu):
     """Coefficients of P and Q in Hankel's expansion (DLMF 10.17.3) as
     polynomials in 1/x^2: P = sum_k (-1)^k a_2k x^-2k and
     x Q = sum_k (-1)^k a_(2k+1) x^-2k, with a_0 = 1 and
-    a_k = a_(k-1) (4 nu^2 - (2k-1)^2) / (8k)."""
-    a = [1.0]
+    a_k = a_(k-1) (4 nu^2 - (2k-1)^2) / (8k), exact for a Fraction nu."""
+    a = [1]
     for k in range(1, 2 * _HANKEL_TERMS):
-        a.append(a[-1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k))
+        a.append(a[-1] * (4 * nu * nu - (2 * k - 1) ** 2) / (8 * k))
     signed = [c if k % 4 < 2 else -c for k, c in enumerate(a)]
     return signed[0::2], signed[1::2]
 
@@ -672,12 +671,12 @@ def _hurwitz_zeta(s: float, q: float) -> tuple[float, float]:
 _K0_MAX = 2**18
 
 
-def _summed_zeros(nu: float, count: int) -> int:
-    """The real zeros `_sigma_sum` sums when it is given `count`: at least
-    K0 = ceil(40 max(nu, 1) / pi - (nu/2 - 1/4)), so that the tail starts
-    where beta_k = pi(k + nu/2 - 1/4) > 40 max(nu, 1). A K0 above both
-    count and _K0_MAX raises NumericError."""
-    k0 = math.ceil(40.0 * max(nu, 1.0) / math.pi - (nu / 2.0 - 0.25))
+def _summed_zeros(nu: float, count: int, reach: float = 0.0) -> int:
+    """The real zeros a zero sum of J_nu sums when it is given `count`: at
+    least K0 = ceil(max(40 max(nu, 1), reach) / pi - (nu/2 - 1/4)), so that
+    its tail starts where beta_k = pi(k + nu/2 - 1/4) passes 40 max(nu, 1)
+    and reach. A K0 above both count and _K0_MAX raises NumericError."""
+    k0 = math.ceil(max(40.0 * max(nu, 1.0), reach) / math.pi - (nu / 2.0 - 0.25))
     if k0 > max(count, _K0_MAX):
         raise NumericError(
             f"the zero sum of J_{nu} needs its first {k0} zeros (K0), more than {_K0_MAX}"
@@ -693,13 +692,8 @@ def _sigma_sum(nu: float, p: float, blocks: Iterable[tuple]) -> TailedSum:
     Where the N zeros given end before K0 (`_summed_zeros`), zeros N+1..K0
     are summed too, from the zero finder's blocks: McMahon's expansion holds
     only where beta_k is large against nu, and fails just past a few zeros
-    of a large order. Past the last zero summed, McMahon's expansion
-    (DLMF 10.21.19) to beta**-5,
-    xi_k = beta_k (1 - a1 beta_k**-2 - a2 beta_k**-4 - a3 beta_k**-6) with
-    beta_k = pi(k + nu/2 - 1/4), gives xi_k**-s = sum_{j<=3} d_j beta_k**(-s-2j),
-    s = 2p, and summed over k > K0 each power is pi**(-s-2j) zeta(s+2j, K0 + 3/4 + nu/2).
-    partial is the sum over the real zeros, tail_estimate that of the powers.
-    tail_bound adds the last of those terms, the Euler-Maclaurin remainders,
+    of a large order. partial is the sum over the real zeros, tail_estimate
+    `_power_tail` past them at s = 2p, and tail_bound adds its bound,
     s max_k(acc_k / xi_k) value (the zeros' accuracy through xi**-s) and
     2 eps value (the roundings); a max does not depend on the block size."""
     e = -2.0 * p
@@ -724,7 +718,21 @@ def _sigma_sum(nu: float, p: float, blocks: Iterable[tuple]) -> TailedSum:
             yield [x**e for x in z] if scalar else memoryview(z**e)
 
     partial = math.fsum(chain.from_iterable(powers()))
-    s, mu = -e, 4.0 * nu * nu
+    tail_estimate, bound = _power_tail(nu, -e, count)
+    value = partial + tail_estimate
+    bound += (-e * worst + 2.0 * _EPS) * value
+    return TailedSum(partial=partial, tail_estimate=tail_estimate, tail_bound=bound, value=value)
+
+
+def _power_tail(nu: float, s: float, count: int) -> tuple[float, float]:
+    """sum_{k > count} xi_k**-s over the zeros of J_nu, s > 1, from where
+    beta_k = pi(k + nu/2 - 1/4) is large against nu (`_summed_zeros`), and a
+    bound on its truncation. McMahon's expansion (DLMF 10.21.19) to beta**-5,
+    xi_k = beta_k (1 - a1 beta_k**-2 - a2 beta_k**-4 - a3 beta_k**-6), gives
+    xi_k**-s = sum_{j<=3} d_j beta_k**(-s-2j), and each power summed is
+    pi**(-s-2j) zeta(s+2j, count + 3/4 + nu/2). The bound adds the last of
+    those terms and the Euler-Maclaurin remainders."""
+    mu = 4.0 * nu * nu
     a1, a2 = (mu - 1.0) / 8.0, (mu - 1.0) * (7.0 * mu - 31.0) / 384.0
     a3 = (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0) / 15360.0
     # s, b2 and b3 are the coefficients of u, u**2 and u**3 in (1 - u)**-s
@@ -736,10 +744,7 @@ def _sigma_sum(nu: float, p: float, blocks: Iterable[tuple]) -> TailedSum:
         scale = dj * math.pi ** (-s - 2 * j)
         tail.append(scale * zeta)
         remainder += abs(scale) * last
-    tail_estimate = math.fsum(tail)
-    value = partial + tail_estimate
-    bound = abs(tail[-1]) + remainder + (s * worst + 2.0 * _EPS) * value
-    return TailedSum(partial=partial, tail_estimate=tail_estimate, tail_bound=bound, value=value)
+    return math.fsum(tail), abs(tail[-1]) + remainder
 
 
 def _sigma_check(nu: Fraction, p: int, terms: int, exact: Fraction) -> Check:
@@ -779,14 +784,12 @@ def residue_tail_scale(nu: float, p: float, terms: int) -> float:
 
 
 class ResidueReport(_Record):
-    """Result of a residue-identity check: the floats lhs, partial_rhs,
-    residual and rounding, and the bool converging.
+    """Result of a residue-identity check, all floats: lhs; partial_rhs, the
+    sum over the zeros, and residual, |lhs - partial_rhs|; tail_estimate and
+    tail_bound (`_residue_tail`); and rounding, a bound on the error of lhs and
+    of every summed term, from the kernel's stated accuracy and each zero's."""
 
-    rounding bounds the part of the residual that binary64 evaluation
-    explains: the error of lhs and of every summed term, from the
-    kernel's stated accuracy and each zero's accuracy estimate."""
-
-    __slots__ = ("lhs", "partial_rhs", "residual", "converging", "rounding")
+    __slots__ = ("lhs", "partial_rhs", "residual", "tail_estimate", "tail_bound", "rounding")
 
 
 def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
@@ -794,9 +797,9 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
     = sum_k xi_k**-(p+1) J_{nu+p}(xi_k)/J_{nu+1}(xi_k) numerically.
 
     Valid for any real p > 0, which is what makes it an independent check:
-    the symbolic route needs integer p, this one does not. converging is
-    True when the residual shrank on doubling the number of terms from
-    terms//2 to terms.
+    the symbolic route needs integer p, this one does not. The zeros are
+    summed to max(terms, K0), K0 from `_summed_zeros` with reach
+    p (2 nu + p), and `_residue_tail` gives the sum past them.
 
     rounding adds up, to first order:
     - lhs: eps * (2 E + 1) relative, E = |lgamma(nu+1)| + (p+1) log 2 +
@@ -809,12 +812,12 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
       and three roundings for the power, product and quotient;
     - one rounding of the fsum.
     The terms and their error bounds are computed over the zero finder's
-    blocks as they come, and only the terms are kept. Both are summed with
-    math.fsum, which rounds the exact sum once, so neither sum depends on
-    the block size. Above an order of about 1000 rounding is not a bound,
-    since the kernel's is not. An lhs below the smallest normal binary64
-    number raises NumericError, since no sum can be checked against it, and
-    so does an nu + p + 1 past lgamma's range (about 2.55e305).
+    blocks as they come, and nothing is kept per zero. Both sums are exact
+    sums rounded once (`_add_exactly`), so neither depends on the block size.
+    Above an order of about 1000 rounding is not a bound, since the kernel's
+    is not. An lhs below the smallest normal binary64 number raises
+    NumericError, since no sum can be checked against it, and so does an
+    nu + p + 1 past lgamma's range (about 2.55e305).
     """
     if p <= 0:
         raise NumericError(f"p must be > 0, got {p}")
@@ -825,48 +828,90 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
         raise NumericError(
             f"Gamma(nu+1) / (2^(p+1) Gamma(nu+p+1)) at p={p}, nu={nu} underflows binary64"
         )
+    count = _summed_zeros(nu, terms, p * (2.0 * nu + p))
     pair_a, pair_b = _jv_pair_at(nu + p), _jv_pair_at(nu + 1.0)
-    values = []  # the terms, one float64 array per block of zeros
+    errors = []  # floats whose exact sum is that of the terms' error bounds so far
 
-    def errors():
-        for z, accuracy in _zero_blocks(nu, terms):
+    def values():
+        for z, accuracy in _zero_blocks(nu, count):
             v, err = _residue_terms(pair_a, pair_b, p, z, accuracy)
-            values.append(v)
-            yield memoryview(err)
+            errors[:] = _add_exactly(errors, memoryview(err))
+            yield memoryview(v)
 
-    # fsum is exact, so these sums do not depend on the block size either
-    terms_err = math.fsum(chain.from_iterable(errors()))
-
-    def terms_in_order():
-        return chain.from_iterable(map(memoryview, values))
-
-    partial_half = math.fsum(islice(terms_in_order(), terms // 2))
-    partial = math.fsum(terms_in_order())
-    residual_half = abs(lhs - partial_half)
-    residual = abs(lhs - partial)
-
+    partial = math.fsum(chain.from_iterable(values()))
     exponent = abs(_lgamma(nu + 1.0)) + (p + 1.0) * math.log(2.0) + abs(_lgamma(nu + p + 1.0))
-    lhs_err = lhs * _EPS * (2.0 * exponent + 1.0)
-    rounding = lhs_err + terms_err + _EPS * abs(partial)
-    return ResidueReport(
-        lhs=lhs,
-        partial_rhs=partial,
-        residual=residual,
-        converging=residual < residual_half,
-        rounding=rounding,
-    )
+    rounding = lhs * _EPS * (2.0 * exponent + 1.0) + errors[0] + _EPS * abs(partial)
+    tail = _residue_tail(nu, p, count)
+    return ResidueReport(lhs, partial, abs(lhs - partial), *tail, rounding)
+
+
+def _add_exactly(total: list[float], values) -> list[float]:
+    """Floats whose exact sum is that of the floats `total` and `values`
+    (read more than once): each is the remainder the ones before it leave,
+    rounded once by math.fsum, so the first is the exact sum rounded once."""
+    parts = []
+    while not parts or parts[-1] != 0.0 and math.isfinite(parts[-1]):
+        parts.append(math.fsum(chain(total, values, (-x for x in parts))))
+    return parts
 
 
 def _residue_check(nu: float, p: float, terms: int) -> Check:
-    """`verify_residue_identity` as a check, with budget rounding plus the
-    tail scale where the sum converges, the only place that scale sizes it."""
+    """`verify_residue_identity` as a check: rhs = partial + tail, budget =
+    rounding + tail_bound."""
     report = verify_residue_identity(nu, p, terms)
-    scale = residue_tail_scale(nu, p, terms)
-    budget = report.rounding + (scale if report.converging else 0.0)
+    budget = report.rounding + report.tail_bound
     check = f"the residue identity for p={p}, nu={nu} cannot be checked on {terms} zeros"
     _require_budget_below(budget, report.lhs, check, "lhs")
-    named = ("tail_scale", scale), ("rounding", report.rounding), ("converging", report.converging)
-    return Check(report.lhs, report.partial_rhs, report.residual, named, budget)
+    rhs = report.partial_rhs + report.tail_estimate
+    named = ("tail_bound", report.tail_bound), ("rounding", report.rounding)
+    return Check(report.lhs, rhs, abs(report.lhs - rhs), named, budget)
+
+
+def _residue_tail(nu: float, p: float, count: int) -> tuple[float, float]:
+    """sum_{k > count} xi_k**-(p+1) R(xi_k), R = J_{nu+p}/J_{nu+1}, over the
+    zeros of J_nu, and a bound on its error. At a zero Hankel's expansion
+    (DLMF 10.17.3) gives P_nu cos w = Q_nu sin w, and w falls by p pi/2 from
+    order nu to nu + p. So with c = cos(p pi/2), s = sin(p pi/2) and h = P + Q,
+    whose P is even and Q odd in t = 1/xi, R = sum_j r_j t^j, r_j = s V_j for
+    even j and -c V_j for odd j: V = U / D, U is the even part of
+    h_{nu+p}(t) h_nu(t) plus the odd part of h_{nu+p}(t) h_nu(-t), and D the
+    even part of h_{nu+1}(t) h_nu(t). V is exact on the binary64 nu and p (on
+    floats it cancels: r_6 is 13 times off at nu = 2000), and each r_j is
+    rounded once; c and s are exact at integer p, where R ends at j = p - 1.
+    The tail is sum_j r_j T_j, T_j the `_power_tail` at e = p + 1 + j. Its
+    bound adds the last two terms (one of each parity), |r_j| times T_j's
+    bound, 8 eps |V_j| T_j for the roundings, and eps e |r_j| T_j
+    (log beta + 1/(e - 1)), beta = beta_(count+1), for the rounding of e. Where
+    p + 1 rounds to 1 the bound is infinite."""
+    if p + 1.0 == 1.0:
+        return 0.0, math.inf
+    angle = math.fmod(p, 4.0) * math.pi / 2.0  # fmod is exact, and c, s have period 4 in p
+    c, s = (round(f(angle)) if p == int(p) else f(angle) for f in (math.cos, math.sin))
+    # the terms of R kept: where beta passes 40 max(nu, 1) and p (2 nu + p),
+    # the last two are about 100 times below the two before (p <= 30.5, nu <= 1000)
+    n, nu_q = 9, Fraction(nu)
+
+    def h(mu):  # from t**0 up
+        return [a for pair in zip(*_hankel_coefficients(nu_q + mu)) for a in pair][:n]
+
+    def times_h_nu(a, sign):  # a(t) h_nu(sign t), to t**(n-1)
+        return [sum(a[i] * h_nu[k - i] * sign ** (k - i) for i in range(k + 1)) for k in range(n)]
+
+    h_nu, h_p = h(0), h(Fraction(p))
+    u = [x if k % 2 else y for k, x, y in zip(range(n), times_h_nu(h_p, -1), times_h_nu(h_p, 1))]
+    d = [0 if k % 2 else x for k, x in enumerate(times_h_nu(h(1), 1))]
+    v = []  # U / D, where D starts with 1
+    for k in range(n):
+        v.append(u[k] - sum(d[i] * v[k - i] for i in range(1, k + 1)))
+    log_beta = math.log(math.pi * (count + 0.75 + nu / 2.0))
+    parts, bound = [], 0.0
+    for j, vj in enumerate(v):
+        r, e = float((-Fraction(c) if j % 2 else Fraction(s)) * vj), p + 1.0 + j
+        t, t_bound = _power_tail(nu, e, count)
+        parts.append(r * t)
+        slope = abs(r) * e * (log_beta + 1.0 / (e - 1.0))
+        bound += abs(r) * t_bound + _EPS * t * (8.0 * float(abs(vj)) + slope)
+    return math.fsum(parts), bound + abs(parts[-1]) + abs(parts[-2])
 
 
 def _residue_terms(

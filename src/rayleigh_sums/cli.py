@@ -156,7 +156,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"rhs = {check.rhs!r}")
     print(f"residual = {check.residual:.6e}")
     for name, value in check.terms:
-        print(f"{name} = {value}" if isinstance(value, bool) else f"{name} = {value:.6e}")
+        print(f"{name} = {value:.6e}")
     ok = check.residual <= check.budget
     print(f"result: {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VERIFY_FAIL

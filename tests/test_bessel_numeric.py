@@ -461,14 +461,20 @@ def test_gap_check_spans_the_block_edges(monkeypatch, missing):
         bessel_zeros(2.7, _B + 10)
 
 
-def test_streamed_sum_memory_does_not_grow_with_the_count():
-    # the sum `verify sigma` takes keeps no zero past its block
-    _streamed_sigma(2.7, 1.0, 10**4)  # imports and caches outside the trace
+@pytest.mark.parametrize(
+    "streamed_sum, p",
+    [(_streamed_sigma, 1.0), (verify_residue_identity, 1.46)],
+    ids=["sigma", "residues"],
+)
+def test_streamed_sum_memory_does_not_grow_with_the_count(streamed_sum, p):
+    # the sums `verify sigma` and `verify residues` take keep no zero past
+    # its block
+    streamed_sum(2.7, p, 10**4)  # imports and caches outside the trace
     peaks = []
     for n in (5 * 10**4, 4 * 10**5):
         tracemalloc.start()
         try:
-            _streamed_sigma(2.7, 1.0, n)
+            streamed_sum(2.7, p, n)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -557,10 +563,14 @@ def test_hurwitz_zeta_underflows_to_zero():
     assert _hurwitz_zeta(850.0, 2.75)[0] == 0.0
 
 
+def _rhs_within_budget(r):
+    return abs(r.lhs - (r.partial_rhs + r.tail_estimate)) <= r.rounding + r.tail_bound
+
+
 def test_residue_identity_integer_cases():
     r = verify_residue_identity(0.0, 1.0, 2000)
     assert abs(r.lhs - 0.25) < 1e-15
-    assert r.converging
+    assert _rhs_within_budget(r)
     assert r.residual < 1e-4
     r2 = verify_residue_identity(0.0, 2.0, 2000)
     assert abs(r2.lhs - 1.0 / 16.0) < 1e-15
@@ -569,8 +579,18 @@ def test_residue_identity_integer_cases():
 def test_residue_identity_noninteger_p():
     terms = 2000
     r = verify_residue_identity(0.25, 1.5, terms)
-    assert r.converging
+    assert _rhs_within_budget(r)
     assert r.residual < residue_tail_scale(0.25, 1.5, terms)
+
+
+@pytest.mark.parametrize("nu", [0.0, 2.7, 50.0])
+def test_residue_tail_at_p1_is_the_sigma_tail(nu):
+    # at p = 1 the ratio is J_{nu+1}/J_{nu+1} = 1, so the residue sum is
+    # sigma(1, nu): both tails must come from the one power-tail rule, with
+    # the series' c = 0 and s = 1 exact
+    for n in (10, 1000):
+        r = verify_residue_identity(nu, 1.0, n)
+        assert r.tail_estimate == numeric_sigma(nu, 1, bessel_zeros(nu, n)).tail_estimate
 
 
 def test_residue_residual_decreases_with_terms():

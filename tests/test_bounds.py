@@ -1,15 +1,23 @@
 """Every printed bound checked against the truth: each sigma bound must hold,
-|sigma(p, nu) - value| <= tail_bound, against the exact closed form, and
-each ratio budget must cover the ratio's error and the expansion's, against
-mpmath at 60 digits."""
+|sigma(p, nu) - value| <= tail_bound, against the exact closed form; each
+ratio budget must cover the ratio's error and the expansion's, against
+mpmath at 60 digits; and each residues budget must cover both the residual
+and the distance of rhs from the Gamma ratio."""
 
 from fractions import Fraction
+from math import prod
 
 import mpmath
 import pytest
 
 from rayleigh_sums import bessel_zeros, numeric_sigma, sigma_value
-from rayleigh_sums.bessel_numeric import NumericError, _ratio_check, _sigma_sum, _zero_blocks
+from rayleigh_sums.bessel_numeric import (
+    NumericError,
+    _ratio_check,
+    _residue_check,
+    _sigma_sum,
+    _zero_blocks,
+)
 
 NUS = (Fraction(0), Fraction(1, 2), Fraction(27, 10), Fraction(50), Fraction(600), Fraction(1000))
 # with 2 and 10 zeros McMahon's expansion fails just past the last one at
@@ -60,3 +68,37 @@ def test_ratio_budget_holds(nu):
     # at the first zero of J_nu, nu <= 2.7, |B_20| times the zero's accuracy
     # alone reaches |ratio|
     assert refused == ([(20, 1)] if nu < 10 else [])
+
+
+# the grid p in {1/2, 1, 3/2, 2, 3, 5} x nu in {0, 2.7, 10, 50, 200} x
+# N in {10, 100, 1000} at the points where a budget that guessed the tail
+# failed the correct identity or refused it, a point for every p and nu
+# besides, and nu = 2000, where a series built on floats would cancel
+RESIDUE_POINTS = [
+    (0.5, 50.0, 10), (0.5, 200.0, 10), (0.5, 200.0, 100),
+    (1.0, 50.0, 10), (1.0, 50.0, 100), (1.0, 200.0, 10), (1.0, 200.0, 100), (1.0, 200.0, 1000),
+    (1.5, 50.0, 10), (1.5, 200.0, 10), (2.0, 200.0, 10), (3.0, 50.0, 10),
+    (5.0, 50.0, 10), (5.0, 200.0, 10),
+    (0.5, 0.0, 10), (1.0, 10.0, 100), (1.5, 2.7, 100), (2.0, 0.0, 1000), (3.0, 10.0, 1000),
+    (5.0, 2.7, 10), (0.5, 2000.0, 10),
+]
+
+
+@pytest.mark.parametrize("p, nu, terms", RESIDUE_POINTS, ids=str)
+def test_residue_budget_holds(p, nu, terms):
+    # the truth is Gamma(nu+1) / (2^(p+1) Gamma(nu+p+1)) at the binary64 nu,
+    # 1 / (2^(p+1) (nu+1)...(nu+p)) exactly at integer p
+    if p.is_integer():
+        truth = 1 / (2 ** (int(p) + 1) * prod(Fraction(nu) + m for m in range(1, int(p) + 1)))
+    else:
+        with mpmath.workdps(30):
+            nu_m, p_m = mpmath.mpf(nu), mpmath.mpf(p)
+            truth = mpmath.gamma(nu_m + 1) / (2 ** (p_m + 1) * mpmath.gamma(nu_m + p_m + 1))
+    check = _residue_check(nu, p, terms)
+    assert check.residual <= check.budget
+    assert abs(check.rhs - truth) <= check.budget, (check, truth)
+    if nu >= 1000:
+        # past beta = 40 nu the tail is known to within binary64; a series
+        # built on floats inflates its own bound 70-fold at nu = 2000
+        named = dict(check.terms)
+        assert named["tail_bound"] <= named["rounding"], check

@@ -16,7 +16,6 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ("derive_table.py", "--pmax", "5"),
         ("crosscheck_grid.py", "--pmax", "2", "--nu-list", "0,1/2", "--terms", "500"),
-        ("residue_scan.py", "--pairs", "1.5:0.25", "--doublings", "1"),
     ],
     ids=lambda argv: argv[0],
 )
