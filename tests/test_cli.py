@@ -414,10 +414,18 @@ def test_verify_residues_allows_for_rounding(capsys, monkeypatch):
     assert "result: FAIL" in out
 
 
-@pytest.mark.parametrize("p, lhs", [("1e-300", "5.000e-01")], ids=["1e-300"])
-def test_verify_residues_refuses_a_budget_that_reaches_lhs(capsys, p, lhs):
+@pytest.mark.parametrize(
+    "p, lhs, loose",
+    [("1e-300", "5.000e-01", False), ("0.01", "4.944e-01", True)],
+    ids=["1e-300", "0.01"],
+)
+def test_verify_residues_refuses_a_budget_that_reaches_lhs(capsys, monkeypatch, p, lhs, loose):
     # where p + 1 rounds to 1 the tail's bound is infinite, so a sum of 0
-    # would pass the budget too: no verdict
+    # would pass the budget too: no verdict. At p = 0.01 the real bound
+    # passes (test_verify_residues_pass); one of 1 must meet the same refusal
+    if loose:
+        tail = bessel_numeric._residue_tail
+        monkeypatch.setattr(bessel_numeric, "_residue_tail", lambda *args: (tail(*args)[0], 1.0))
     assert run(capsys, "verify", "residues", "--p", p, "--nu", "1", "--terms", "100") == (
         4,
         "",
