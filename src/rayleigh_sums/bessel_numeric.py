@@ -630,14 +630,20 @@ class TailedSum(_Record):
 
 def numeric_sigma(nu: float, p: float, zeros: ZeroSet) -> TailedSum:
     """sum_k xi_k**(-2p) over a zero set plus the tail past it, with a bound
-    on its error: `_sigma_sum` over the set's zeros and accuracies, which
-    adds the finder's zeros up to K0 where the set ends before."""
+    on its error (`_sigma_sum`). A set shorter than K0 (`_summed_zeros`) must
+    be the first zeros `bessel_zeros` finds, bit for bit, and the sum is then
+    over zeros 1..K0 found again; any other short set raises NumericError."""
     if p < 1:
         raise NumericError(f"p must be >= 1 for convergence, got {p}")
     if abs(nu - zeros.nu) > 1e-12 * max(1.0, abs(nu)):
         raise NumericError(f"order mismatch: nu={nu} but zero set has nu={zeros.nu}")
     z, acc = zeros.zeros, zeros.accuracy
-    blocks = ((z[i : i + _BLOCK], acc[i : i + _BLOCK]) for i in range(0, len(z), _BLOCK))
+    count = _summed_zeros(nu, len(z))
+    if count > len(z):  # the finder's index checks start at zero 1
+        z, acc = _find_zeros(nu, count)
+        if (z[: len(zeros)] != zeros.zeros).any() or (acc[: len(zeros)] != zeros.accuracy).any():
+            raise NumericError(f"zeros of J_{nu} short of K0 = {count} must be the finder's own")
+    blocks = ((z[i : i + _BLOCK], acc[i : i + _BLOCK]) for i in range(0, count, _BLOCK))
     return _sigma_sum(nu, p, blocks)
 
 
@@ -685,32 +691,21 @@ def _summed_zeros(nu: float, count: int, reach: float = 0.0) -> int:
 
 
 def _sigma_sum(nu: float, p: float, blocks: Iterable[tuple]) -> TailedSum:
-    """numeric_sigma over the zero finder's (zeros, accuracy) blocks of
-    J_nu, p >= 1, in order: on Python floats for lists from the scalar zero
-    finder, on numpy for arrays. No block is kept past its powers.
-
-    Where the N zeros given end before K0 (`_summed_zeros`), zeros N+1..K0
-    are summed too, from the zero finder's blocks: McMahon's expansion holds
-    only where beta_k is large against nu, and fails just past a few zeros
-    of a large order. partial is the sum over the real zeros, tail_estimate
-    `_power_tail` past them at s = 2p, and tail_bound adds its bound,
-    s max_k(acc_k / xi_k) value (the zeros' accuracy through xi**-s) and
-    2 eps value (the roundings); a max does not depend on the block size."""
+    """sum_k xi_k**(-2p) over the zero finder's (zeros, accuracy) blocks of
+    J_nu, p >= 1, in order, on Python floats for lists from the scalar zero
+    finder and on numpy for arrays, plus the tail past them. No block is kept
+    past its powers. The blocks must reach K0 (`_summed_zeros`), where the
+    tail holds, and raise NumericError once summed where they end before.
+    partial is their sum, tail_estimate `_power_tail` past them at s = 2p,
+    and tail_bound adds its bound, s max_k(acc_k / xi_k) value (the zeros'
+    accuracy through xi**-s) and 2 eps value (the roundings); a max does not
+    depend on the block size."""
     e = -2.0 * p
     count, worst = 0, 0.0  # the zeros summed, and max_k acc_k / xi_k
 
-    def to_k0():
-        # the finder starts at zero 1, so the N zeros given are dropped
-        given, seen = count, 0
-        k0 = _summed_zeros(nu, given)
-        for z, acc in _zero_blocks(nu, k0) if k0 > given else ():
-            skip, seen = max(0, given - seen), seen + len(z)
-            if skip < len(z):
-                yield z[skip:], acc[skip:]
-
     def powers():
         nonlocal count, worst
-        for z, acc in chain(blocks, to_k0()):
+        for z, acc in blocks:
             count += len(z)
             scalar = isinstance(z, list)
             worst = max(worst, max(map(truediv, acc, z)) if scalar else float((acc / z).max()))
@@ -718,6 +713,8 @@ def _sigma_sum(nu: float, p: float, blocks: Iterable[tuple]) -> TailedSum:
             yield [x**e for x in z] if scalar else memoryview(z**e)
 
     partial = math.fsum(chain.from_iterable(powers()))
+    if (k0 := _summed_zeros(nu, count)) > count:
+        raise NumericError(f"the zero sum of J_{nu} needs its first {k0} zeros (K0), given {count}")
     tail_estimate, bound = _power_tail(nu, -e, count)
     value = partial + tail_estimate
     bound += (-e * worst + 2.0 * _EPS) * value
@@ -784,12 +781,14 @@ def residue_tail_scale(nu: float, p: float, terms: int) -> float:
 
 
 class ResidueReport(_Record):
-    """Result of a residue-identity check, all floats: lhs; partial_rhs, the
-    sum over the zeros, and residual, |lhs - partial_rhs|; tail_estimate and
+    """Result of a residue-identity check: lhs; partial_rhs, the sum over the
+    count zeros summed, and residual, |lhs - partial_rhs|; tail_estimate and
     tail_bound (`_residue_tail`); and rounding, a bound on the error of lhs and
     of every summed term, from the kernel's stated accuracy and each zero's."""
 
-    __slots__ = ("lhs", "partial_rhs", "residual", "tail_estimate", "tail_bound", "rounding")
+    __slots__ = (
+        "lhs", "partial_rhs", "residual", "tail_estimate", "tail_bound", "rounding", "count"
+    )
 
 
 def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
@@ -842,7 +841,7 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
     exponent = abs(_lgamma(nu + 1.0)) + (p + 1.0) * math.log(2.0) + abs(_lgamma(nu + p + 1.0))
     rounding = lhs * _EPS * (2.0 * exponent + 1.0) + errors[0] + _EPS * abs(partial)
     tail = _residue_tail(nu, p, count)
-    return ResidueReport(lhs, partial, abs(lhs - partial), *tail, rounding)
+    return ResidueReport(lhs, partial, abs(lhs - partial), *tail, rounding, count)
 
 
 def _add_exactly(total: list[float], values) -> list[float]:
@@ -860,7 +859,7 @@ def _residue_check(nu: float, p: float, terms: int) -> Check:
     rounding + tail_bound."""
     report = verify_residue_identity(nu, p, terms)
     budget = report.rounding + report.tail_bound
-    check = f"the residue identity for p={p}, nu={nu} cannot be checked on {terms} zeros"
+    check = f"the residue identity for p={p}, nu={nu} cannot be checked on {report.count} zeros"
     _require_budget_below(budget, report.lhs, check, "lhs")
     rhs = report.partial_rhs + report.tail_estimate
     named = ("tail_bound", report.tail_bound), ("rounding", report.rounding)

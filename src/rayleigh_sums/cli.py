@@ -72,11 +72,27 @@ def _number_type(parse: type, name: str, bad: Callable, rule: str) -> Callable[[
     return convert
 
 
+class _Typed(Fraction):
+    """A rational flag value that prints as it was typed, "2.7" and not
+    27/10, in every message that names it; arithmetic on it gives plain
+    Fractions."""
+
+    __slots__ = ("_text",)
+
+    def __new__(cls, text: str) -> _Typed:
+        self = super().__new__(cls, text)
+        self._text = text.strip()
+        return self
+
+    def __str__(self) -> str:
+        return self._text
+
+
 def _rational(s: str) -> Fraction:
     """Exact rational from 'a/b' or a decimal string (scaled integer, never
-    a binary float)."""
+    a binary float), printed as typed."""
     try:
-        return Fraction(s)
+        return _Typed(s)
     except (ValueError, ZeroDivisionError) as e:
         raise UsageError(f"cannot parse rational {s!r}: {e}") from None
 

@@ -24,7 +24,14 @@ from rayleigh_sums import (
     verify_residue_identity,
 )
 
-from rayleigh_sums.bessel_numeric import _check_gaps, _mcmahon, _seeds, _sigma_sum, _zero_blocks
+from rayleigh_sums.bessel_numeric import (
+    _check_gaps,
+    _mcmahon,
+    _seeds,
+    _sigma_sum,
+    _summed_zeros,
+    _zero_blocks,
+)
 from rayleigh_sums.bessel_numeric import _hurwitz_zeta
 
 from golden_forms import J0_ZEROS, SIGMA9_AT_0, ZERO_ABS_TOL
@@ -395,9 +402,9 @@ _B = bessel_numeric._BLOCK
 
 
 def _streamed_sigma(nu, p, count):
-    """The sum `verify sigma` takes: over the zero finder's blocks as they
-    come, without a ZeroSet."""
-    return _sigma_sum(nu, p, _zero_blocks(nu, count))
+    """The sum `verify sigma` takes: over the zero finder's blocks to K0 as
+    they come, without a ZeroSet."""
+    return _sigma_sum(nu, p, _zero_blocks(nu, _summed_zeros(nu, count)))
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 2.7, 50.0])
@@ -532,6 +539,29 @@ def test_numeric_sigma_validation(zero_cache):
         numeric_sigma(0.0, 0.5, zs)
     with pytest.raises(NumericError):
         numeric_sigma(1.0, 2, zs)
+
+
+def test_sigma_sum_refuses_blocks_that_end_before_k0():
+    # McMahon's tail fails just past 10 zeros of J_50; the caller asks the
+    # finder for K0 = 612 zeros, the sum finds none itself
+    assert _summed_zeros(50.0, 10) == 612
+    with pytest.raises(NumericError, match=r"needs its first 612 zeros \(K0\), given 10$"):
+        _sigma_sum(50.0, 1.0, _zero_blocks(50.0, 10))
+
+
+def test_numeric_sigma_on_a_short_set_sums_the_finders_zeros_to_k0():
+    # a bessel_zeros set shorter than K0 is the finder's prefix, bit for
+    # bit, so its sum is the one over zeros 1..K0; any other short set is
+    # refused, not topped up
+    zs, to_k0 = bessel_zeros(50.0, 10), bessel_zeros(50.0, 612)
+    for p in (1.0, 3.5):
+        assert numeric_sigma(50.0, p, zs) == numeric_sigma(50.0, p, to_k0)
+    for field in ("zeros", "accuracy"):
+        values = {"zeros": zs.zeros.copy(), "accuracy": zs.accuracy.copy()}
+        values[field][4] = np.nextafter(values[field][4], np.inf)
+        nudged = ZeroSet(50.0, values["zeros"], values["accuracy"])
+        with pytest.raises(NumericError, match="short of K0 = 612 must be the finder's own$"):
+            numeric_sigma(50.0, 1.0, nudged)
 
 
 def _hurwitz_reference(s, q):

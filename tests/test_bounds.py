@@ -16,6 +16,7 @@ from rayleigh_sums.bessel_numeric import (
     _ratio_check,
     _residue_check,
     _sigma_sum,
+    _summed_zeros,
     _zero_blocks,
 )
 
@@ -29,12 +30,13 @@ FEW_ZEROS = [(Fraction(nu), count) for nu in (50, 200, 1000) for count in (2, 10
     "nu, count", [(nu, count) for nu in NUS for count in (300, 2000)] + FEW_ZEROS, ids=str
 )
 def test_sigma_bound_holds(nu, count):
-    # both entry points: the CLI's sum over the streamed blocks, and
-    # numeric_sigma over a zero set
+    # both entry points: the CLI's sum over the finder's blocks to K0, found
+    # once for all p, and numeric_sigma over a zero set
     zeros = bessel_zeros(float(nu), count)
+    blocks = list(_zero_blocks(float(nu), _summed_zeros(float(nu), count)))
     for p in (1, 2, 5):
         exact = sigma_value(p, nu)
-        streamed = _sigma_sum(float(nu), float(p), _zero_blocks(float(nu), count))
+        streamed = _sigma_sum(float(nu), float(p), blocks)
         for ts in (streamed, numeric_sigma(float(nu), p, zeros)):
             assert abs(Fraction(ts.value) - exact) <= ts.tail_bound, (p, ts)
 

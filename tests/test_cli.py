@@ -104,6 +104,15 @@ def test_float_sigma_that_must_underflow_fails_fast(capsys):
     assert proc.stderr == "numeric breakdown: sigma(p=100000, nu=0) underflows binary64\n"
 
 
+def test_messages_name_nu_as_typed(capsys):
+    # a rational nu is exact, but the message echoes the flag, not 27/10
+    for nu in ("2.7", "27/10", "2.70"):
+        for argv in (("eval", "--p", "1000"), ("verify", "sigma", "--p", "1000", "--terms", "2")):
+            assert run(capsys, *argv, "--nu", nu) == (
+                4, "", f"numeric breakdown: sigma(p=1000, nu={nu}) underflows binary64\n"
+            )
+
+
 def test_float_sigma_underflow_bound_follows_nu(capsys, monkeypatch):
     # at nu = 1000 the bound is below 2**-1075 from p = 55 on, since
     # j_{nu,1} > nu; p = 53 is a subnormal
@@ -431,6 +440,16 @@ def test_verify_residues_refuses_a_budget_that_reaches_lhs(capsys, monkeypatch, 
         "",
         f"numeric breakdown: the residue identity for p={float(p)}, nu=1.0 cannot be checked "
         f"on 100 zeros: its error budget reaches |lhs| = {lhs}\n",
+    )
+
+
+def test_verify_residues_refusal_names_the_zeros_it_summed(capsys):
+    # the sum reaches K0 = 612 zeros past the 10 asked for, as verify sigma's
+    assert run(capsys, "verify", "residues", "--p", "1e-300", "--nu", "50", "--terms", "10") == (
+        4,
+        "",
+        "numeric breakdown: the residue identity for p=1e-300, nu=50.0 cannot be checked "
+        "on 612 zeros: its error budget reaches |lhs| = 5.000e-01\n",
     )
 
 

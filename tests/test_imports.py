@@ -199,8 +199,8 @@ _RECORDS = [
     (TailedSum, (1.0, 0.5, 1e-9, 1.5), (1.0, 0.5, 1e-9, 1.25)),
     (
         ResidueReport,
-        (0.25, 0.24, 0.01, 0.01, 1e-14, 1e-15),
-        (0.25, 0.24, 0.01, 0.01, 2e-14, 1e-15),
+        (0.25, 0.24, 0.01, 0.01, 1e-14, 1e-15, 612),
+        (0.25, 0.24, 0.01, 0.01, 2e-14, 1e-15, 612),
     ),
     (
         bessel_numeric.Check,
