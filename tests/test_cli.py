@@ -104,15 +104,6 @@ def test_float_sigma_that_must_underflow_fails_fast(capsys):
     assert proc.stderr == "numeric breakdown: sigma(p=100000, nu=0) underflows binary64\n"
 
 
-def test_messages_name_nu_as_typed(capsys):
-    # a rational nu is exact, but the message echoes the flag, not 27/10
-    for nu in ("2.7", "27/10", "2.70"):
-        for argv in (("eval", "--p", "1000"), ("verify", "sigma", "--p", "1000", "--terms", "2")):
-            assert run(capsys, *argv, "--nu", nu) == (
-                4, "", f"numeric breakdown: sigma(p=1000, nu={nu}) underflows binary64\n"
-            )
-
-
 def test_float_sigma_underflow_bound_follows_nu(capsys, monkeypatch):
     # at nu = 1000 the bound is below 2**-1075 from p = 55 on, since
     # j_{nu,1} > nu; p = 53 is a subnormal
@@ -122,10 +113,13 @@ def test_float_sigma_underflow_bound_follows_nu(capsys, monkeypatch):
         raise AssertionError("sigma_value called for a sigma that must underflow")
 
     monkeypatch.setattr(cli, "sigma_value", refuse)
+    # each message names nu as typed, not reduced to 27/10
     for argv in (
         ("eval", "--p", "55", "--nu", "1000"),
         ("verify", "sigma", "--p", "425", "--nu", "1000", "--terms", "2"),
         ("eval", "--p", "426", "--nu", "0"),
+        ("eval", "--p", "1000", "--nu", "2.7"),
+        ("verify", "sigma", "--p", "1000", "--nu", "2.70", "--terms", "2"),
     ):
         p = argv[argv.index("--p") + 1]
         nu = argv[argv.index("--nu") + 1]
@@ -424,32 +418,29 @@ def test_verify_residues_allows_for_rounding(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "p, lhs, loose",
-    [("1e-300", "5.000e-01", False), ("0.01", "4.944e-01", True)],
-    ids=["1e-300", "0.01"],
+    "p, nu, terms, summed, lhs, loose",
+    [
+        ("1e-300", "1", "100", 100, "5.000e-01", False),
+        ("0.01", "1", "100", 100, "4.944e-01", True),
+        ("1e-300", "50", "10", 612, "5.000e-01", False),
+    ],
+    ids=["1e-300", "0.01", "1e-300-k0"],
 )
-def test_verify_residues_refuses_a_budget_that_reaches_lhs(capsys, monkeypatch, p, lhs, loose):
+def test_verify_residues_refuses_a_budget_that_reaches_lhs(
+    capsys, monkeypatch, p, nu, terms, summed, lhs, loose
+):
     # where p + 1 rounds to 1 the tail's bound is infinite, so a sum of 0
     # would pass the budget too: no verdict. At p = 0.01 the real bound
-    # passes (test_verify_residues_pass); one of 1 must meet the same refusal
+    # passes (test_verify_residues_pass); one of 1 must meet the same refusal.
+    # The refusal names the zeros summed: at nu = 50, K0 = 612 past 10 asked
     if loose:
         tail = bessel_numeric._residue_tail
         monkeypatch.setattr(bessel_numeric, "_residue_tail", lambda *args: (tail(*args)[0], 1.0))
-    assert run(capsys, "verify", "residues", "--p", p, "--nu", "1", "--terms", "100") == (
+    assert run(capsys, "verify", "residues", "--p", p, "--nu", nu, "--terms", terms) == (
         4,
         "",
-        f"numeric breakdown: the residue identity for p={float(p)}, nu=1.0 cannot be checked "
-        f"on 100 zeros: its error budget reaches |lhs| = {lhs}\n",
-    )
-
-
-def test_verify_residues_refusal_names_the_zeros_it_summed(capsys):
-    # the sum reaches K0 = 612 zeros past the 10 asked for, as verify sigma's
-    assert run(capsys, "verify", "residues", "--p", "1e-300", "--nu", "50", "--terms", "10") == (
-        4,
-        "",
-        "numeric breakdown: the residue identity for p=1e-300, nu=50.0 cannot be checked "
-        "on 612 zeros: its error budget reaches |lhs| = 5.000e-01\n",
+        f"numeric breakdown: the residue identity for p={float(p)}, nu={float(nu)} cannot be "
+        f"checked on {summed} zeros: its error budget reaches |lhs| = {lhs}\n",
     )
 
 
