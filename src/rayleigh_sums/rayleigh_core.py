@@ -31,8 +31,8 @@ function", Proc. AMS 14 (1963) 527-533), over one known denominator:
     (nu+n) sigma(n, nu) = sum_{k=1}^{n-1} sigma(k, nu) sigma(n-k, nu),
     sigma(n, nu) = x_n / (4**n prod_{m<=n} (nu+m)**floor(n/m)), x_n integral.
 
-derive_sigma runs it on integer polynomials in nu for `derive`, `table` and
-the scripts, in about a fifth of the triangular solve's time to p = 60
+derive_sigma runs it on integer polynomials in nu for `derive` and `table`,
+in about a fifth of the triangular solve's time to p = 60
 (0.32 s against 1.51 s).
 sigma_value runs it on integers for `eval`, `verify sigma` and zeta: about
 2 ms at p = 60 against about 270 ms to derive the form (degree 142,

@@ -1,8 +1,8 @@
 """Every printed bound checked against the truth: each sigma bound must hold,
-|sigma(p, nu) - value| <= tail_bound, against the exact closed form; each
-ratio budget must cover the ratio's error and the expansion's, against
-mpmath at 60 digits; and each residues budget must cover both the residual
-and the distance of rhs from the Gamma ratio."""
+|sigma(p, nu) - value| <= tail_bound < sigma(p, nu), against the exact
+closed form; each ratio budget must cover the ratio's error and the
+expansion's, against mpmath at 60 digits; and each residues budget must
+cover both the residual and the distance of rhs from the Gamma ratio."""
 
 from fractions import Fraction
 from math import prod
@@ -38,7 +38,7 @@ def test_sigma_bound_holds(nu, count):
         exact = sigma_value(p, nu)
         streamed = _sigma_sum(float(nu), float(p), blocks)
         for ts in (streamed, numeric_sigma(float(nu), p, zeros)):
-            assert abs(Fraction(ts.value) - exact) <= ts.tail_bound, (p, ts)
+            assert abs(Fraction(ts.value) - exact) <= ts.tail_bound < exact, (p, ts)
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 2.7, 10.0, 50.0])
