@@ -14,11 +14,12 @@ both sides alike; this script itself imports neither tree.
 Every layer timing comes from this checkout's perfbench/layers.py
 (``measure`` and ``import_profile``), so those metric names are the
 per-layer names in BENCHMARK.json. Beside them each side has the wall time
-and peak RSS of three fresh ``python -m rayleigh_sums`` calls at 10^6 zeros
-and of one small call whose cost is interpreter start, imports and parsing
-(``CALLS``), as ``fresh.<call>.wall_s`` and ``fresh.<call>.peak_rss_mb``.
-Each call is started from a small helper interpreter, since a child started
-by vfork/exec inherits its parent's RSS high-water mark: started from this
+and peak RSS of three fresh ``python -m rayleigh_sums`` calls at 10^6 zeros,
+of one small call whose cost is interpreter start, imports and parsing, and
+of a small ``verify residues`` call on the scalar zero finder (``CALLS``),
+as ``fresh.<call>.wall_s`` and ``fresh.<call>.peak_rss_mb``. Each call is
+started from a small helper interpreter, since a child started by
+vfork/exec inherits its parent's RSS high-water mark: started from this
 script, whose numpy and perfbench imports take more, its ``ru_maxrss``
 would read this script's. The record also holds the git commit of each
 side's checkout (and whether its tracked files differ from it), the
@@ -65,9 +66,11 @@ import numpy  # noqa: E402
 import scipy  # noqa: E402
 
 
-# the fresh-process calls: three at 10^6 zeros, and the floor of any call
+# the fresh-process calls: three at 10^6 zeros, the floor of any call, and
+# a residue check small enough for the scalar zero finder
 CALLS = {
     "derive_p1": ("derive", "--p", "1"),
+    "verify_residues_small": ("verify", "residues", "--p", "1.5", "--nu", "2.7", "--terms", "10"),
     "verify_sigma_1e6": ("verify", "sigma", "--p", "1", "--nu", "0", "--terms", "1000000"),
     "verify_residues_1e6": (
         "verify", "residues", "--p", "1.37", "--nu", "4.2", "--terms", "1000000",

@@ -25,21 +25,22 @@ nu = 1e10 but only the first 29 at 1e11, and at nu = 1e5 zero 485530, near
 x = 1.68e6, is the first to fail its certificate on jv's error).
 
 The zero finder has two engines with the same checks and the same bits.
-Where count * (nu + 30) <= _SCALAR_WORK = 2e5 it runs one zero at a time
-on Python floats, in at most about 25-55 ms, and loads no numpy, whose
-import costs about 0.1 s of a fresh process; so do the zero sums over its
-zeros and the ratio check, which is how the small `zeros`, `verify sigma`
-and `verify ratio` calls run on the standard library alone. Larger
-calls take the numpy engine, which yields blocks of _BLOCK = 8192 zeros,
-each once it is certified and gap-checked, and raises at the first block
-with a fault; its temporaries take a constant of about 1.2 MB whatever
-the count. The callers take the blocks as they come (`_zero_blocks`), so
-what grows with the count is what each keeps, as tracemalloc measures it:
-nothing for the sums of `verify sigma` and `verify residues` (1.2 and
-1.5 MB in all, at 5e4 and at 4e5 zeros alike); 1 float64 word per zero for
-the `zeros` subcommand, which holds the zeros until every check has passed;
-and 2 for bessel_zeros, which returns the zeros and their accuracies (2.78
-at 2e5, with numeric_sigma).
+Where count * (nu + 30) <= _SCALAR_WORK = 2e5 it runs one zero at a time on
+Python floats, in at most about 25-55 ms, and loads no numpy, whose import
+costs about 0.1 s of a fresh process; so do the zero sums, the residue terms
+and the ratio check over its zeros. So `zeros` and the three `verify`
+commands load numpy exactly when the zeros they take (`--count`, `--k`, or a
+sum's max(terms, K0) from `_summed_zeros`) pass that threshold. Those calls
+take the numpy engine, which yields blocks of _BLOCK = 8192 zeros, each once
+it is certified and gap-checked, and raises at the first block with a fault;
+its temporaries take a constant of about 1.2 MB whatever the count. The
+callers take the blocks as they come (`_zero_blocks`), so what grows with
+the count is what each keeps, as tracemalloc measures it: nothing for the
+sums of `verify sigma` and `verify residues` (1.2 and 1.5 MB in all, at 5e4
+and at 4e5 zeros alike); 1 float64 word per zero for the `zeros` subcommand,
+which holds the zeros until every check has passed; and 2 for bessel_zeros,
+which returns the zeros and their accuracies (2.78 at 2e5, with
+numeric_sigma).
 
 numpy is imported only by the code that works on arrays, never inside
 a per-point loop, and scipy only on the path above the cap, so importing this
@@ -57,7 +58,8 @@ import math
 import sys
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain
+from functools import partial
+from itertools import chain, repeat
 from operator import truediv
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -810,8 +812,9 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
       |dt/dxi| = xi**-(p+1) |A B1/B - A1 - 2A/xi| / |B|;
       and three roundings for the power, product and quotient;
     - one rounding of the fsum.
-    The terms and their error bounds are computed over the zero finder's
-    blocks as they come, and nothing is kept per zero. Both sums are exact
+    The terms and their error bounds (`_residue_terms`) are computed over
+    the zero finder's blocks as they come, zero by zero on the scalar
+    engine's lists, and nothing is kept per zero. Both sums are exact
     sums rounded once (`_add_exactly`), so neither depends on the block size.
     Above an order of about 1000 rounding is not a bound, since the kernel's
     is not. An lhs below the smallest normal binary64 number raises
@@ -828,20 +831,25 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
             f"Gamma(nu+1) / (2^(p+1) Gamma(nu+p+1)) at p={p}, nu={nu} underflows binary64"
         )
     count = _summed_zeros(nu, terms, p * (2.0 * nu + p))
-    pair_a, pair_b = _jv_pair_at(nu + p), _jv_pair_at(nu + 1.0)
+    term = partial(_residue_terms, _jv_pair_at(nu + p), _jv_pair_at(nu + 1.0), p)
     errors = []  # floats whose exact sum is that of the terms' error bounds so far
 
     def values():
         for z, accuracy in _zero_blocks(nu, count):
-            v, err = _residue_terms(pair_a, pair_b, p, z, accuracy)
-            errors[:] = _add_exactly(errors, memoryview(err))
-            yield memoryview(v)
+            if isinstance(z, list):
+                v, err = zip(*map(term, z, accuracy, repeat(math.hypot)))
+            else:
+                import numpy as np
 
-    partial = math.fsum(chain.from_iterable(values()))
+                v, err = map(memoryview, term(z, accuracy, np.hypot))
+            errors[:] = _add_exactly(errors, err)
+            yield v
+
+    total = math.fsum(chain.from_iterable(values()))
     exponent = abs(_lgamma(nu + 1.0)) + (p + 1.0) * math.log(2.0) + abs(_lgamma(nu + p + 1.0))
-    rounding = lhs * _EPS * (2.0 * exponent + 1.0) + errors[0] + _EPS * abs(partial)
+    rounding = lhs * _EPS * (2.0 * exponent + 1.0) + errors[0] + _EPS * abs(total)
     tail = _residue_tail(nu, p, count)
-    return ResidueReport(lhs, partial, abs(lhs - partial), *tail, rounding, count)
+    return ResidueReport(lhs, total, abs(lhs - total), *tail, rounding, count)
 
 
 def _add_exactly(total: list[float], values) -> list[float]:
@@ -913,32 +921,24 @@ def _residue_tail(nu: float, p: float, count: int) -> tuple[float, float]:
     return math.fsum(parts), bound + abs(parts[-1]) + abs(parts[-2])
 
 
-def _residue_terms(
-    pair_a: Callable,
-    pair_b: Callable,
-    p: float,
-    z: list[float] | np.ndarray,
-    accuracy: list[float] | np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The terms of the residue sum at a block of zeros z of J_nu and their
-    error bounds, as float64 arrays, where pair_a and pair_b are the J
-    kernels at nu + p and nu + 1. Its temporaries are freed on return."""
-    import numpy as np
-
-    z, accuracy = np.asarray(z, dtype=float), np.asarray(accuracy, dtype=float)
+def _residue_terms(pair_a: Callable, pair_b: Callable, p: float, z, accuracy, hypot: Callable):
+    """The term of the residue sum at a zero z of J_nu and its error bound,
+    pair_a and pair_b the J kernels at nu + p and nu + 1: at one Python float
+    with math.hypot, or elementwise at a float64 array with np.hypot."""
     a, a1 = pair_a(z)
     b, b1 = pair_b(z)
     power = z ** (-(p + 1.0))
     v = power * a / b
-    kernel = _kernel_ratio_error(np.hypot, a, a1, b, b1)
-    slope = np.abs(a * b1 / b - a1 - 2.0 * a / z)
-    err = power / np.abs(b) * (kernel + accuracy * slope) + 3.0 * _EPS * np.abs(v)
+    kernel = _kernel_ratio_error(hypot, a, a1, b, b1)
+    slope = abs(a * b1 / b - a1 - 2.0 * a / z)
+    err = power / abs(b) * (kernel + accuracy * slope) + 3.0 * _EPS * abs(v)
     return v, err
 
 
 def _kernel_ratio_error(hypot: Callable, a, a1, b, b1):
     """|b| times the J kernel's error bound on a / b, for pairs (a, a1) and
-    (b, b1) from `_jv_pair_at`: floats with math.hypot, arrays with np.hypot.
+    (b, b1) from `_jv_pair_at`: floats with math.hypot, as from the scalar
+    zero finder's zeros, arrays with np.hypot, as from the block engine's.
     It is a bound up to order 1000, where the kernel's test reaches; above, and
     on scipy's jv past _JV_ORDER_CAP, which states no bound, it is assumed."""
     return _JV_PAIR_ERROR * _EPS * (hypot(a, a1) + abs(a / b) * hypot(b, b1))

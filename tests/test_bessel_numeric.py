@@ -367,6 +367,28 @@ def test_engines_raise_the_same_errors(monkeypatch, k0):
     assert results().startswith(f"zero {k0} of J_2.7 failed certification: |J|=1.000e-11")
 
 
+@pytest.mark.parametrize("p", [0.5, 1.46, 3.0])
+@pytest.mark.parametrize("nu", [0.0, 2.7, 50.0])
+def test_engines_give_the_same_residue_check(monkeypatch, nu, p):
+    # the scalar engine's zeros are summed one at a time on math, the block
+    # engine's as arrays on numpy, whose ** and hypot may round otherwise
+    def check():
+        report = verify_residue_identity(nu, p, 100)
+        c = bessel_numeric._residue_check(nu, p, 100)
+        return report, c.residual <= c.budget
+
+    scalar, verdict = check()
+    assert scalar.count * (nu + 30.0) <= bessel_numeric._SCALAR_WORK
+    monkeypatch.setattr(bessel_numeric, "_SCALAR_WORK", _ENGINES["blocks"])
+    blocks, block_verdict = check()
+    for name in ("lhs", "count", "tail_estimate", "tail_bound"):
+        assert getattr(blocks, name) == getattr(scalar, name), name
+    eps = np.finfo(float).eps
+    for name in ("partial_rhs", "rounding"):
+        assert getattr(blocks, name) == pytest.approx(getattr(scalar, name), rel=8 * eps), name
+    assert block_verdict == verdict
+
+
 def test_engine_threshold_is_count_times_nu_plus_30(monkeypatch):
     found = []
     # each engine yields blocks; these yield none

@@ -1,10 +1,12 @@
 """What each process loads. Importing the package loads none of its
 modules, and the CLI loads its four layers but not `dataclasses` or
-`inspect`; of bessel_numeric it takes the verify checks, not their rules. The exact subcommands run without numpy or scipy, and so do the
-small numeric ones, whose zeros come from the scalar zero finder below its
-work threshold; larger numeric calls load numpy, and only orders above the
-cap of the numpy Bessel kernel load scipy. The CLI runs OpenBLAS on one
-thread unless the environment says otherwise.
+`inspect`; of bessel_numeric it takes the verify checks, not their rules.
+The exact subcommands run without numpy or scipy, and so do the small
+numeric ones, whose zeros come from the scalar zero finder below its work
+threshold: `zeros` and the three `verify` commands load numpy exactly when
+the zeros they take (the count, k, or a sum's max(terms, K0)) pass it. Only
+orders above the cap of the numpy Bessel kernel load scipy. The CLI runs
+OpenBLAS on one thread unless the environment says otherwise.
 
 The pytest process has numpy loaded already, so each check runs a fresh
 interpreter with PYTHONPATH=src and reads its sys.modules.
@@ -109,9 +111,10 @@ def test_small_numeric_calls_load_neither_numpy_nor_scipy():
         ["verify", "sigma", "--p", "25", "--nu", "27/10", "--terms", "300"],
         ["verify", "sigma", "--p", "5", "--nu", "50", "--terms", "2000"],
         ["verify", "ratio", "--p", "3", "--nu", "1.7", "--k", "3"],
+        ["verify", "residues", "--p", "1.5", "--nu", "2.7", "--terms", "100"],
     )
     assert seen == {stage: [] for stage in seen}
-    assert len(seen) == 6
+    assert len(seen) == 7
 
 
 def test_cli_takes_only_the_checks_from_bessel_numeric():
@@ -129,21 +132,26 @@ def test_cli_takes_only_the_checks_from_bessel_numeric():
 
 
 def test_zeros_loads_numpy_and_scipy():
-    # numpy above the scalar engine's threshold and for the residue check,
-    # scipy only for an order above the kernel's cap; this also confirms
-    # the probe sees a lazy import when one happens
+    # numpy above the scalar engine's threshold, reached by the zeros a call
+    # takes: a residue sum of 10^4 zeros, a count of 10^4, or a sigma sum
+    # whose K0 (1836 zeros at nu = 150) passes its --terms; scipy only for
+    # an order above the kernel's cap. The first call shows that the probe
+    # sees a lazy import when one happens
     assert 10**4 * 30 > bessel_numeric._SCALAR_WORK
+    assert bessel_numeric._summed_zeros(150.0, 2) * 180 > bessel_numeric._SCALAR_WORK
     assert bessel_numeric._JV_ORDER_CAP < 6000
     seen = _loaded_after(
+        ["verify", "residues", "--p", "1.5", "--nu", "2.7", "--terms", "10000"],
         ["zeros", "--nu", "0", "--count", "10000"],
-        ["verify", "residues", "--p", "1.5", "--nu", "2.7", "--terms", "100"],
+        ["verify", "sigma", "--p", "1", "--nu", "150", "--terms", "2"],
         ["zeros", "--nu", "6000", "--count", "3"],
         watch=("numpy", "scipy"),
     )
     assert seen == {
         "import": [],
+        "verify residues --p 1.5 --nu 2.7 --terms 10000": ["numpy"],
         "zeros --nu 0 --count 10000": ["numpy"],
-        "verify residues --p 1.5 --nu 2.7 --terms 100": ["numpy"],
+        "verify sigma --p 1 --nu 150 --terms 2": ["numpy"],
         "zeros --nu 6000 --count 3": ["numpy", "scipy"],
     }
 

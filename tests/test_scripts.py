@@ -40,7 +40,10 @@ def test_bench_against_same_tree_writes_both_sides(tmp_path):
     fresh = {name for name in rec["metrics"] if name.startswith("fresh.")}
     assert fresh == {
         f"fresh.{call}.{metric}"
-        for call in ("derive_p1", "verify_sigma_1e6", "verify_residues_1e6", "zeros_1e6")
+        for call in (
+            "derive_p1", "verify_residues_small", "verify_sigma_1e6", "verify_residues_1e6",
+            "zeros_1e6",
+        )
         for metric in ("wall_s", "peak_rss_mb")
     }
     for name in fresh:
