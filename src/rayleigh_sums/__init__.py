@@ -45,7 +45,7 @@ _EXPORTS = {
         "verify_ratio_formula",
         "verify_residue_identity",
     ),
-    "zeta": ("PI_50", "ZetaValue", "spherical_sigma", "zeta_even", "zeta_float_str"),
+    "zeta": ("PI_50", "ZetaValue", "zeta_even", "zeta_float_str"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = [*sorted(_HOME), "__version__"]

@@ -407,24 +407,19 @@ def bessel_zeros(nu: float, count: int) -> ZeroSet:
     Two engines do this work (`_zero_blocks` picks one): `_zeros_scalar`,
     one zero at a time on Python floats, for small counts and orders, and
     `_zeros_blocks`, over numpy blocks, for the rest. Both give the same
-    bits and raise the same errors, and `_find_zeros` collects either into
+    bits and raise the same errors, and their blocks are collected here into
     two float64 arrays.
     """
-    zeros, accuracy = _find_zeros(nu, count)
-    return ZeroSet(nu=float(nu), zeros=zeros, accuracy=accuracy)
-
-
-def _find_zeros(nu: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The zeros and accuracies of `bessel_zeros` as float64 arrays."""
     import numpy as np
 
+    blocks = _zero_blocks(nu, count)  # checks nu and count before np.empty
     zeros, accuracy = np.empty(count), np.empty(count)
     start = 0
-    for z, acc in _zero_blocks(nu, count):
+    for z, acc in blocks:
         stop = start + len(z)
         zeros[start:stop], accuracy[start:stop] = z, acc
         start = stop
-    return zeros, accuracy
+    return ZeroSet(nu=float(nu), zeros=zeros, accuracy=accuracy)
 
 
 def _zero_blocks(
@@ -642,7 +637,8 @@ def numeric_sigma(nu: float, p: float, zeros: ZeroSet) -> TailedSum:
     z, acc = zeros.zeros, zeros.accuracy
     count = _summed_zeros(nu, len(z))
     if count > len(z):  # the finder's index checks start at zero 1
-        z, acc = _find_zeros(nu, count)
+        found = bessel_zeros(nu, count)
+        z, acc = found.zeros, found.accuracy
         if (z[: len(zeros)] != zeros.zeros).any() or (acc[: len(zeros)] != zeros.accuracy).any():
             raise NumericError(f"zeros of J_{nu} short of K0 = {count} must be the finder's own")
     blocks = ((z[i : i + _BLOCK], acc[i : i + _BLOCK]) for i in range(0, count, _BLOCK))

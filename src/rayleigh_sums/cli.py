@@ -181,8 +181,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _format_zeta(z: ZetaValue) -> str:
     num = z.coefficient.numerator
     pi_part = f"pi^{z.two_p}" if num == 1 else f"{num} * pi^{z.two_p}"
-    if z.coefficient.denominator == 1:
-        return f"zeta({z.two_p}) = {pi_part}"
+    # zeta(2p) / pi^(2p) <= 1/6, so the denominator is never 1
     den = " * ".join(
         f"{prime}^{e}" if e > 1 else f"{prime}" for prime, e in z.factored_denominator
     )

@@ -10,9 +10,9 @@ the shape
 
 Each polynomial operation has one implementation, the underscore kernels
 below, which work on plain lists of ints (dense, ascending powers, no
-trailing zero, [] == zero). The solvers in rayleigh_core call them directly
-in their inner loops; Poly, the immutable public type, calls the same
-kernels from its operators.
+trailing zero, [] == zero). rayleigh_core and poly_gcd compute on them
+alone and wrap each result once in Poly, the immutable public type: a value
+that holds and evaluates coefficients, with no arithmetic of its own.
 
 The package's immutable value types are `_Record`s: slotted classes with
 field-wise equality, hashing and repr, whose fields cannot be reassigned.
@@ -181,27 +181,11 @@ class Poly(_Record):
         """Degree, with the convention degree(0) == -1."""
         return len(self.coeffs) - 1
 
-    def __add__(self, other: "Poly") -> "Poly":
-        return Poly(tuple(_iadd(list(self.coeffs), list(other.coeffs))))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return Poly(tuple(_iadd(list(self.coeffs), _iscale(list(other.coeffs), -1))))
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        return Poly(tuple(_imul(list(self.coeffs), list(other.coeffs))))
-
-    def scale(self, c: int) -> "Poly":
-        return Poly(tuple(_iscale(list(self.coeffs), c)))
-
     def evaluate(self, x: Fraction | int) -> Fraction:
         v = Fraction(0)
         for c in reversed(self.coeffs):
             v = v * x + c
         return v
-
-    def content(self) -> int:
-        """gcd of the coefficients (0 for the zero polynomial)."""
-        return math.gcd(*self.coeffs)
 
     def int_coeffs(self) -> tuple[int, ...]:
         """Coefficients as plain ints."""

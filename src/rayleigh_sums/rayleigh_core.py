@@ -40,10 +40,11 @@ sigma_value runs it on integers for `eval`, `verify sigma` and zeta: about
 solvers end in one normalisation, and the reduced denominator is 2**a times
 that product of shifts (checked to p = 80 by the tests).
 
-The polynomial loops run on plain integer coefficient lists with the kernels
-of exact_algebra, multiplying by each (nu+m) in place, and wrap only their
-results in Poly, whose operators call the same kernels. The solvers write
-their results into a SigmaTable, a dict from p to closed form.
+Every polynomial loop here, the solvers' and the ratio routes', runs on plain
+integer coefficient lists with the kernels of exact_algebra, multiplying by
+each (nu+m) in place, and wraps only its results in Poly, a value with no
+arithmetic. The solvers write their results into a SigmaTable, a dict from
+p to closed form.
 """
 
 from __future__ import annotations
@@ -93,17 +94,14 @@ class RatioExpansion(_Record):
 
     def u_coefficients(self) -> tuple[Poly, ...]:
         """Polynomial in u = 1/xi: entry j is the nu-polynomial at u**j."""
+        # entry p-1, the q = 0 term prod(nu+i), is never zero
         out = [Poly.zero()] * self.p
         for _, coeff, power in self.terms:
-            out[power] = coeff.scale(2**power)
-        while out and out[-1].is_zero:
-            out.pop()
+            out[power] = Poly(tuple(_iscale(coeff.coeffs, 2**power)))
         return tuple(out)
 
 
 def build_ratio_expansion(p: int) -> RatioExpansion:
-    if p < 1:
-        raise ValueError("p must be >= 1")
     terms = tuple(
         (q, ratio_coefficient(p, q), (p - 1) - 2 * q) for q in range(q_max(p) + 1)
     )
@@ -117,21 +115,16 @@ def ratio_by_recurrence(p: int) -> tuple[Poly, ...]:
     r_1 = 1. Returns the u-coefficient list matching u_coefficients()."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    rprev: list[Poly] = []
-    rcur: list[Poly] = [Poly.one()]
+    rprev: list[list[int]] = []
+    rcur: list[list[int]] = [[1]]
     for n in range(1, p):
-        two_nu_n = Poly((2 * n, 2))
-        shifted = [Poly.zero()] + [c * two_nu_n for c in rcur]
-        ln = max(len(shifted), len(rprev))
-        nxt = [
-            (shifted[i] if i < len(shifted) else Poly.zero())
-            - (rprev[i] if i < len(rprev) else Poly.zero())
-            for i in range(ln)
-        ]
-        while nxt and nxt[-1].is_zero:
-            nxt.pop()
+        # r_{n+1} = 2(nu+n) u r_n - r_{n-1}: its top entry, 2(nu+n) times
+        # r_n's, is never zero, and r_{n-1} is two entries shorter
+        nxt = [[]] + [_imul_linear(_iscale(c, 2), n) for c in rcur]
+        for i, c in enumerate(rprev):
+            nxt[i] = _iadd(nxt[i], _iscale(c, -1))
         rprev, rcur = rcur, nxt
-    return tuple(rcur)
+    return tuple(Poly(tuple(c)) for c in rcur)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +380,5 @@ def sums_identity_defect(table: SigmaTable, p: int) -> Poly:
     the combined numerator. Only its is_zero is the contract: it holds iff
     the table satisfies the identity exactly.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
     derive_sigma(table, p)
     return Poly(tuple(_over_lcd(_identity_terms(table, p, 0))[0]))

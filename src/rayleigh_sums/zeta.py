@@ -5,14 +5,10 @@ turns the zero sum into zeta(2p)/pi**(2p):
 
     zeta(2p) = pi**(2p) * sigma(p, 1/2).
 
-Both specializations take the exact value at the one nu they need from
-rayleigh_core.sigma_value, so no closed form is derived here.
-
-The half-integer shift likewise converts sigma into zero sums of the
-spherical Bessel functions j_nu, whose zeros are those of J_{nu+1/2}.
-Values are kept symbolic as (rational coefficient) * pi**(2p); floating
-rendering goes through a fixed 50-digit pi so binary64 pi never enters the
-exact pipeline.
+The exact value at nu = 1/2 comes from rayleigh_core.sigma_value, so no
+closed form is derived here. Values are kept symbolic as (rational
+coefficient) * pi**(2p); floating rendering goes through a fixed 50-digit pi
+so binary64 pi never enters the exact pipeline.
 """
 
 from __future__ import annotations
@@ -89,13 +85,6 @@ def zeta_even(p: int, table: SigmaTable | None = None) -> ZetaValue:
         coefficient=coeff,
         factored_denominator=_trial_factor(coeff.denominator),
     )
-
-
-def spherical_sigma(p: int, nu: Fraction) -> Fraction:
-    """sum_k of the inverse 2p-th powers of the zeros of the spherical
-    Bessel function j_nu, via the shift sigma(p, nu + 1/2) by sigma_value
-    (PoleError where nu + 1/2 is in {-1..-p})."""
-    return sigma_value(p, Fraction(nu) + Fraction(1, 2))
 
 
 def zeta_float_str(z: ZetaValue, digits: int = 30) -> str:

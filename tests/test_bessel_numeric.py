@@ -397,7 +397,7 @@ def test_engine_threshold_is_count_times_nu_plus_30(monkeypatch):
     limit = bessel_numeric._SCALAR_WORK
     cases = ((0.0, int(limit / 30)), (0.0, int(limit / 30) + 1), (170.0, 1000), (170.0, 1001))
     for nu, count in cases:
-        bessel_numeric._find_zeros(nu, count)
+        bessel_numeric._zero_blocks(nu, count)
     assert found == ["scalar", "blocks", "scalar", "blocks"]
 
 
@@ -412,12 +412,20 @@ def test_zero_finder_input_validation():
         bessel_zeros(-1.0, 5)
     with pytest.raises(NumericError):
         bessel_zeros(0.0, 0)
+    with pytest.raises(NumericError, match="^count must be >= 1, got -1$"):
+        bessel_zeros(0.0, -1)
 
 
 def test_zeroset_rejects_unsorted():
     bad = np.array([1.0, 0.5])
     with pytest.raises(NumericError):
         ZeroSet(nu=0.0, zeros=bad, accuracy=np.zeros(2))
+
+
+@pytest.mark.parametrize("zeros", [[], [0.0, 1.0], [-1.0, 1.0]])
+def test_zeroset_must_start_with_a_positive_zero(zeros):
+    with pytest.raises(NumericError, match="^zero set must start with a positive zero$"):
+        ZeroSet(nu=0.0, zeros=np.array(zeros), accuracy=np.zeros(len(zeros)))
 
 
 _B = bessel_numeric._BLOCK
@@ -663,6 +671,12 @@ def test_lgamma_matches_integer_factorials():
         ref = math.log(math.factorial(n))
         assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
     assert abs(residue_identity_lhs(0.0, 1.0) - 0.25) < 1e-15
+
+
+@pytest.mark.parametrize("p, k", [(0, 1), (2, 0)])
+def test_verify_ratio_formula_validation(p, k):
+    with pytest.raises(NumericError, match=f"^p and k must be >= 1, got p={p}, k={k}$"):
+        verify_ratio_formula(0.0, p, k)
 
 
 def test_verify_ratio_formula_residuals():

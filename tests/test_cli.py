@@ -656,6 +656,15 @@ def test_table_text(capsys):
     assert lines[2] == "sigma(3) = 1 / (2^5 (v+1)^3 (v+2) (v+3))"
 
 
+def test_table_latex(capsys):
+    rc, out, _ = run(capsys, "table", "--pmax", "2", "--format", "latex")
+    assert rc == 0
+    assert out.splitlines() == [
+        "\\sigma(1,\\nu) = \\frac{1}{2^{2}(\\nu+1)}",
+        "\\sigma(2,\\nu) = \\frac{1}{2^{4}(\\nu+1)^{2}(\\nu+2)}",
+    ]
+
+
 def test_table_json(capsys):
     rc, out, _ = run(capsys, "table", "--pmax", "3", "--format", "json")
     assert rc == 0

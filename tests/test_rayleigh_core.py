@@ -26,7 +26,7 @@ from rayleigh_sums import (
     sums_identity_defect,
 )
 
-from rayleigh_sums.exact_algebra import _igamma_ratio
+from rayleigh_sums.exact_algebra import _igamma_ratio, _imul
 from rayleigh_sums.rayleigh_core import _term_shares
 
 from golden_forms import SIGMA9_AT_0, golden_frf
@@ -41,10 +41,10 @@ def test_gamma_ratio_empty_product():
 
 
 def test_gamma_ratio_expands_iterated_product():
-    expected = Poly.one()
+    expected = [1]
     for i in (1, 2, 3):
-        expected = expected * Poly((i, 1))
-    assert Poly(tuple(_igamma_ratio(4, 1))) == expected
+        expected = _imul(expected, [i, 1])
+    assert _igamma_ratio(4, 1) == expected == [6, 11, 6, 1]
 
 
 def test_q_max_parity_rule():
@@ -108,6 +108,25 @@ def test_derive_rejects_bad_p():
         derive_sigma_triangular(SigmaTable(), 0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_ratio_expansion(0),
+        lambda: ratio_by_recurrence(0),
+        lambda: sums_identity_defect(SigmaTable(), 0),
+    ],
+    ids=["build_ratio_expansion", "ratio_by_recurrence", "sums_identity_defect"],
+)
+def test_p0_is_rejected_with_one_message(call):
+    with pytest.raises(ValueError, match=r"^p must be >= 1$"):
+        call()
+
+
+def test_recurrence_route_equals_expansion_to_p40():
+    for p in range(1, 41):
+        assert ratio_by_recurrence(p) == build_ratio_expansion(p).u_coefficients(), p
+
+
 def test_derive_deterministic():
     a, b = SigmaTable(), SigmaTable()
     derive_sigma(a, 12)
@@ -140,7 +159,7 @@ def test_normal_form_invariants_to_p20():
     for p in range(1, 21):
         f = t[p]
         coeffs = f.numerator.int_coeffs()
-        assert f.numerator.content() == 1
+        assert math.gcd(*coeffs) == 1
         assert coeffs[-1] > 0
         assert f.residual == Poly.one()
         shifts = dict(f.shift_factors)

@@ -1,4 +1,4 @@
-"""Exact even zeta values and the spherical specialization."""
+"""Exact even zeta values, their factoring and their decimal rendering."""
 
 import math
 from fractions import Fraction
@@ -8,10 +8,8 @@ import pytest
 
 from rayleigh_sums import (
     PI_50,
-    PoleError,
     ZetaValue,
     numeric_sigma,
-    spherical_sigma,
     zeta_even,
     zeta_float_str,
 )
@@ -58,17 +56,6 @@ def test_zeta_against_numeric_sigma(zero_cache):
         exact = float(zeta_even(p).coefficient) * math.pi ** (2 * p)
         numeric = numeric_sigma(0.5, p, zs).value * math.pi ** (2 * p)
         assert abs(exact - numeric) < 1e-10 * exact
-
-
-def test_spherical_sigma_values():
-    assert spherical_sigma(1, Fraction(0)) == Fraction(1, 6)
-    assert spherical_sigma(2, Fraction(0)) == Fraction(1, 90)
-    assert spherical_sigma(1, Fraction(1, 2)) == Fraction(1, 8)
-
-
-def test_spherical_sigma_pole():
-    with pytest.raises(PoleError):
-        spherical_sigma(1, Fraction(-3, 2))
 
 
 def test_zeta_float_str_thirty_digits():
