@@ -219,11 +219,9 @@ def cmd_table(args: argparse.Namespace) -> int:
         ]
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
+        label = "\\sigma({},\\nu)" if args.format == "latex" else "sigma({})"
         for p in range(1, args.pmax + 1):
-            if args.format == "latex":
-                print(f"\\sigma({p},\\nu) = {table[p].to_latex()}")
-            else:
-                print(f"sigma({p}) = {table[p].to_text()}")
+            print(f"{label.format(p)} = {_render(table[p], args.format)}")
     return EXIT_OK
 
 

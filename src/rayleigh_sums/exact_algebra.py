@@ -208,8 +208,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly(tuple(_iprimitive(x)))
 
 
-def _poly_terms(p: Poly, var: str, pow_fmt: str, sign_fmt: str) -> str:
+def _poly_terms(p: Poly, fmt: tuple[str, ...]) -> str:
     # descending powers; sign_fmt places the sign between terms
+    var, pow_fmt, sign_fmt = fmt[:3]
     out = ""
     for i in range(p.degree, -1, -1):
         c = p.coeffs[i]
@@ -228,18 +229,21 @@ def _poly_terms(p: Poly, var: str, pow_fmt: str, sign_fmt: str) -> str:
     return out or "0"
 
 
-_TEXT = ("v", "^{}", " {} ")
-_LATEX = (r"\nu", "^{{{}}}", "{}")
+# a format: the variable, an exponent, the sign between terms, a numerator of
+# degree >= 1 over a denominator, the join of the denominator's parts, and
+# the fraction of the numerator and the joined parts
+_TEXT = ("v", "^{}", " {} ", "({})", " ", "{} / ({})")
+_LATEX = (r"\nu", "^{{{}}}", "{}", "{}", "", r"\frac{{{}}}{{{}}}")
 
 
 def poly_text(p: Poly) -> str:
     """Plain-text rendering with 'v' for nu, e.g. '21v^3 + 181v^2 + 513v + 473'."""
-    return _poly_terms(p, *_TEXT)
+    return _poly_terms(p, _TEXT)
 
 
 def poly_latex(p: Poly) -> str:
     """LaTeX rendering with \\nu, braced exponents, no spaces."""
-    return _poly_terms(p, *_LATEX)
+    return _poly_terms(p, _LATEX)
 
 
 class FactoredRationalFn(_Record):
@@ -302,31 +306,23 @@ class FactoredRationalFn(_Record):
             "residual": ["1"],
         }
 
-    def _den_parts(self, var: str, pow_fmt: str) -> list[str]:
-        parts: list[str] = []
-        if self.two_exponent == 1:
-            parts.append("2")
-        elif self.two_exponent > 1:
-            parts.append("2" + pow_fmt.format(self.two_exponent))
-        for m, e in self.shift_factors:
-            base = f"({var}+{m})"
-            parts.append(base if e == 1 else base + pow_fmt.format(e))
-        return parts
+    def _assemble(self, fmt: tuple[str, ...]) -> str:
+        # the numerator, then the denominator's parts, joined per format
+        var, pow_fmt, _, bracket, sep, frac = fmt
+        num = _poly_terms(self.numerator, fmt)
+        parts = [("2", self.two_exponent)] if self.two_exponent else []
+        parts += [(f"({var}+{m})", e) for m, e in self.shift_factors]
+        if not parts:
+            return num
+        if self.numerator.degree >= 1:
+            num = bracket.format(num)
+        den = sep.join(base if e == 1 else base + pow_fmt.format(e) for base, e in parts)
+        return frac.format(num, den)
 
     def to_text(self) -> str:
         """Plain text, e.g. '1 / (2^2 (v+1))'."""
-        num = poly_text(self.numerator)
-        if self.numerator.degree >= 1:
-            num = f"({num})"
-        parts = self._den_parts(*_TEXT[:2])
-        if not parts:
-            return num
-        return f"{num} / ({' '.join(parts)})"
+        return self._assemble(_TEXT)
 
     def to_latex(self) -> str:
         """LaTeX, e.g. '\\frac{1}{2^{4}(\\nu+1)^{2}(\\nu+2)}'."""
-        num = poly_latex(self.numerator)
-        parts = self._den_parts(*_LATEX[:2])
-        if not parts:
-            return num
-        return f"\\frac{{{num}}}{{{''.join(parts)}}}"
+        return self._assemble(_LATEX)

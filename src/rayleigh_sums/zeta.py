@@ -20,35 +20,29 @@ from .exact_algebra import _Record
 from .rayleigh_core import SigmaTable, sigma_value
 
 PI_50 = "3.14159265358979323846264338327950288419716939937511"
-_TRIAL_BOUND = 10**6
 
 
 def _trial_factor(n: int) -> tuple[tuple[int, int], ...]:
-    """Factor n > 0 by trial division with primes <= _TRIAL_BOUND; any
-    remaining cofactor larger than that is reported as a single unfactored
-    entry."""
+    """Factor n > 0 by trial division with d = 2, 3, 4, ...; once d*d > n,
+    what is left of n is prime and the last divisor tried.
+
+    For a zeta denominator no d above 2p + 1 is tried: zeta(2p)/pi**(2p) =
+    |B_2p| 2**(2p-1)/(2p)!, the primes of (2p)! are at most 2p, and by von
+    Staudt-Clausen those of B_2p's denominator are the q with (q-1) | 2p."""
     if n < 1:
         raise ValueError("can only factor positive integers")
     out: list[tuple[int, int]] = []
-    for d in (2, 3):
+    d = 2
+    while n > 1:
+        if d * d > n:
+            d = n
         e = 0
         while n % d == 0:
             n //= d
             e += 1
         if e:
             out.append((d, e))
-    d = 5
-    while d * d <= n and d <= _TRIAL_BOUND:
-        for cand in (d, d + 2):
-            e = 0
-            while n % cand == 0:
-                n //= cand
-                e += 1
-            if e:
-                out.append((cand, e))
-        d += 6
-    if n > 1:
-        out.append((n, 1))
+        d += 1
     return tuple(out)
 
 

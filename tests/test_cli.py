@@ -1,11 +1,13 @@
 """End-to-end coverage of the command-line interface via main(argv)."""
 
+import hashlib
 import io
 import itertools
 import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,12 @@ from rayleigh_sums import (
 from rayleigh_sums.cli import main
 
 from golden_forms import golden_frf
+
+# the sha256 of each closed-form output the benchmark's workloads can ask for,
+# keyed by argv; read here, written only by perfbench/make_references.py
+REFERENCE_SHA256 = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "references.json").read_text()
+)["sha256"]
 
 
 def run(capsys, *argv):
@@ -673,6 +681,13 @@ def test_table_json(capsys):
     for d in doc:
         p = d.pop("p")
         assert d == golden_frf(p).to_json_dict()
+
+
+@pytest.mark.parametrize("argv", sorted(REFERENCE_SHA256))
+def test_closed_form_bytes_match_the_reference_hashes(capsys, argv):
+    rc, out, err = run(capsys, *argv.split())
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REFERENCE_SHA256[argv]
 
 
 def test_unknown_arguments_are_usage_errors(capsys):

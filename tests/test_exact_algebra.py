@@ -158,7 +158,7 @@ def test_text_rendering():
     )
     # a bare 2, and no denominator at all
     assert FactoredRationalFn(Poly((3, 1)), 1, ((2, 1),)).to_text() == "(v + 3) / (2 (v+2))"
-    assert FactoredRationalFn(Poly((3, 1)), 0, ()).to_text() == "(v + 3)"
+    assert FactoredRationalFn(Poly((3, 1)), 0, ()).to_text() == "v + 3"
 
 
 def test_latex_rendering():

@@ -43,6 +43,15 @@ def test_factored_denominator_remultiplies():
         assert primes == sorted(primes)
 
 
+def test_denominator_primes_are_at_most_2p_plus_1():
+    # von Staudt-Clausen: zeta(2p)/pi^(2p) = |B_2p| 2^(2p-1)/(2p)! has no
+    # denominator prime above 2p + 1, which bounds _trial_factor's loop
+    for p in range(1, 61):
+        for q, _ in zeta_even(p).factored_denominator:
+            assert q <= 2 * p + 1
+            assert all(q % d for d in range(2, math.isqrt(q) + 1)), q
+
+
 def test_zeta_decreases_toward_one():
     vals = [float(zeta_even(p).coefficient) * math.pi ** (2 * p) for p in range(1, 11)]
     assert all(v > 1.0 for v in vals)
@@ -86,12 +95,6 @@ def test_trial_factor_basics():
     assert _trial_factor(638512875) == ZETA12_FACTORS
     with pytest.raises(ValueError):
         _trial_factor(0)
-
-
-def test_trial_factor_leftover_cofactor():
-    n = 1000003 * 1000033
-    got = _trial_factor(n)
-    assert got == ((n, 1),)
 
 
 def test_zeta_value_validation():
