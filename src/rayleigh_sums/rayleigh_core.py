@@ -32,13 +32,15 @@ function", Proc. AMS 14 (1963) 527-533), over one known denominator:
     sigma(n, nu) = x_n / (4**n prod_{m<=n} (nu+m)**floor(n/m)), x_n integral.
 
 derive_sigma runs it on integer polynomials in nu for `derive` and `table`,
-in about a fifth of the triangular solve's time to p = 60
-(0.32 s against 1.51 s).
-sigma_value runs it on integers for `eval`, `verify sigma` and zeta: about
-2 ms at p = 60 against about 270 ms to derive the form (degree 142,
-186-digit coefficients) and evaluate it (2-core x86-64, Python 3.11). Both
-solvers end in one normalisation, and the reduced denominator is 2**a times
-that product of shifts (checked to p = 80 by the tests).
+in about a fifth of the triangular solve's time to p = 60 (0.32 s against
+1.51 s). sigma_value runs it on integers for `eval`, `verify sigma` and zeta:
+about 2 ms for sigma(60, 17/3), against 0.29-0.35 s for one
+derive_sigma(SigmaTable(), 60) call (degree 142, 186-digit coefficients; in
+process, 2-core x86-64, Python 3.11). The benchmark layer
+rayleigh_core.derive_p60_s, one call per p from an empty table, reads
+0.31-0.35 s (BENCH_35.json). Both solvers end in one normalisation, and the
+reduced denominator is 2**a times that product of shifts (checked to p = 80
+by the tests).
 
 Every polynomial loop here, the solvers' and the ratio routes', runs on plain
 integer coefficient lists with the kernels of exact_algebra, multiplying by
