@@ -39,10 +39,14 @@ call compiles. The record reads
      "metrics": {name: {"base":   {"min", "q1", "median", "q3"},
                         "change": {"min", "q1", "median", "q3"},
                         "change_lower": rounds in which the change read
-                                        strictly lower than the base}}}
+                                        strictly lower than the base}},
+     "above_q3": [name, ...]}
 
 with the quartiles over the rounds (inclusive method; one round gives
-min = q1 = median = q3).
+min = q1 = median = q3). "above_q3" lists, sorted, the metrics whose change
+median lies above the base's q3; every metric here is better lower, so
+these are the ones to look at for a layer made slower. It is printed to
+stderr too.
 """
 
 from __future__ import annotations
@@ -159,8 +163,14 @@ def _summary(xs: list[float]) -> dict[str, float]:
     return {"min": min(xs), "q1": q1, "median": median, "q3": q3}
 
 
+def above_q3(metrics: dict) -> list[str]:
+    """The names of the metrics whose change median lies above the base's q3, sorted."""
+    return sorted(name for name, m in metrics.items() if m["change"]["median"] > m["base"]["q3"])
+
+
 def compare(rounds: int, base: Path, cache: str) -> dict:
-    """The interleaved A/B part of the record: base, rounds, problems, metrics."""
+    """The interleaved A/B part of the record: base, rounds, problems,
+    metrics and above_q3."""
     envs = {"base": _warm_env(base, cache), "change": _warm_env(SRC, cache)}
     runs: dict[str, list[dict[str, float]]] = {"base": [], "change": []}
     problems: set[str] = set()
@@ -182,6 +192,7 @@ def compare(rounds: int, base: Path, cache: str) -> dict:
         "rounds": rounds,
         "problems": sorted(problems),
         "metrics": metrics,
+        "above_q3": above_q3(metrics),
     }
 
 
@@ -214,6 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         measured = compare(args.repeats, base, cache)
     rec = {**_checkout(ROOT), **machine(), **measured}
     Path(args.out).write_text(json.dumps(rec, indent=2) + "\n", encoding="utf-8")
+    print(f"above the base's q3: {', '.join(rec['above_q3']) or 'none'}", file=sys.stderr)
     for problem in rec["problems"]:
         print(f"problem: {problem}", file=sys.stderr)
     return 1 if rec["problems"] else 0

@@ -16,13 +16,10 @@ and gives a point the same bits either way. Against mpmath it is within
 8 eps of the envelope for mu <= 50 and within 46 eps at x ~ mu = 1000, where
 scipy.special.jv is off by up to 1.6e5 eps (at mu = 1000, x = 67385). Its
 test stops there: above mu = 1000 it was measured at 143 eps (mu = 2000,
-the third zero) and 277 eps (mu = 4999, the first zero). It also spares
-the `zeros` and `verify` subcommands the import of scipy.special, about
-0.28 s. Its cost grows with the order, so above _JV_ORDER_CAP = 5000, where
-it becomes slower than jv, scipy.special.jv is used instead; that path is
-the only one to the largest orders (the first 2417 zeros certify at
-nu = 1e10 but only the first 29 at 1e11, and at nu = 1e5 zero 485530, near
-x = 1.68e6, is the first to fail its certificate on jv's error).
+the third zero) and 277 eps (mu = 4999, the first zero). An order above
+_JV_ORDER_CAP = 5000, past that measured range, raises NumericError, so no
+zero, sum or check here is taken at such an order (ROADMAP item 15 (a) is
+the way back above 5000, with a tested bound).
 
 The zero finder has two engines with the same checks and the same bits.
 Where count * (nu + 30) <= _SCALAR_WORK = 2e5 it runs one zero at a time on
@@ -43,13 +40,13 @@ which returns the zeros and their accuracies (2.78 at 2e5, with
 numeric_sigma).
 
 numpy is imported only by the code that works on arrays, never inside
-a per-point loop, and scipy only on the path above the cap, so importing this
-module (and the package) loads neither: the exact routes, and with them
-the `derive`, `eval`, `zeta` and `table` subcommands, run on the standard
-library alone. `bessel_zeros` returns float64 arrays whatever the engine,
-so it loads numpy; the CLI takes the engines' blocks from `_zero_blocks`,
-and each `verify` command's `Check` from `_sigma_check`, `_residue_check`
-or `_ratio_check`, where its budget rule lives.
+a per-point loop, so importing this module (and the package) does not load
+it: the exact routes, and with them the `derive`, `eval`, `zeta` and
+`table` subcommands, run on the standard library alone. `bessel_zeros`
+returns float64 arrays whatever the engine, so it loads numpy; the CLI
+takes the engines' blocks from `_zero_blocks`, and each `verify` command's
+`Check` from `_sigma_check`, `_residue_check` or `_ratio_check`, where its
+budget rule lives.
 """
 
 from __future__ import annotations
@@ -99,18 +96,18 @@ class Check(_Record):
 
 
 def bessel_j(order: float, x: float) -> float:
-    """J_order(x) for order >= 0, x > 0, to near machine precision.
+    """J_order(x) for finite order >= 0 and x > 0, to near machine precision.
 
-    From `_jv_pair_at` (the standard library alone) for order <=
-    _JV_ORDER_CAP and from scipy.special.jv above it. Below x = 1e-150 the
+    From `_jv_pair_at` (the standard library alone), which raises
+    NumericError for an order above _JV_ORDER_CAP. Below x = 1e-150 the
     first term of the power series, (x/2)^order / Gamma(order+1), is J to
-    rounding; Miller's recurrence, whose steps multiply by 2(order+i)/x,
-    would overflow there.
+    rounding at any finite order; Miller's recurrence, whose steps multiply
+    by 2(order+i)/x, would overflow there.
     """
-    if order < 0:
-        raise NumericError(f"order must be >= 0, got {order}")
-    if x <= 0:
-        raise NumericError(f"x must be > 0, got {x}")
+    if not 0 <= order < math.inf:
+        raise NumericError(f"order must be finite and >= 0, got {order}")
+    if not 0 < x < math.inf:
+        raise NumericError(f"x must be finite and > 0, got {x}")
     if x < 1e-150:
         try:
             return math.exp(order * math.log(0.5 * x) - math.lgamma(order + 1.0))
@@ -119,10 +116,9 @@ def bessel_j(order: float, x: float) -> float:
     return _jv_pair_at(order)(float(x))[0]
 
 
-# Orders above this are left to scipy.special.jv. The kernel below takes
-# one array step per unit of order, and at order 5000 one pair evaluation
-# over 10^4 zeros costs as much as the two jv calls it replaces (0.10 s
-# each on a 2-core x86-64, numpy 2.4, scipy 1.17).
+# The highest order at which the kernel's error was measured (277 eps of
+# the envelope at the first zero of J_4999); above it the error grows (362
+# at order 6000, 8.7e3 at 1e5, near the first zeros), and J is not evaluated.
 _JV_ORDER_CAP = 5000.0
 # Hankel's expansion is used where x >= _HANKEL_X and x >= mu; with
 # _HANKEL_TERMS terms in each of P and Q its truncation error is below one
@@ -162,17 +158,11 @@ def _jv_pair_at(mu: float) -> Callable:
     `math` for a float and from numpy for an array, which round alike. Each
     value depends on its own (mu, x) alone, never on the other points of
     an array, so a zero comes out the same whatever the count or the zero
-    engine. The Hankel coefficients are computed once per order. Orders
-    above _JV_ORDER_CAP go to scipy.special.jv, imported only then.
+    engine. The Hankel coefficients are computed once per order. An order
+    above _JV_ORDER_CAP, or nan, raises NumericError before any step is built.
     """
-    if mu > _JV_ORDER_CAP:
-        from scipy.special import jv
-
-        def pair(x):
-            ja, jb = jv(mu, x), jv(mu + 1.0, x)
-            return (float(ja), float(jb)) if isinstance(x, float) else (ja, jb)
-
-        return pair
+    if not mu <= _JV_ORDER_CAP:
+        raise NumericError(f"J_{mu}: the kernel's error is measured to order {_JV_ORDER_CAP:g} only")
     n = math.floor(mu)
     m0 = mu - n
     # P and Q at orders m0 and m0 + 1 side by side, from the highest power
@@ -322,14 +312,8 @@ def _mcmahon(nu: float, k):
 
 def _olver_applies(nu: float, k: float) -> bool:
     """Whether zero k takes Olver's seed: nu > 1 and McMahon's next term
-    is at least 1e-3. Where (8 beta)^3 overflows, numpy makes the term 0 or
-    nan, so it does not."""
-    if nu <= 1.0:
-        return False
-    try:
-        return _mcmahon(nu, k)[1] >= 1e-3
-    except OverflowError:
-        return False
+    is at least 1e-3."""
+    return nu > 1.0 and _mcmahon(nu, k)[1] >= 1e-3
 
 
 def _olver_seed(nu: float, k: float) -> float:
@@ -398,11 +382,11 @@ def bessel_zeros(nu: float, count: int) -> ZeroSet:
     from max(nu, 1) up to xi_1, and negative from there to xi_2, which one
     J_nu evaluation on a grid of step pi/8 (less than any gap) confirms; the
     gaps cannot see zero 2 skipped, since a first gap may be the largest.
-    A seed that is not finite, a failed certificate, either failed index
-    check, or an order so large that a step of pi/8 no longer advances x in
-    binary64 raises NumericError at the first fault met. The checks run in
-    that order block by block, the anchor after the first block, and a
-    failed certificate or gap check names the first zero that fails it.
+    An order above _JV_ORDER_CAP, a seed that is not finite, a failed
+    certificate or either failed index check raises NumericError at the
+    first fault met. The checks run in that order block by block, the
+    anchor after the first block, and a failed certificate or gap check
+    names the first zero that fails it.
 
     Two engines do this work (`_zero_blocks` picks one): `_zeros_scalar`,
     one zero at a time on Python floats, for small counts and orders, and
@@ -431,22 +415,24 @@ def _zero_blocks(
     float64 arrays of up to _BLOCK zeros otherwise. A check that fails
     raises NumericError from the iterator in place of the block where it
     failed, and no block is yielded before it is checked, so a caller that
-    acts only after the last block acts on checked zeros alone."""
+    acts only after the last block acts on checked zeros alone. Both engines
+    take the kernel at nu, `pair`, built here, so an order past
+    _JV_ORDER_CAP raises before either starts."""
     if nu < 0:
         raise NumericError(f"nu must be >= 0, got {nu}")
     if count < 1:
         raise NumericError(f"count must be >= 1, got {count}")
-    if count * (nu + 30.0) <= _SCALAR_WORK:
-        return _zeros_scalar(nu, count)
-    return _zeros_blocks(nu, count)
+    engine = _zeros_scalar if count * (nu + 30.0) <= _SCALAR_WORK else _zeros_blocks
+    return engine(nu, count, _jv_pair_at(nu))
 
 
-def _zeros_scalar(nu: float, count: int) -> Iterator[tuple[list[float], list[float]]]:
+def _zeros_scalar(
+    nu: float, count: int, pair: Callable
+) -> Iterator[tuple[list[float], list[float]]]:
     """`bessel_zeros` one zero at a time, on Python floats, as one block."""
     seeds = [_seeds(nu, float(k)) for k in range(1, count + 1)]
     if not all(map(math.isfinite, seeds)):
         raise NumericError(f"the zeros of J_{nu} cannot be seeded in binary64")
-    pair = _jv_pair_at(nu)
     half_ulp, four_ulps = 0.5 * _EPS, 4.0 * _EPS
     zeros, accuracy = [], []
     for k, x in enumerate(seeds):
@@ -472,7 +458,9 @@ def _zeros_scalar(nu: float, count: int) -> Iterator[tuple[list[float], list[flo
     yield zeros, accuracy
 
 
-def _zeros_blocks(nu: float, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _zeros_blocks(
+    nu: float, count: int, pair: Callable
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """`bessel_zeros` over numpy blocks of _BLOCK zeros, yielding each block
     once it is polished, certified and gap-checked, and the first once the
     anchor has checked it too.
@@ -486,7 +474,6 @@ def _zeros_blocks(nu: float, count: int) -> Iterator[tuple[np.ndarray, np.ndarra
     """
     import numpy as np
 
-    pair = _jv_pair_at(nu)
     tail = [], []  # the last two zeros so far and their accuracies
     for start in range(0, count, _BLOCK):
         x, accuracy = _polish_block(nu, pair, start, min(start + _BLOCK, count))
@@ -593,11 +580,6 @@ def _check_anchor(
     or two zeros found."""
     x0 = max(nu, 1.0)
     step = math.pi / 8.0
-    if x0 + step == x0:
-        raise NumericError(
-            f"cannot anchor the zeros of J_{nu}: a step of pi/8 does not "
-            f"advance x={x0:.6g} in binary64"
-        )
     first = zeros[0]
     grid = [x0 + step * i for i in range(math.ceil((first - x0) / step - 0.5))]
     below = len(grid)
@@ -815,7 +797,8 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
     Above an order of about 1000 rounding is not a bound, since the kernel's
     is not. An lhs below the smallest normal binary64 number raises
     NumericError, since no sum can be checked against it, and so does an
-    nu + p + 1 past lgamma's range (about 2.55e305).
+    nu + p + 1 past lgamma's range (about 2.55e305) or an nu + p past
+    _JV_ORDER_CAP, before any zero is found.
     """
     if p <= 0:
         raise NumericError(f"p must be > 0, got {p}")
@@ -935,8 +918,9 @@ def _kernel_ratio_error(hypot: Callable, a, a1, b, b1):
     """|b| times the J kernel's error bound on a / b, for pairs (a, a1) and
     (b, b1) from `_jv_pair_at`: floats with math.hypot, as from the scalar
     zero finder's zeros, arrays with np.hypot, as from the block engine's.
-    It is a bound up to order 1000, where the kernel's test reaches; above, and
-    on scipy's jv past _JV_ORDER_CAP, which states no bound, it is assumed."""
+    It is a bound up to order 1000, where the kernel's test reaches; from
+    there to _JV_ORDER_CAP it is assumed, though 277 eps was measured at the
+    first zero of J_4999."""
     return _JV_PAIR_ERROR * _EPS * (hypot(a, a1) + abs(a / b) * hypot(b, b1))
 
 
@@ -960,9 +944,10 @@ def _ratio_check(nu: float, p: int, k: int) -> Check:
     raised before A_p is evaluated (0.3 s at p = 170 on a 2-core x86-64)."""
     if k < 1 or p < 1:
         raise NumericError(f"p and k must be >= 1, got p={p}, k={k}")
+    pair_a, pair_b = _jv_pair_at(nu + p), _jv_pair_at(nu + 1.0)
     for zeros, accuracy in _zero_blocks(nu, k):
         x, acc = float(zeros[-1]), float(accuracy[-1])
-    (a, a1), (b, b1) = _jv_pair_at(nu + p)(x), _jv_pair_at(nu + 1.0)(x)
+    (a, a1), (b, b1) = pair_a(x), pair_b(x)
     ratio, nu_q, x_q = a / b, Fraction(nu), Fraction(x)
     r0, r1 = Fraction(1), Fraction(0)
     for n in range(1, p):

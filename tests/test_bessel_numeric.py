@@ -52,10 +52,33 @@ def test_bessel_j_at_first_zero():
 
 
 def test_bessel_j_takes_int_arguments():
-    # Miller, Hankel with upward steps, and scipy above the order cap
-    for order, x in ((0, 1), (3, 45), (6000, 7000)):
+    # Miller, Hankel with upward steps, and both at the order limit
+    for order, x in ((0, 1), (3, 45), (5000, 6000), (5000, 4000)):
         assert bessel_j(order, x) == bessel_j(float(order), float(x))
-    assert isinstance(bessel_j(6000, 7000), float)
+        assert isinstance(bessel_j(order, x), float)
+    with pytest.raises(NumericError, match="measured to order 5000 only"):
+        bessel_j(6000, 7000)
+
+
+def test_bessel_j_refuses_non_finite_input():
+    # each was returned as nan or 0.0, or raised a math domain error
+    for order, x in ((1.0, math.nan), (math.nan, 1e-200), (0, math.inf), (math.inf, 1e-200),
+                     (math.nan, 1.0), (-math.inf, 1.0)):
+        with pytest.raises(NumericError, match="must be finite"):
+            bessel_j(order, x)
+    # the power series' first term holds at any finite order
+    assert bessel_j(1e306, 1e-200) == 0.0
+
+
+def test_orders_past_the_limit_are_refused_before_any_zero():
+    cap = bessel_numeric._JV_ORDER_CAP
+    assert cap == 5000.0
+    past = math.nextafter(cap, math.inf)
+    for nu in (past, 1e20, math.inf, math.nan):
+        with pytest.raises(NumericError, match="measured to order 5000 only"):
+            bessel_numeric._jv_pair_at(nu)
+        with pytest.raises(NumericError, match="measured to order 5000 only"):
+            bessel_zeros(nu, 3)
 
 
 def test_bessel_j_half_order_is_sine():
@@ -303,7 +326,7 @@ def _engine_result(engine, nu, count):
 @example(nu=2.7, count=2000)
 @example(nu=50.0, count=2000)
 @example(nu=600.0, count=620)
-@example(nu=6000.0, count=30)  # scipy's jv, above the kernel's order cap
+@example(nu=5000.0, count=30)  # the largest order the kernel takes
 def test_engines_give_the_same_bits(nu, count):
     scalar = _engine_result("scalar", nu, count)
     assert not isinstance(scalar, str)
@@ -392,8 +415,8 @@ def test_engines_give_the_same_residue_check(monkeypatch, nu, p):
 def test_engine_threshold_is_count_times_nu_plus_30(monkeypatch):
     found = []
     # each engine yields blocks; these yield none
-    monkeypatch.setattr(bessel_numeric, "_zeros_scalar", lambda nu, n: found.append("scalar") or ())
-    monkeypatch.setattr(bessel_numeric, "_zeros_blocks", lambda nu, n: found.append("blocks") or ())
+    monkeypatch.setattr(bessel_numeric, "_zeros_scalar", lambda *_: found.append("scalar") or ())
+    monkeypatch.setattr(bessel_numeric, "_zeros_blocks", lambda *_: found.append("blocks") or ())
     limit = bessel_numeric._SCALAR_WORK
     cases = ((0.0, int(limit / 30)), (0.0, int(limit / 30) + 1), (170.0, 1000), (170.0, 1001))
     for nu, count in cases:

@@ -605,9 +605,8 @@ def test_zeros_out_of_reach_fail_loudly(capsys):
     got = [float(line) for line in out.splitlines()]
     assert len(got) == 1010
     assert all(abs(g - r) <= 1e-12 * r for g, r in zip(got[1003:], refs))
-    # J_nu at nu = 1e20 cannot be evaluated to certify any seed; in a
-    # subprocess so that a search that never ends fails the test instead of
-    # hanging it
+    # J_nu at nu = 1e20 is past the kernel's order limit; in a subprocess so
+    # that a search that never ends fails the test instead of hanging it
     proc = subprocess.run(
         [sys.executable, "-m", "rayleigh_sums", "zeros", "--nu", "1e20", "--count", "1"],
         capture_output=True,
@@ -616,12 +615,14 @@ def test_zeros_out_of_reach_fail_loudly(capsys):
     )
     assert proc.returncode == 4
     assert proc.stdout == ""
-    assert proc.stderr.startswith("numeric breakdown: zero 1 of J_1e+20 failed certification")
+    assert proc.stderr == (
+        "numeric breakdown: J_1e+20: the kernel's error is measured to order 5000 only\n"
+    )
 
 
 def test_zeros_past_binary64_print_only_the_breakdown():
-    # the seeds, Newton steps and gaps turn inf and nan here; numpy must not
-    # warn of it beside the message
+    # the order is refused before any seed, Newton step or gap could turn
+    # inf or nan, and nothing but the message reaches stderr
     proc = subprocess.run(
         [sys.executable, "-m", "rayleigh_sums", "zeros", "--nu", "1e50", "--count", "2"],
         capture_output=True,
@@ -632,7 +633,33 @@ def test_zeros_past_binary64_print_only_the_breakdown():
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
-    assert lines[0].startswith("numeric breakdown: zero 1 of J_1e+50 failed certification")
+    assert lines[0] == (
+        "numeric breakdown: J_1e+50: the kernel's error is measured to order 5000 only"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, order",
+    [
+        (("zeros", "--nu", "5000.5", "--count", "3"), "5000.5"),
+        (("verify", "residues", "--p", "1.5", "--nu", "4999", "--terms", "10"), "5000.5"),
+        (("verify", "residues", "--p", "0.3", "--nu", "4999.5", "--terms", "10"), "5000.5"),
+        (("verify", "ratio", "--p", "3", "--nu", "4999", "--k", "1"), "5002.0"),
+        (("verify", "sigma", "--p", "2", "--nu", "6000", "--terms", "2"), "6000.0"),
+    ],
+    ids=["zeros", "residues-nu-plus-p", "residues-nu-plus-1", "ratio-nu-plus-p", "sigma"],
+)
+def test_orders_past_the_limit_exit_4(capsys, argv, order):
+    # the order of J each call would first evaluate past 5000 is named
+    assert run(capsys, *argv) == (
+        4, "", f"numeric breakdown: J_{order}: the kernel's error is measured to order 5000 only\n"
+    )
+
+
+def test_zeros_at_the_order_limit(capsys):
+    rc, out, err = run(capsys, "zeros", "--nu", "5000", "--count", "3")
+    assert (rc, err) == (0, "")
+    assert out == "".join(f"{z:.15f}\n" for z in bessel_numeric.bessel_zeros(5000.0, 3).zeros)
 
 
 class _CountingStdout(io.StringIO):

@@ -1,12 +1,12 @@
 """What each process loads. Importing the package loads none of its
 modules, and the CLI loads its four layers but not `dataclasses` or
 `inspect`; of bessel_numeric it takes the verify checks, not their rules.
-The exact subcommands run without numpy or scipy, and so do the small
-numeric ones, whose zeros come from the scalar zero finder below its work
-threshold: `zeros` and the three `verify` commands load numpy exactly when
-the zeros they take (the count, k, or a sum's max(terms, K0)) pass it. Only
-orders above the cap of the numpy Bessel kernel load scipy. The CLI runs
-OpenBLAS on one thread unless the environment says otherwise.
+The exact subcommands run without numpy, and so do the small numeric ones,
+whose zeros come from the scalar zero finder below its work threshold:
+`zeros` and the three `verify` commands load numpy exactly when the zeros
+they take (the count, k, or a sum's max(terms, K0)) pass it. No subcommand
+loads scipy, which the package does not use. The CLI runs OpenBLAS on one
+thread unless the environment says otherwise.
 
 The pytest process has numpy loaded already, so each check runs a fresh
 interpreter with PYTHONPATH=src and reads its sys.modules.
@@ -131,19 +131,20 @@ def test_cli_takes_only_the_checks_from_bessel_numeric():
     }
 
 
-def test_zeros_loads_numpy_and_scipy():
+def test_numeric_calls_load_numpy_but_never_scipy():
     # numpy above the scalar engine's threshold, reached by the zeros a call
-    # takes: a residue sum of 10^4 zeros, a count of 10^4, or a sigma sum
-    # whose K0 (1836 zeros at nu = 150) passes its --terms; scipy only for
-    # an order above the kernel's cap. The first call shows that the probe
-    # sees a lazy import when one happens
+    # takes: a residue sum of 10^4 zeros, a count of 10^4, a sigma sum whose
+    # K0 (1836 zeros at nu = 150) passes its --terms, or a ratio check at
+    # zero 2000; the lazy numpy import shows that the probe sees one when it
+    # happens. scipy loads on no path, at the order limit or past it
     assert 10**4 * 30 > bessel_numeric._SCALAR_WORK
     assert bessel_numeric._summed_zeros(150.0, 2) * 180 > bessel_numeric._SCALAR_WORK
-    assert bessel_numeric._JV_ORDER_CAP < 6000
     seen = _loaded_after(
         ["verify", "residues", "--p", "1.5", "--nu", "2.7", "--terms", "10000"],
         ["zeros", "--nu", "0", "--count", "10000"],
         ["verify", "sigma", "--p", "1", "--nu", "150", "--terms", "2"],
+        ["verify", "ratio", "--p", "3", "--nu", "150", "--k", "2000"],
+        ["zeros", "--nu", "5000", "--count", "3"],
         ["zeros", "--nu", "6000", "--count", "3"],
         watch=("numpy", "scipy"),
     )
@@ -152,7 +153,9 @@ def test_zeros_loads_numpy_and_scipy():
         "verify residues --p 1.5 --nu 2.7 --terms 10000": ["numpy"],
         "zeros --nu 0 --count 10000": ["numpy"],
         "verify sigma --p 1 --nu 150 --terms 2": ["numpy"],
-        "zeros --nu 6000 --count 3": ["numpy", "scipy"],
+        "verify ratio --p 3 --nu 150 --k 2000": ["numpy"],
+        "zeros --nu 5000 --count 3": ["numpy"],
+        "zeros --nu 6000 --count 3": "exit 4",
     }
 
 
