@@ -70,7 +70,11 @@ def test_bessel_j_refuses_non_finite_input():
     assert bessel_j(1e306, 1e-200) == 0.0
 
 
-def test_orders_past_the_limit_are_refused_before_any_zero():
+def test_orders_past_the_limit_are_refused_before_any_zero(monkeypatch):
+    def no_seeds(nu, k):
+        raise AssertionError(f"J_{nu} was seeded")
+
+    monkeypatch.setattr(bessel_numeric, "_seeds", no_seeds)
     cap = bessel_numeric._JV_ORDER_CAP
     assert cap == 5000.0
     past = math.nextafter(cap, math.inf)
