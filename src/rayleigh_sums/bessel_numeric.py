@@ -17,9 +17,10 @@ and gives a point the same bits either way. Against mpmath it is within
 scipy.special.jv is off by up to 1.6e5 eps (at mu = 1000, x = 67385). Its
 test stops there: above mu = 1000 it was measured at 143 eps (mu = 2000,
 the third zero) and 277 eps (mu = 4999, the first zero). An order above
-_JV_ORDER_CAP = 5000, past that measured range, raises NumericError, so no
-zero, sum or check here is taken at such an order (ROADMAP item 15 (a) is
-the way back above 5000, with a tested bound).
+_JV_ORDER_CAP = 5000, past that measured range, raises NumericError, and so
+does a count whose last zero lies past _X_MAX = 1.25e8, where binary64 cannot
+certify zeros, so no zero, sum or check here is taken at such an order or
+count (ROADMAP item 15 (a) is the way back above 5000, with a tested bound).
 
 The zero finder has two engines with the same checks and the same bits.
 Where count * (nu + 30) <= _SCALAR_WORK = 2e5 it runs one zero at a time on
@@ -361,6 +362,11 @@ def _seeds(nu: float, k):
 # 35 at 200, 128 at 1000, so 25-55 ms per call from nu = 0 to 3000, about
 # half of the 0.10-0.13 s a fresh process takes to import numpy.
 _SCALAR_WORK = 2e5
+# No zero is sought past _X_MAX: Newton stops at |J| <= eps/2 x |J'|, |J'| ~
+# sqrt(2/(pi x)), so |J| may reach eps/2 sqrt(2x/pi), past the certificate's 1e-12
+# from x = 2 pi (1e-12/eps)^2 = 1.2744e8 on at any order (first failures measured
+# at 1.2747e8-1.2752e8 for nu = 50 to 4999). At 1.25e8 it is 0.99e-12.
+_X_MAX = 1.25e8
 
 
 def bessel_zeros(nu: float, count: int) -> ZeroSet:
@@ -382,11 +388,12 @@ def bessel_zeros(nu: float, count: int) -> ZeroSet:
     from max(nu, 1) up to xi_1, and negative from there to xi_2, which one
     J_nu evaluation on a grid of step pi/8 (less than any gap) confirms; the
     gaps cannot see zero 2 skipped, since a first gap may be the largest.
-    An order above _JV_ORDER_CAP, a seed that is not finite, a failed
-    certificate or either failed index check raises NumericError at the
-    first fault met. The checks run in that order block by block, the
-    anchor after the first block, and a failed certificate or gap check
-    names the first zero that fails it.
+    An order above _JV_ORDER_CAP, a count whose last seed passes _X_MAX
+    (where binary64 cannot certify zeros), a seed that is not finite, a
+    failed certificate or either failed index check raises NumericError at
+    the first fault met, the first two before any zero is found. The checks
+    run in that order block by block, the anchor after the first block, and
+    a failed certificate or gap check names the first zero that fails it.
 
     Two engines do this work (`_zero_blocks` picks one): `_zeros_scalar`,
     one zero at a time on Python floats, for small counts and orders, and
@@ -416,14 +423,17 @@ def _zero_blocks(
     raises NumericError from the iterator in place of the block where it
     failed, and no block is yielded before it is checked, so a caller that
     acts only after the last block acts on checked zeros alone. Both engines
-    take the kernel at nu, `pair`, built here, so an order past
-    _JV_ORDER_CAP raises before either starts."""
+    take the kernel at nu, `pair`, built here, so an order past _JV_ORDER_CAP,
+    or a last seed past _X_MAX (zeros binary64 cannot certify), raises first."""
     if nu < 0:
         raise NumericError(f"nu must be >= 0, got {nu}")
     if count < 1:
         raise NumericError(f"count must be >= 1, got {count}")
+    pair = _jv_pair_at(nu)
+    if count > _X_MAX or _seeds(nu, float(count)) > _X_MAX:  # the int first: it may pass binary64
+        raise NumericError(f"zero {count} of J_{nu} lies past the certificate's x_max = {_X_MAX:g}")
     engine = _zeros_scalar if count * (nu + 30.0) <= _SCALAR_WORK else _zeros_blocks
-    return engine(nu, count, _jv_pair_at(nu))
+    return engine(nu, count, pair)
 
 
 def _zeros_scalar(
@@ -651,23 +661,12 @@ def _hurwitz_zeta(s: float, q: float) -> tuple[float, float]:
     return math.fsum(terms), abs(terms[-1])
 
 
-# The most zeros the K0 rule makes `_sigma_sum` find: K0 passes it above
-# nu = 21430, where finding them takes about 5 s of a fresh `verify sigma`
-# (2-core x86-64), and it grows as 12.2 nu.
-_K0_MAX = 2**18
-
-
 def _summed_zeros(nu: float, count: int, reach: float = 0.0) -> int:
     """The real zeros a zero sum of J_nu sums when it is given `count`: at
     least K0 = ceil(max(40 max(nu, 1), reach) / pi - (nu/2 - 1/4)), so that
     its tail starts where beta_k = pi(k + nu/2 - 1/4) passes 40 max(nu, 1)
-    and reach. A K0 above both count and _K0_MAX raises NumericError."""
-    k0 = math.ceil(max(40.0 * max(nu, 1.0), reach) / math.pi - (nu / 2.0 - 0.25))
-    if k0 > max(count, _K0_MAX):
-        raise NumericError(
-            f"the zero sum of J_{nu} needs its first {k0} zeros (K0), more than {_K0_MAX}"
-        )
-    return max(count, k0)
+    and reach; `_zero_blocks` refuses a count past _X_MAX (uncertifiable zeros)."""
+    return max(count, math.ceil(max(40.0 * max(nu, 1.0), reach) / math.pi - (nu / 2.0 - 0.25)))
 
 
 def _sigma_sum(nu: float, p: float, blocks: Iterable[tuple]) -> TailedSum:
@@ -729,6 +728,7 @@ def _sigma_check(nu: Fraction, p: int, terms: int, exact: Fraction) -> Check:
     zeros of J_nu, or K0 (`_summed_zeros`) where that is more, with budget
     tail_bound; the residual is exact, rounded once."""
     nu_f = float(nu)
+    _jv_pair_at(nu_f)  # the order limit first: K0 passes binary64 above nu = 1.4e307
     count = _summed_zeros(nu_f, terms)
     ts = _sigma_sum(nu_f, float(p), _zero_blocks(nu_f, count))
     check = f"sigma(p={p}, nu={nu}) cannot be checked on {count} zeros"
@@ -797,8 +797,8 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
     Above an order of about 1000 rounding is not a bound, since the kernel's
     is not. An lhs below the smallest normal binary64 number raises
     NumericError, since no sum can be checked against it, and so does an
-    nu + p + 1 past lgamma's range (about 2.55e305) or an nu + p past
-    _JV_ORDER_CAP, before any zero is found.
+    nu + p + 1 past lgamma's range (2.55e305), an nu + p past _JV_ORDER_CAP
+    or a last zero past _X_MAX (uncertifiable), before any zero is found.
     """
     if p <= 0:
         raise NumericError(f"p must be > 0, got {p}")
@@ -809,8 +809,8 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
         raise NumericError(
             f"Gamma(nu+1) / (2^(p+1) Gamma(nu+p+1)) at p={p}, nu={nu} underflows binary64"
         )
-    count = _summed_zeros(nu, terms, p * (2.0 * nu + p))
     term = partial(_residue_terms, _jv_pair_at(nu + p), _jv_pair_at(nu + 1.0), p)
+    count = _summed_zeros(nu, terms, p * (2.0 * nu + p))
     errors = []  # floats whose exact sum is that of the terms' error bounds so far
 
     def values():

@@ -428,6 +428,28 @@ def test_engine_threshold_is_count_times_nu_plus_30(monkeypatch):
     assert found == ["scalar", "blocks", "scalar", "blocks"]
 
 
+@pytest.mark.parametrize("nu", [0.0, 50.0, 4999.0])
+def test_counts_whose_last_seed_passes_x_max_are_refused(monkeypatch, nu):
+    # past x_max Newton's stop rule lets |J| pass the certificate's 1e-12
+    x_max = bessel_numeric._X_MAX
+    assert 0.5 * bessel_numeric._EPS * math.sqrt(2 * x_max / math.pi) < 1e-12
+
+    def no_zeros(*_):
+        raise AssertionError("a zero was found")
+
+    monkeypatch.setattr(bessel_numeric, "_polish_block", no_zeros)
+    monkeypatch.setattr(bessel_numeric, "_zeros_scalar", no_zeros)
+    lo, hi = 1, 2**27  # the last seed of count lo lies below x_max, of hi past it
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _seeds(nu, float(mid)) > x_max else (mid, hi)
+    with pytest.raises(NumericError) as info:
+        _zero_blocks(nu, hi)
+    assert str(info.value) == f"zero {hi} of J_{nu} lies past the certificate's x_max = 1.25e+08"
+    blocks = _zero_blocks(nu, lo)  # the block engine's generator, not yet started
+    assert blocks.__name__ == "_zeros_blocks"
+
+
 def test_accuracy_estimates_are_small(zero_cache):
     zs = zero_cache(1.0, 1000)
     assert np.all(zs.accuracy > 0)

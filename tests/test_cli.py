@@ -277,16 +277,6 @@ def test_verify_sigma_refuses_a_budget_that_reaches_sigma(capsys, monkeypatch):
     )
 
 
-def test_verify_sigma_refuses_a_k0_past_its_cap(capsys):
-    # K0 grows as 12.2 nu; at nu = 1e8 it would take hours of zero finding
-    assert run(capsys, "verify", "sigma", "--p", "1", "--nu", "1e8", "--terms", "2") == (
-        4,
-        "",
-        "numeric breakdown: the zero sum of J_100000000.0 needs its first 1223239545 zeros "
-        "(K0), more than 262144\n",
-    )
-
-
 _VERIFY_FIELDS = {
     "sigma --p 3 --nu 1 --terms 300": ("lhs", "rhs", "residual", "tail_bound"),
     "residues --p 1.5 --nu 0.25 --terms 2000": ("lhs", "rhs", "residual", "tail_bound", "rounding"),
@@ -646,14 +636,49 @@ def test_zeros_past_binary64_print_only_the_breakdown():
         (("verify", "residues", "--p", "0.3", "--nu", "4999.5", "--terms", "10"), "5000.5"),
         (("verify", "ratio", "--p", "3", "--nu", "4999", "--k", "1"), "5002.0"),
         (("verify", "sigma", "--p", "2", "--nu", "6000", "--terms", "2"), "6000.0"),
+        (("verify", "sigma", "--p", "1", "--nu", "30000", "--terms", "2"), "30000.0"),
+        (("verify", "residues", "--p", "1", "--nu", "30000", "--terms", "2"), "30001.0"),
+        (("verify", "sigma", "--p", "1", "--nu", "1e8", "--terms", "2"), "100000000.0"),
+        (("verify", "sigma", "--p", "1", "--nu", "1e308", "--terms", "2"), "1e+308"),
     ],
-    ids=["zeros", "residues-nu-plus-p", "residues-nu-plus-1", "ratio-nu-plus-p", "sigma"],
+    ids=[
+        "zeros", "residues-nu-plus-p", "residues-nu-plus-1", "ratio-nu-plus-p", "sigma",
+        "sigma-k0", "residues-k0", "sigma-nu-1e8", "sigma-k0-past-binary64",
+    ],
 )
 def test_orders_past_the_limit_exit_4(capsys, argv, order):
-    # the order of J each call would first evaluate past 5000 is named
+    # the order of J each call would first evaluate past 5000 is named, also
+    # where K0 = 12.2 nu would take hours of zero finding (nu = 30000, 1e8)
+    # or pass binary64 (nu = 1e308)
     assert run(capsys, *argv) == (
         4, "", f"numeric breakdown: J_{order}: the kernel's error is measured to order 5000 only\n"
     )
+
+
+_PAST_BINARY64 = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zeros", "--nu", "0", "--count", _PAST_BINARY64),
+        ("verify", "sigma", "--p", "1", "--nu", "0", "--terms", _PAST_BINARY64),
+        ("verify", "residues", "--p", "1", "--nu", "0", "--terms", _PAST_BINARY64),
+        ("verify", "ratio", "--p", "2", "--nu", "0", "--k", _PAST_BINARY64),
+        None,
+    ],
+    ids=["zeros", "sigma", "residues", "ratio", "bessel_zeros"],
+)
+def test_counts_past_binary64_are_refused_at_x_max(capsys, argv):
+    # the count is compared as an int before it meets a float, where
+    # count * (nu + 30) raised OverflowError
+    message = f"zero {_PAST_BINARY64} of J_0.0 lies past the certificate's x_max = 1.25e+08"
+    if argv is None:
+        with pytest.raises(bessel_numeric.NumericError) as info:
+            bessel_numeric.bessel_zeros(0.0, 10**400)
+        assert str(info.value) == message
+    else:
+        assert run(capsys, *argv) == (4, "", f"numeric breakdown: {message}\n")
 
 
 def test_zeros_at_the_order_limit(capsys):
