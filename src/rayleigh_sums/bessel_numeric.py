@@ -365,7 +365,7 @@ _SCALAR_WORK = 2e5
 # No zero is sought past _X_MAX: Newton stops at |J| <= eps/2 x |J'|, |J'| ~
 # sqrt(2/(pi x)), so |J| may reach eps/2 sqrt(2x/pi), past the certificate's 1e-12
 # from x = 2 pi (1e-12/eps)^2 = 1.2744e8 on at any order (first failures measured
-# at 1.2747e8-1.2752e8 for nu = 50 to 4999). At 1.25e8 it is 0.99e-12.
+# at 1.2747e8-1.2752e8, nu = 50, 200, 1000, 4999). At 1.25e8 it is 0.99e-12.
 _X_MAX = 1.25e8
 
 

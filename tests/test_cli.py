@@ -670,8 +670,8 @@ _PAST_BINARY64 = str(10**400)
     ids=["zeros", "sigma", "residues", "ratio", "bessel_zeros"],
 )
 def test_counts_past_binary64_are_refused_at_x_max(capsys, argv):
-    # the count is compared as an int before it meets a float, where
-    # count * (nu + 30) raised OverflowError
+    # the count is compared with x_max as an int, before count * (nu + 30)
+    # could overflow a float
     message = f"zero {_PAST_BINARY64} of J_0.0 lies past the certificate's x_max = 1.25e+08"
     if argv is None:
         with pytest.raises(bessel_numeric.NumericError) as info:
