@@ -75,7 +75,7 @@ _BLOCK = 8192
 
 
 class NumericError(RuntimeError):
-    """Numeric breakdown: bad seed, bad certification or index, bad input."""
+    """Numeric breakdown: bad certification or index, bad input."""
 
 
 def _require_budget_below(budget: float, reference: float, check: str, name: str) -> None:
@@ -366,6 +366,13 @@ _SCALAR_WORK = 2e5
 # sqrt(2/(pi x)), so |J| may reach eps/2 sqrt(2x/pi), past the certificate's 1e-12
 # from x = 2 pi (1e-12/eps)^2 = 1.2744e8 on at any order (first failures measured
 # at 1.2747e8-1.2752e8, nu = 50, 200, 1000, 4999). At 1.25e8 it is 0.99e-12.
+# With nu <= _JV_ORDER_CAP as well, every seed below it is finite, so the
+# finder has no path for a seed or gap past binary64: McMahon's
+# beta = pi(k + nu/2 - 1/4) >= 3 pi/4 and mu = 4 nu^2 <= 1e8 keep both of its
+# terms finite, and Olver's (nu > 1 only) has w in (0, inf) and
+# q0 = (3w)^(1/3) > 0, from which Newton on the convex, increasing
+# q - atan q - w overshoots the positive root once and then falls onto it,
+# so q stays positive and finite.
 _X_MAX = 1.25e8
 
 
@@ -389,11 +396,11 @@ def bessel_zeros(nu: float, count: int) -> ZeroSet:
     J_nu evaluation on a grid of step pi/8 (less than any gap) confirms; the
     gaps cannot see zero 2 skipped, since a first gap may be the largest.
     An order above _JV_ORDER_CAP, a count whose last seed passes _X_MAX
-    (where binary64 cannot certify zeros), a seed that is not finite, a
-    failed certificate or either failed index check raises NumericError at
-    the first fault met, the first two before any zero is found. The checks
-    run in that order block by block, the anchor after the first block, and
-    a failed certificate or gap check names the first zero that fails it.
+    (where binary64 cannot certify zeros), a failed certificate or either
+    failed index check raises NumericError at the first fault met, the
+    first two before any zero is found. The checks run in that order block
+    by block, the anchor after the first block, and a failed certificate or
+    gap check names the first zero that fails it.
 
     Two engines do this work (`_zero_blocks` picks one): `_zeros_scalar`,
     one zero at a time on Python floats, for small counts and orders, and
@@ -440,12 +447,10 @@ def _zeros_scalar(
     nu: float, count: int, pair: Callable
 ) -> Iterator[tuple[list[float], list[float]]]:
     """`bessel_zeros` one zero at a time, on Python floats, as one block."""
-    seeds = [_seeds(nu, float(k)) for k in range(1, count + 1)]
-    if not all(map(math.isfinite, seeds)):
-        raise NumericError(f"the zeros of J_{nu} cannot be seeded in binary64")
     half_ulp, four_ulps = 0.5 * _EPS, 4.0 * _EPS
     zeros, accuracy = [], []
-    for k, x in enumerate(seeds):
+    for k in range(count):
+        x = _seeds(nu, k + 1.0)
         f, g = pair(x)
         d = (nu / x) * f - g
         for _ in range(6):
@@ -479,8 +484,8 @@ def _zeros_blocks(
     before, so only those two are kept past their block. Every value
     depends on its own zero alone, so the result does not depend on the
     block size, and the first block with a fault raises the error one pass
-    over all the zeros would: the seeds, then the first uncertified zero,
-    then the first broken gap, then the anchor.
+    over all the zeros would: the first uncertified zero, then the first
+    broken gap, then the anchor.
     """
     import numpy as np
 
@@ -488,10 +493,7 @@ def _zeros_blocks(
     for start in range(0, count, _BLOCK):
         x, accuracy = _polish_block(nu, pair, start, min(start + _BLOCK, count))
         zeros, acc = np.concatenate((tail[0], x)), np.concatenate((tail[1], accuracy))
-        # inf and nan gaps past binary64 are the check's to report, not
-        # numpy's to warn of on stderr
-        with np.errstate(all="ignore"):
-            _check_gaps(nu, zeros, acc, start - len(tail[0]))
+        _check_gaps(nu, zeros, acc, start - len(tail[0]))
         if start == 0:
             _check_anchor(nu, x[:2].tolist(), lambda grid: pair(np.array(grid))[0].tolist())
         tail = zeros[-2:].tolist(), acc[-2:].tolist()
@@ -507,33 +509,28 @@ def _polish_block(
     handed on."""
     import numpy as np
 
-    # past binary64 the seeds and Newton steps turn inf or nan, which the
-    # checks report; numpy is kept from warning of it on stderr too
-    with np.errstate(all="ignore"):
-        x = _seeds(nu, np.arange(start + 1, stop + 1, dtype=float))
-        if not np.all(np.isfinite(x)):
-            raise NumericError(f"the zeros of J_{nu} cannot be seeded in binary64")
+    x = _seeds(nu, np.arange(start + 1, stop + 1, dtype=float))
 
-        # one pass over the block gives every zero its J and J', then Newton
-        # moves only the seeds whose step would still exceed half an ulp
-        f, g = pair(x)
-        d = (nu / x) * f - g
-        moving = np.flatnonzero(np.abs(f) > 0.5 * _EPS * x * np.abs(d))
-        for _ in range(6):
-            if moving.size == 0:
-                break
-            xs = x[moving] - f[moving] / d[moving]
-            fs, gs = pair(xs)
-            ds = (nu / xs) * fs - gs
-            x[moving], f[moving], d[moving] = xs, fs, ds
-            moving = moving[np.abs(fs) > 0.5 * _EPS * xs * np.abs(ds)]
+    # one pass over the block gives every zero its J and J', then Newton
+    # moves only the seeds whose step would still exceed half an ulp
+    f, g = pair(x)
+    d = (nu / x) * f - g
+    moving = np.flatnonzero(np.abs(f) > 0.5 * _EPS * x * np.abs(d))
+    for _ in range(6):
+        if moving.size == 0:
+            break
+        xs = x[moving] - f[moving] / d[moving]
+        fs, gs = pair(xs)
+        ds = (nu / xs) * fs - gs
+        x[moving], f[moving], d[moving] = xs, fs, ds
+        moving = moving[np.abs(fs) > 0.5 * _EPS * xs * np.abs(ds)]
 
-        size = np.abs(f)
-        bad = ~(size < 1e-12 * np.maximum(1.0, np.abs(d)))
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise _certificate_error(nu, start + i, size[i], x[i])
-        return x, np.abs(f / d) + 4.0 * _EPS * x
+    size = np.abs(f)
+    bad = ~(size < 1e-12 * np.maximum(1.0, np.abs(d)))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise _certificate_error(nu, start + i, size[i], x[i])
+    return x, np.abs(f / d) + 4.0 * _EPS * x
 
 
 def _certificate_error(nu: float, k: int, size: float, x: float) -> NumericError:
@@ -941,7 +938,10 @@ def _ratio_check(nu: float, p: int, k: int) -> Check:
     J_nu, A_p errs at x by at most |B_p(x)| times the zero's accuracy, to first
     order; the budget adds `_kernel_ratio_error` and two roundings. Where it
     reaches |ratio| no binary64 zero can check A_p, and NumericError is
-    raised before A_p is evaluated (0.3 s at p = 170 on a 2-core x86-64)."""
+    raised before A_p is evaluated (0.3 s at p = 170 on a 2-core x86-64).
+    Those two terms are known before B_p and are checked first, so where
+    J_{nu+p} underflows at x, and ratio is 0, the check refuses before B_p's
+    p exact steps too, which took 169 s at p = 4999, nu = 0, k = 1."""
     if k < 1 or p < 1:
         raise NumericError(f"p and k must be >= 1, got p={p}, k={k}")
     pair_a, pair_b = _jv_pair_at(nu + p), _jv_pair_at(nu + 1.0)
@@ -949,14 +949,16 @@ def _ratio_check(nu: float, p: int, k: int) -> Check:
         x, acc = float(zeros[-1]), float(accuracy[-1])
     (a, a1), (b, b1) = pair_a(x), pair_b(x)
     ratio, nu_q, x_q = a / b, Fraction(nu), Fraction(x)
+    kernel, rounding = _kernel_ratio_error(math.hypot, a, a1, b, b1) / abs(b), 2 * _EPS * abs(ratio)
+    check = f"the ratio expansion for p={p} cannot be checked in binary64 at x={x:.6f}"
+    _require_budget_below(kernel + rounding, ratio, check, "ratio")
     r0, r1 = Fraction(1), Fraction(0)
     for n in range(1, p):
         r0, r1 = r1, 2 * (nu_q + n) / x_q * r1 - r0
     # capped at |ratio|, which is refused anyway, so that a B_p past binary64
     # (p = 400 at nu = 2.5) never meets a float
     lommel = float(min(abs(r1) * Fraction(acc), abs(ratio)))
-    budget = lommel + _kernel_ratio_error(math.hypot, a, a1, b, b1) / abs(b) + 2 * _EPS * abs(ratio)
-    check = f"the ratio expansion for p={p} cannot be checked in binary64 at x={x:.6f}"
+    budget = lommel + kernel + rounding
     _require_budget_below(budget, ratio, check, "ratio")
     u = 2 / x_q
     expansion = sum(c.evaluate(nu_q) * u**m for _, c, m in build_ratio_expansion(p).terms)

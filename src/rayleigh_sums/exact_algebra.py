@@ -236,16 +236,6 @@ _TEXT = ("v", "^{}", " {} ", "({})", " ", "{} / ({})")
 _LATEX = (r"\nu", "^{{{}}}", "{}", "{}", "", r"\frac{{{}}}{{{}}}")
 
 
-def poly_text(p: Poly) -> str:
-    """Plain-text rendering with 'v' for nu, e.g. '21v^3 + 181v^2 + 513v + 473'."""
-    return _poly_terms(p, _TEXT)
-
-
-def poly_latex(p: Poly) -> str:
-    """LaTeX rendering with \\nu, braced exponents, no spaces."""
-    return _poly_terms(p, _LATEX)
-
-
 class FactoredRationalFn(_Record):
     """numerator / (2**two_exponent * prod (nu+m)**e_m), with
     numerator: Poly, two_exponent: int and

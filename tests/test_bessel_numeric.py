@@ -362,8 +362,9 @@ def _break_near(monkeypatch, faults):
 @pytest.mark.parametrize("k0", [1, 2, 3, 7, 300])
 def test_engines_raise_the_same_errors(monkeypatch, k0):
     # a skipped zero k0 fails the gap check (or the anchor, at k0 = 1 and
-    # 2), a nan seed the seeding, a nan J near zero k0 the certificate, and
-    # so does a small |J| there ahead of a larger one at zero k0 + 5
+    # 2); a nan seed there, which no seed within the limits is, fails the
+    # certificate, and so do a nan J near zero k0 and a small |J| there ahead
+    # of a larger one at zero k0 + 5
     seeds = bessel_numeric._seeds
     xi, *_, xi_later = bessel_zeros(2.7, k0 + 5).zeros[k0 - 1 :]
 
@@ -383,7 +384,7 @@ def test_engines_raise_the_same_errors(monkeypatch, k0):
         return out
 
     monkeypatch.setattr(bessel_numeric, "_seeds", nan_seed)
-    assert results() == "the zeros of J_2.7 cannot be seeded in binary64"
+    assert results() == f"zero {k0} of J_2.7 failed certification: |J|=nan at x=nan"
 
     monkeypatch.setattr(bessel_numeric, "_seeds", seeds)
     _break_near(monkeypatch, [(xi, math.nan)])
@@ -448,6 +449,20 @@ def test_counts_whose_last_seed_passes_x_max_are_refused(monkeypatch, nu):
     assert str(info.value) == f"zero {hi} of J_{nu} lies past the certificate's x_max = 1.25e+08"
     blocks = _zero_blocks(nu, lo)  # the block engine's generator, not yet started
     assert blocks.__name__ == "_zeros_blocks"
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.0, math.nextafter(1.0, 2.0), 2.7, 1000.0, 4999.999, 5000.0])
+def test_seeds_are_finite_and_increasing_up_to_the_last_count(nu):
+    # the zero finder has no path for a seed past binary64: within the order
+    # and count limits there is none
+    lo, hi = 1, 2**27  # the last count _zero_blocks accepts is lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _seeds(nu, float(mid)) > bessel_numeric._X_MAX else (mid, hi)
+    k = np.unique(np.concatenate((np.arange(1, 2001), np.linspace(2001, lo, 2000).round())))
+    seeds = _seeds(nu, k)
+    assert np.all(np.isfinite(seeds)) and np.all(np.diff(seeds) > 0)
+    assert [_seeds(nu, i) for i in k.tolist()] == seeds.tolist()
 
 
 def test_accuracy_estimates_are_small(zero_cache):
