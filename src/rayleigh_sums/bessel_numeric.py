@@ -941,7 +941,7 @@ def _ratio_check(nu: float, p: int, k: int) -> Check:
     raised before A_p is evaluated (0.3 s at p = 170 on a 2-core x86-64).
     Those two terms are known before B_p and are checked first, so where
     J_{nu+p} underflows at x, and ratio is 0, the check refuses before B_p's
-    p exact steps too, which took 169 s at p = 4999, nu = 0, k = 1."""
+    p exact steps too, which took 163 s at p = 4999, nu = 0, k = 1."""
     if k < 1 or p < 1:
         raise NumericError(f"p and k must be >= 1, got p={p}, k={k}")
     pair_a, pair_b = _jv_pair_at(nu + p), _jv_pair_at(nu + 1.0)

@@ -468,7 +468,7 @@ def test_verify_residues_past_lgamma_range_is_numeric_breakdown(capsys):
 def test_verify_ratio_expansion_past_binary64_is_numeric_breakdown(capsys):
     # the budget is refused before the expansion is evaluated; at p = 400
     # |B_p| passes 1.8e308 and J_{nu+p} underflows to 0, and at p = 2000 it is
-    # refused before B_p's exact chain too, which took 13.6 s
+    # refused before B_p's exact chain too, which took 10 s
     for p, ratio in (
         ("170", "2.090e-233"), ("200", "7.979e-288"), ("400", "0.000e+00"), ("2000", "0.000e+00")
     ):
