@@ -28,7 +28,6 @@ _EXPORTS = {
         "eval_sigma_exact",
         "q_max",
         "ratio_by_recurrence",
-        "ratio_coefficient",
         "sigma_value",
         "sums_identity_defect",
     ),

@@ -126,14 +126,6 @@ def _imul_linear(a: list[int], m: int) -> list[int]:
     return a
 
 
-def _igamma_ratio(upper: int, lower: int) -> list[int]:
-    """prod_{i=lower}^{upper-1}(nu+i) as an integer coefficient list."""
-    out = [1]
-    for i in range(lower, upper):
-        _imul_linear(out, i)
-    return out
-
-
 def _iprimitive(a: list[int]) -> list[int]:
     """a divided by its content, signed so the leading coefficient is positive."""
     if not a:

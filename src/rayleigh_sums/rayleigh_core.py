@@ -17,13 +17,16 @@ to a Gamma-function constant:
 
 Each new p introduces exactly one new unknown, so the system is triangular
 and solves iteratively (derive_sigma_triangular). That solve is kept as the
-reproduced method and as the oracle of the tests. ratio_coefficient is the
-one definition of (-1)^q c_q(nu): the expansion, the solve and the identity
-check (sums_identity_defect) all take it from there. The solve and the check
-also share the identity's terms (_identity_terms) and their combination over
-the factored common denominator (_over_lcd): the check keeps the q = 0 term
-the solve isolates, so it costs about one solve step, not a product of every
-expanded denominator.
+reproduced method and as the oracle of the tests. build_ratio_expansion is
+the one place that builds the (-1)^q c_q(nu): the expansion, the solve and
+the identity check (sums_identity_defect) all take them from there. The
+products nest, c_q's being c_{q+1}'s times (nu+q+1)(nu+p-q-1), so one
+integer list walked down from q_M builds them all with fewer than p
+multiplications by a (nu+m). The solve and the check also share the
+identity's terms (_identity_terms) and their combination over the factored
+common denominator (_over_lcd): the check keeps the q = 0 term the solve
+isolates, so it costs about one solve step, not a product of every expanded
+denominator.
 
 Everything else runs one recurrence, Kishore's (N. Kishore, "The Rayleigh
 function", Proc. AMS 14 (1963) 527-533), over one known denominator:
@@ -59,7 +62,6 @@ from .exact_algebra import (
     PoleError,
     Poly,
     _iadd,
-    _igamma_ratio,
     _imul,
     _imul_linear,
     _iscale,
@@ -76,14 +78,6 @@ def q_max(p: int) -> int:
     if p < 1:
         raise ValueError("p must be >= 1")
     return (p - 1) // 2
-
-
-def ratio_coefficient(p: int, q: int) -> Poly:
-    """Coefficient of (2/xi)**((p-1)-2q) in the ratio expansion, sign included."""
-    if not 0 <= q <= q_max(p):
-        raise ValueError(f"q={q} out of range 0..{q_max(p)} for p={p}")
-    c = (-1) ** q * math.comb((p - 1) - q, q)
-    return Poly(tuple(_iscale(_igamma_ratio(p - q, q + 1), c)))
 
 
 class RatioExpansion(_Record):
@@ -104,10 +98,20 @@ class RatioExpansion(_Record):
 
 
 def build_ratio_expansion(p: int) -> RatioExpansion:
-    terms = tuple(
-        (q, ratio_coefficient(p, q), (p - 1) - 2 * q) for q in range(q_max(p) + 1)
-    )
-    return RatioExpansion(p=p, terms=terms)
+    """The expansion's terms (q, (-1)^q c_q(nu), (p-1)-2q) for q = 0..q_M.
+
+    The products nest, so one list walked down from q_M builds them all: it
+    starts as q_M's, 1 for odd p and (nu+q_M+1) for even p, and each lower
+    q multiplies it in place by (nu+q+1)(nu+p-q-1)."""
+    qm = q_max(p)
+    prod = [1] if p % 2 else [qm + 1, 1]
+    terms = []
+    for q in range(qm, -1, -1):
+        if q < qm:
+            _imul_linear(_imul_linear(prod, q + 1), p - q - 1)
+        c = (-1) ** q * math.comb((p - 1) - q, q)
+        terms.append((q, Poly(tuple(_iscale(prod, c))), (p - 1) - 2 * q))
+    return RatioExpansion(p=p, terms=tuple(reversed(terms)))
 
 
 def ratio_by_recurrence(p: int) -> tuple[Poly, ...]:
@@ -315,9 +319,9 @@ def _identity_terms(table: SigmaTable, p: int, q0: int) -> list[_Term]:
     -(-1)^q 4**(-q) c_q(nu) sigma(p-q). With q0 = 1 they sum to
     c_0(nu) sigma(p) instead, which is what the triangular solve needs."""
     terms = [([1], 2 * p, dict.fromkeys(range(1, p + 1), 1))]
-    for q in range(q0, q_max(p) + 1):
+    for q, coeff, _ in build_ratio_expansion(p).terms[q0:]:
         num, two, sh = _entry_parts(table[p - q])
-        c = _iscale(ratio_coefficient(p, q).coeffs, -1)
+        c = _iscale(coeff.coeffs, -1)
         terms.append((_imul(c, num), two + 2 * q, sh))
     return terms
 
