@@ -26,7 +26,6 @@ _EXPORTS = {
         "derive_sigma",
         "derive_sigma_triangular",
         "eval_sigma_exact",
-        "q_max",
         "ratio_by_recurrence",
         "sigma_value",
         "sums_identity_defect",

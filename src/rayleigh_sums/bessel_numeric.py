@@ -469,7 +469,7 @@ def _zeros_scalar(
         g0, g1 = zeros[k + 1] - zeros[k], zeros[k + 2] - zeros[k + 1]
         if _gap_breaks(nu, g1 - g0, accuracy[k], accuracy[k + 1], accuracy[k + 2]):
             raise _gap_error(nu, k, g1, g0, zeros[k + 2])
-    _check_anchor(nu, zeros[:2], lambda grid: [pair(x)[0] for x in grid])
+    _check_anchor(nu, zeros[:2], pair)
     yield zeros, accuracy
 
 
@@ -495,7 +495,7 @@ def _zeros_blocks(
         zeros, acc = np.concatenate((tail[0], x)), np.concatenate((tail[1], accuracy))
         _check_gaps(nu, zeros, acc, start - len(tail[0]))
         if start == 0:
-            _check_anchor(nu, x[:2].tolist(), lambda grid: pair(np.array(grid))[0].tolist())
+            _check_anchor(nu, x[:2].tolist(), pair)
         tail = zeros[-2:].tolist(), acc[-2:].tolist()
         yield x, accuracy
 
@@ -576,15 +576,15 @@ def _check_gaps(nu: float, zeros: np.ndarray, accuracy: np.ndarray, offset: int 
         raise _gap_error(nu, offset + k, gaps[k + 1], gaps[k], zeros[k + 2])
 
 
-def _check_anchor(
-    nu: float, zeros: list[float], values: Callable[[list[float]], list[float]]
-) -> None:
-    """Raise NumericError unless J_nu, which values(grid) evaluates, is
-    positive on a grid of step pi/8 from max(nu, 1) to at least pi/16 short
-    of zeros[0] and, where `zeros` holds a second zero, negative on a grid
-    of step pi/8 from pi/16 past zeros[0] to at least pi/16 short of
-    zeros[1], clear of the rounding of J there. `zeros` are the first one
-    or two zeros found."""
+def _check_anchor(nu: float, zeros: list[float], pair: Callable) -> None:
+    """Raise NumericError unless J_nu, from the kernel `pair` at one Python
+    float per grid point, is positive on a grid of step pi/8 from
+    max(nu, 1) to at least pi/16 short of zeros[0] and, where `zeros` holds
+    a second zero, negative on a grid of step pi/8 from pi/16 past zeros[0]
+    to at least pi/16 short of zeros[1], clear of the rounding of J there.
+    `zeros` are the first one or two zeros found, as Python floats. Both
+    engines call it alike: the kernel gives a point the same bits as a
+    float or in an array, and only the signs are read."""
     x0 = max(nu, 1.0)
     step = math.pi / 8.0
     first = zeros[0]
@@ -592,7 +592,8 @@ def _check_anchor(
     below = len(grid)
     if len(zeros) > 1:
         grid += [first + step * (i + 0.5) for i in range(math.floor((zeros[1] - first) / step))]
-    for i, (x, v) in enumerate(zip(grid, values(grid))):
+    for i, x in enumerate(grid):
+        v = pair(x)[0]
         if i < below and not v > 0.0:
             raise NumericError(
                 f"zero 1 of J_{nu} failed the index check: J_nu is not positive "
@@ -953,15 +954,19 @@ def _ratio_check(nu: float, p: int, k: int) -> Check:
     kernel, rounding = _kernel_ratio_error(math.hypot, a, a1, b, b1) / abs(b), 2 * _EPS * abs(ratio)
     check = f"the ratio expansion for p={p} cannot be checked in binary64 at x={x:.6f}"
     _require_budget_below(kernel + rounding, ratio, check, "ratio")
-    r0, r1 = Fraction(1), Fraction(0)
+    # B_p on integers: with nu = c/e, x = xn/xd and t = e xn, r_n = s_n / t**n
+    # and s_{n+1} = 2(c + n e) xd s_n - t**2 s_{n-1}, so no step takes a gcd
+    (c, e), (xn, xd) = nu_q.as_integer_ratio(), x_q.as_integer_ratio()
+    t = e * xn
+    t2, s0, s1 = t * t, 1, 0
     for n in range(1, p):
-        r0, r1 = r1, 2 * (nu_q + n) / x_q * r1 - r0
+        s0, s1 = s1, 2 * (c + n * e) * xd * s1 - t2 * s0
     # capped at |ratio|, which is refused anyway, so that a B_p past binary64
     # (p = 400 at nu = 2.5) never meets a float
-    lommel = float(min(abs(r1) * Fraction(acc), abs(ratio)))
+    lommel = float(min(abs(Fraction(s1, t**p)) * Fraction(acc), abs(ratio)))
     budget = lommel + kernel + rounding
     _require_budget_below(budget, ratio, check, "ratio")
     u = 2 / x_q
-    expansion = sum(c.evaluate(nu_q) * u**m for _, c, m in build_ratio_expansion(p).terms)
+    expansion = sum(coeff.evaluate(nu_q) * u**m for _, coeff, m in build_ratio_expansion(p).terms)
     residual = float(abs(Fraction(ratio) - expansion))
     return Check(ratio, float(expansion), residual, (("budget", budget),), budget)

@@ -157,10 +157,6 @@ class Poly(_Record):
         object.__setattr__(self, "coeffs", tuple(_istrip(list(coeffs))))
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "Poly":
         return cls((1,))
 

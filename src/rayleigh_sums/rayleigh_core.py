@@ -43,7 +43,8 @@ process, 2-core x86-64, Python 3.11). The benchmark layer
 rayleigh_core.derive_p60_s, one call per p from an empty table, reads
 0.31-0.35 s (BENCH_35.json). Both solvers end in one normalisation, and the
 reduced denominator is 2**a times that product of shifts (checked to p = 80
-by the tests).
+by the tests). So nu alone decides whether sigma(p, nu) has a pole, at nu in
+{-1..-p}, and sigma_value refuses one before any arithmetic.
 
 Every polynomial loop here, the solvers' and the ratio routes', runs on plain
 integer coefficient lists with the kernels of exact_algebra, multiplying by
@@ -73,13 +74,6 @@ from .exact_algebra import (
 # ratio expansion
 
 
-def q_max(p: int) -> int:
-    """Largest q in the ratio expansion: (p-1)/2 for odd p, (p-2)/2 for even."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return (p - 1) // 2
-
-
 class RatioExpansion(_Record):
     """J_{nu+p}(xi)/J_{nu+1}(xi) at a zero xi of J_nu, as
     sum over terms (q, coeff, power) of coeff(nu) * (2/xi)**power.
@@ -91,7 +85,7 @@ class RatioExpansion(_Record):
     def u_coefficients(self) -> tuple[Poly, ...]:
         """Polynomial in u = 1/xi: entry j is the nu-polynomial at u**j."""
         # entry p-1, the q = 0 term prod(nu+i), is never zero
-        out = [Poly.zero()] * self.p
+        out = [Poly()] * self.p
         for _, coeff, power in self.terms:
             out[power] = Poly(tuple(_iscale(coeff.coeffs, 2**power)))
         return tuple(out)
@@ -103,7 +97,9 @@ def build_ratio_expansion(p: int) -> RatioExpansion:
     The products nest, so one list walked down from q_M builds them all: it
     starts as q_M's, 1 for odd p and (nu+q_M+1) for even p, and each lower
     q multiplies it in place by (nu+q+1)(nu+p-q-1)."""
-    qm = q_max(p)
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    qm = (p - 1) // 2
     prod = [1] if p % 2 else [qm + 1, 1]
     terms = []
     for q in range(qm, -1, -1):
@@ -278,21 +274,19 @@ def sigma_value(p: int, nu: Fraction | int) -> Fraction:
     3 to 5 times faster than the recurrence on Fractions, whose every
     operation takes a gcd.
 
-    Raises PoleError(nu) when c_n == 0 for some n <= p, i.e. exactly at the
-    poles nu in {-1..-p} of the closed form, where every floor(p/m) >= 1.
+    That denominator has every floor(p/m) >= 1, so nu alone decides whether
+    sigma(p) has a pole: it does exactly at nu in {-1..-p}, where some
+    c_m == 0. Such a nu raises PoleError(nu), with nu as the caller gave it,
+    before any step of the recurrence runs.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    nu = Fraction(nu)
-    a, b = nu.numerator, nu.denominator
+    a, b = Fraction(nu).as_integer_ratio()
     c = [a + m * b for m in range(p + 1)]
-    x = [0]
-    for n in range(1, p + 1):
-        if c[n] == 0:
-            raise PoleError(nu)
-        if n == 1:
-            x.append(1)
-            continue
+    if 0 in c[1:]:
+        raise PoleError(nu)
+    x = [0, 1]
+    for n in range(2, p + 1):
         total = 0
         share = 1  # the product of c_m over the shifts term k lacks
         for k, joins, leaves in _term_shares(n):

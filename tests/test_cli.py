@@ -174,9 +174,11 @@ def test_float_sigma_underflow_bound_is_sound(nu, first):
 
 
 def test_eval_pole_exit_code(capsys):
-    rc, out, err = run(capsys, "eval", "--p", "1", "--nu", "-1", "--exact")
-    assert rc == 3
-    assert err == "pole at nu=-1\n"
+    # the message names nu as it was typed, unreduced
+    for p, nu in (("1", "-1"), ("3", "-4/2"), ("3", "-2.0")):
+        assert run(capsys, "eval", "--p", p, f"--nu={nu}", "--exact") == (
+            3, "", f"pole at nu={nu}\n"
+        )
 
 
 def test_point_values_do_not_derive_closed_forms(capsys, monkeypatch):
@@ -502,6 +504,23 @@ def test_verify_ratio_pass(capsys):
         fields = dict(line.split(" = ") for line in out.splitlines()[:-1])
         assert float(fields["residual"]) <= float(fields["budget"])
         assert (rc, out.splitlines()[-1]) == (0, "result: PASS")
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (("--p", "60", "--nu", "1000", "--k", "40"),
+         ("lhs = 0.6890283009557943", "rhs = 0.6890283009558233",
+          "residual = 2.911598e-14", "budget = 5.545828e-13")),
+        (("--p", "100", "--nu", "0", "--k", "5000"),
+         ("lhs = -0.31298110467306606", "rhs = -0.3129811046729503",
+          "residual = 1.157210e-13", "budget = 1.338479e-11")),
+    ],
+)
+def test_verify_ratio_lines_are_pinned(capsys, argv, lines):
+    # both calls run on the scalar zero finder; the budget's |B_p| term comes
+    # from the Lommel chain, here with nu = 1000 and at the 5000th zero
+    assert run(capsys, "verify", "ratio", *argv) == (0, "\n".join((*lines, "result: PASS\n")), "")
 
 
 def test_verify_ratio_budget_rejects_a_wrong_expansion(capsys, monkeypatch):

@@ -89,7 +89,7 @@ def test_gcd_coprime_shifts():
 
 def test_gcd_both_zero_rejected():
     with pytest.raises(ValueError, match="gcd undefined"):
-        poly_gcd(Poly.zero(), Poly.zero())
+        poly_gcd(Poly(), Poly())
 
 
 def test_gcd_p9_numerator_denominator_coprime():

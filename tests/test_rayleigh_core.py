@@ -19,7 +19,6 @@ from rayleigh_sums import (
     eval_sigma_exact,
     numeric_sigma,
     poly_gcd,
-    q_max,
     ratio_by_recurrence,
     sigma_value,
     sums_identity_defect,
@@ -32,21 +31,17 @@ from rayleigh_sums.rayleigh_core import _term_shares
 from golden_forms import SIGMA9_AT_0, golden_frf
 
 
-def test_q_max_parity_rule():
-    assert [q_max(p) for p in range(1, 9)] == [0, 0, 1, 1, 2, 2, 3, 3]
-    with pytest.raises(ValueError):
-        q_max(0)
-
-
 def test_ratio_terms_match_the_from_scratch_definition():
     # each term is (-1)^q C(p-1-q, q) prod_{i=q+1}^{p-q-1}(nu+i), built here
     # per q from [1], independently of the nested build
     assert build_ratio_expansion(1).terms[0][1] == Poly.one()
     assert build_ratio_expansion(2).terms[0][1] == Poly((1, 1))
     assert build_ratio_expansion(3).terms[1][1] == Poly((-1,))
+    # q_M = floor((p-1)/2): (p-1)/2 for odd p, (p-2)/2 for even
+    assert [build_ratio_expansion(p).terms[-1][0] for p in range(1, 9)] == [0, 0, 1, 1, 2, 2, 3, 3]
     for p in range(1, 61):
         terms = build_ratio_expansion(p).terms
-        assert [t[0] for t in terms] == list(range(q_max(p) + 1))
+        assert [t[0] for t in terms] == list(range((p - 1) // 2 + 1))
         for q, coeff, _ in terms:
             prod = [1]
             for i in range(q + 1, p - q):
@@ -280,7 +275,33 @@ def test_sigma_value_matches_closed_forms_to_p60(table80, nu):
         assert sigma_value(p, nu) == eval_sigma_exact(table80[p], nu), p
 
 
-def test_sigma_value_poles_are_exactly_minus_1_to_minus_p(table80):
+def _sigma_value_identity_defect(p, nu):
+    """The paper's identity at p on sigma_value's values: sum over the
+    expansion's terms of (-1)^q 4^(-q) c_q(nu) sigma(p-q, nu), minus
+    4^(-p) / prod_{i<=p}(nu+i). Kishore's recurrence gives the sigmas, the
+    ratio expansion the c_q, so the two routes check each other."""
+    lhs = sum(
+        coeff.evaluate(nu) / 4**q * sigma_value(p - q, nu)
+        for q, coeff, _ in build_ratio_expansion(p).terms
+    )
+    return lhs - 1 / (4**p * math.prod(nu + i for i in range(1, p + 1)))
+
+
+def test_sigma_value_satisfies_the_identity_past_the_forms(monkeypatch):
+    # the forms stop at p = 80; at p = 100 the identity reads sigma(51..100)
+    for nu in (Fraction(0), Fraction(1, 3), Fraction(27, 10), Fraction(1000, 3), Fraction(-7, 3)):
+        assert _sigma_value_identity_defect(100, nu) == 0, nu
+
+    # a step that drops one share, as a faulty recurrence would, is seen
+    def drop_one(n):
+        shares = _term_shares(n)
+        return shares[:-1] if n == 77 else shares
+
+    monkeypatch.setattr(rayleigh_core, "_term_shares", drop_one)
+    assert _sigma_value_identity_defect(100, Fraction(1, 3)) != 0
+
+
+def test_sigma_value_poles_are_exactly_minus_1_to_minus_p(table80, monkeypatch):
     for p in range(1, 31):
         for m in range(1, p + 4):
             if m <= p:
@@ -291,6 +312,15 @@ def test_sigma_value_poles_are_exactly_minus_1_to_minus_p(table80):
                     eval_sigma_exact(table80[p], -m)
             else:
                 assert sigma_value(p, -m) == eval_sigma_exact(table80[p], -m)
+
+    # nu alone decides a pole, so it is refused before any step runs
+    def no_step(n):
+        raise AssertionError(f"step {n} ran")
+
+    monkeypatch.setattr(rayleigh_core, "_term_shares", no_step)
+    with pytest.raises(PoleError) as e:
+        sigma_value(800, -799)
+    assert e.value.nu == -799
 
 
 def test_sigma_value_rejects_p0():
