@@ -15,8 +15,9 @@ Every layer timing comes from this checkout's perfbench/layers.py
 (``measure`` and ``import_profile``), so those metric names are the
 per-layer names in BENCHMARK.json. Beside them each side has the wall time
 and peak RSS of three fresh ``python -m rayleigh_sums`` calls at 10^6 zeros,
-of one small call whose cost is interpreter start, imports and parsing, and
-of a small ``verify residues`` call on the scalar zero finder (``CALLS``),
+of one small call whose cost is interpreter start, imports and parsing, of
+a small ``verify residues`` call on the scalar zero finder, and of 100 zeros
+at order 4999, near the order limit, where the index check costs most (``CALLS``),
 as ``fresh.<call>.wall_s`` and ``fresh.<call>.peak_rss_mb``. Each call is
 started from a small helper interpreter, since a child started by
 vfork/exec inherits its parent's RSS high-water mark: started from this
@@ -70,8 +71,9 @@ import numpy  # noqa: E402
 import scipy  # noqa: E402
 
 
-# the fresh-process calls: three at 10^6 zeros, the floor of any call, and
-# a residue check small enough for the scalar zero finder
+# the fresh-process calls: three at 10^6 zeros, the floor of any call, a
+# residue check small enough for the scalar zero finder, and zeros near the
+# largest order
 CALLS = {
     "derive_p1": ("derive", "--p", "1"),
     "verify_residues_small": ("verify", "residues", "--p", "1.5", "--nu", "2.7", "--terms", "10"),
@@ -80,6 +82,7 @@ CALLS = {
         "verify", "residues", "--p", "1.37", "--nu", "4.2", "--terms", "1000000",
     ),
     "zeros_1e6": ("zeros", "--nu", "0", "--count", "1000000"),
+    "zeros_nu4999_100": ("zeros", "--nu", "4999", "--count", "100"),
 }
 
 # the small helper: runs the call in argv[1:] with its stdout on /dev/null

@@ -62,7 +62,7 @@ from operator import truediv
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .exact_algebra import _Record
-from .rayleigh_core import build_ratio_expansion
+from .rayleigh_core import build_ratio_expansion, sigma_value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -391,16 +391,15 @@ def bessel_zeros(nu: float, count: int) -> ZeroSet:
     comparison the gaps xi_{k+1} - xi_k are non-increasing for nu > 1/2,
     non-decreasing for nu < 1/2 and constant for nu = 1/2, so a gap that
     breaks this beyond the zeros' accuracy means a skipped or repeated
-    zero. And since j_{nu,1} > nu (DLMF 10.21(i)), J_nu must stay positive
-    from max(nu, 1) up to xi_1, and negative from there to xi_2, which one
-    J_nu evaluation on a grid of step pi/8 (less than any gap) confirms; the
-    gaps cannot see zero 2 skipped, since a first gap may be the largest.
-    An order above _JV_ORDER_CAP, a count whose last seed passes _X_MAX
-    (where binary64 cannot certify zeros), a failed certificate or either
-    failed index check raises NumericError at the first fault met, the
-    first two before any zero is found. The checks run in that order block
-    by block, the anchor after the first block, and a failed certificate or
-    gap check names the first zero that fails it.
+    zero. And the exact sums sigma(p, nu) prove that the first two zeros
+    found are j_{nu,1} and j_{nu,2} (`_check_index`), with no J evaluated;
+    the gaps cannot see zero 2 skipped, since a first gap may be the
+    largest. An order above _JV_ORDER_CAP, a count whose last seed passes
+    _X_MAX (where binary64 cannot certify zeros), a failed certificate or
+    either failed index check raises NumericError at the first fault met,
+    the first two before any zero is found. The checks run in that order
+    block by block, the sigma test after the first block, and a failed
+    certificate or gap check names the first zero that fails it.
 
     Two engines do this work (`_zero_blocks` picks one): `_zeros_scalar`,
     one zero at a time on Python floats, for small counts and orders, and
@@ -469,7 +468,7 @@ def _zeros_scalar(
         g0, g1 = zeros[k + 1] - zeros[k], zeros[k + 2] - zeros[k + 1]
         if _gap_breaks(nu, g1 - g0, accuracy[k], accuracy[k + 1], accuracy[k + 2]):
             raise _gap_error(nu, k, g1, g0, zeros[k + 2])
-    _check_anchor(nu, zeros[:2], pair)
+    _check_index(nu, zeros[:2], accuracy[:2])
     yield zeros, accuracy
 
 
@@ -478,14 +477,14 @@ def _zeros_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """`bessel_zeros` over numpy blocks of _BLOCK zeros, yielding each block
     once it is polished, certified and gap-checked, and the first once the
-    anchor has checked it too.
+    sigma test has checked its index too.
 
     The gap check runs over windows that reach two zeros into the block
     before, so only those two are kept past their block. Every value
     depends on its own zero alone, so the result does not depend on the
     block size, and the first block with a fault raises the error one pass
     over all the zeros would: the first uncertified zero, then the first
-    broken gap, then the anchor.
+    broken gap, then the index.
     """
     import numpy as np
 
@@ -495,7 +494,7 @@ def _zeros_blocks(
         zeros, acc = np.concatenate((tail[0], x)), np.concatenate((tail[1], accuracy))
         _check_gaps(nu, zeros, acc, start - len(tail[0]))
         if start == 0:
-            _check_anchor(nu, x[:2].tolist(), pair)
+            _check_index(nu, x[:2].tolist(), accuracy[:2].tolist())
         tail = zeros[-2:].tolist(), acc[-2:].tolist()
         yield x, accuracy
 
@@ -576,34 +575,33 @@ def _check_gaps(nu: float, zeros: np.ndarray, accuracy: np.ndarray, offset: int 
         raise _gap_error(nu, offset + k, gaps[k + 1], gaps[k], zeros[k + 2])
 
 
-def _check_anchor(nu: float, zeros: list[float], pair: Callable) -> None:
-    """Raise NumericError unless J_nu, from the kernel `pair` at one Python
-    float per grid point, is positive on a grid of step pi/8 from
-    max(nu, 1) to at least pi/16 short of zeros[0] and, where `zeros` holds
-    a second zero, negative on a grid of step pi/8 from pi/16 past zeros[0]
-    to at least pi/16 short of zeros[1], clear of the rounding of J there.
-    `zeros` are the first one or two zeros found, as Python floats. Both
-    engines call it alike: the kernel gives a point the same bits as a
-    float or in an array, and only the signs are read."""
-    x0 = max(nu, 1.0)
-    step = math.pi / 8.0
-    first = zeros[0]
-    grid = [x0 + step * i for i in range(math.ceil((first - x0) / step - 0.5))]
-    below = len(grid)
-    if len(zeros) > 1:
-        grid += [first + step * (i + 0.5) for i in range(math.floor((zeros[1] - first) / step))]
-    for i, x in enumerate(grid):
-        v = pair(x)[0]
-        if i < below and not v > 0.0:
-            raise NumericError(
-                f"zero 1 of J_{nu} failed the index check: J_nu is not positive "
-                f"at x={x:.6f} below it"
-            )
-        if i >= below and not v < 0.0:
-            raise NumericError(
-                f"zero 2 of J_{nu} failed the index check: J_nu is not negative "
-                f"at x={x:.6f} between it and zero 1"
-            )
+def _check_index(nu: float, zeros: list[float], accuracy: list[float]) -> None:
+    """Raise NumericError unless the first one or two zeros found (Python
+    floats) are j_{nu,1} and j_{nu,2}, by sigma(p) = sum_k j_{nu,k}**(-2p).
+
+    With X_k = xi_k + acc_k, sigma(p) X_1**(2p) <= 2 leaves no room for a
+    zero below xi_1, and xi_2 - acc_2 > X_1 with (sigma(p) - X_1**(-2p))
+    X_2**(2p) <= 2 none between xi_1 and xi_2. Each j_{nu,k} grows with nu
+    (DLMF 10.21(iv)), so sigma at floor(256 nu)/256 bounds sigma at nu from
+    above. A wrong index fails these exact tests at every p; p starts where
+    the seeds' (xi_1/xi_2)**(2p) <= 1/e and is raised once, by half."""
+    lo = Fraction(math.floor(256.0 * nu), 256)
+    x1 = Fraction(zeros[0]) + Fraction(accuracy[0])
+    p = math.ceil(0.5 / math.log(_seeds(nu, 2.0) / _seeds(nu, 1.0)))
+    for p in (p, math.ceil(1.5 * p)):
+        w1 = x1 ** (2 * p)
+        rest = sigma_value(p, lo) * w1 - 1  # (sigma(p) - X_1**(-2p)) X_1**(2p)
+        if rest > 1:
+            k = 1
+        elif zeros[1:] and not (
+            Fraction(zeros[1]) - Fraction(accuracy[1]) > x1
+            and rest * (Fraction(zeros[1]) + Fraction(accuracy[1])) ** (2 * p) <= 2 * w1
+        ):
+            k = 2
+        else:
+            return
+    room = f"sigma(p={p}) leaves room for a zero below x={zeros[k - 1]:.6f}"
+    raise NumericError(f"zero {k} of J_{nu} failed the index check: {room}")
 
 
 class TailedSum(_Record):

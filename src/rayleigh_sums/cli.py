@@ -304,8 +304,14 @@ def main(argv: list[str] | None = None) -> int:
     # pool costs start-up time; a value the user has set wins
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
+    # CPython (3.10.7 on) limits int-str conversion to 4300 digits: the flags
+    # are parsed under it, the exact results printed without it (8944
+    # characters at eval --p 425 --nu 2.7 --exact), and the caller's kept
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         args = parser.parse_args(argv)
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         return args.func(args)
     except SystemExit as e:  # argparse's own errors and --help
         return int(e.code or 0)
@@ -318,6 +324,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as e:
         print(f"numeric breakdown: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

@@ -1,6 +1,7 @@
 """Zero finder, tail-corrected sums, and the numeric identity checks."""
 
 import math
+import time
 import tracemalloc
 
 import mpmath
@@ -26,6 +27,7 @@ from rayleigh_sums import (
 
 from rayleigh_sums.bessel_numeric import (
     _check_gaps,
+    _check_index,
     _mcmahon,
     _seeds,
     _sigma_sum,
@@ -202,7 +204,8 @@ def test_zeros_match_mpmath_at_seam_and_end(zero_cache, nu):
 def test_newton_stops_once_a_zero_has_converged(monkeypatch, nu):
     # a fixed 6 Newton steps plus a certification pass evaluate the pair
     # J_nu, J_{nu+1} at 7 points per zero; polishing only the seeds that
-    # still move needs at most 3, the anchor grid included, also at large nu
+    # still move needs at most 3, also at large nu; the index check evaluates
+    # no J
     jv_pair_at = bessel_numeric._jv_pair_at
     points = 0
 
@@ -310,6 +313,38 @@ def test_first_zero_is_anchored(monkeypatch):
         for nu in (0.0, 2.7, 1000.0):
             with pytest.raises(NumericError, match=f"zero 1 of J_{nu} failed the index check"):
                 bessel_zeros(nu, 20)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 2.7, 50.0, 1000.0, 4999.0, 4999.7])
+def test_index_check_passes_on_the_finders_zeros(monkeypatch, nu):
+    # sigma(p) at floor(256 nu)/256 proves the first one or two indices,
+    # and no J is evaluated to do so
+    zs = bessel_zeros(nu, 2)
+    assert bessel_zeros(nu, 1).zeros[0] == zs.zeros[0]
+    monkeypatch.setattr(bessel_numeric, "_jv_pair_at", None)
+    for count in (1, 2):
+        _check_index(nu, zs.zeros[:count].tolist(), zs.accuracy[:count].tolist())
+
+
+@pytest.mark.parametrize("engine", list(_ENGINES))
+@pytest.mark.parametrize("k0", [1, 2], ids=["seeds-one-ahead", "zero-2-skipped"])
+def test_index_check_refuses_a_wrong_index_in_time(monkeypatch, engine, k0):
+    # the zeros pass certification and the gaps, and a wrong index fails
+    # both sigma tests at every p, so the check refuses after sigma at its
+    # first p and at its one retry: 0.1-0.2 s at nu = 4999 (p = 130 and 195,
+    # 2-core x86-64), where a second retry, at p = 293, would add 0.3-0.7 s
+    seeds, sigma_value = bessel_numeric._seeds, bessel_numeric.sigma_value
+    monkeypatch.setattr(bessel_numeric, "_seeds", lambda nu, k: seeds(nu, k + (k >= k0)))
+    monkeypatch.setattr(bessel_numeric, "_SCALAR_WORK", _ENGINES[engine])
+    ps = []  # the p of each sigma taken
+    monkeypatch.setattr(bessel_numeric, "sigma_value", lambda p, v: ps.append(p) or sigma_value(p, v))
+    for nu in (2.7, 1000.0, 4999.0):
+        ps.clear()
+        start = time.perf_counter()
+        with pytest.raises(NumericError, match=f"^zero {k0} of J_{nu} failed the index check"):
+            bessel_zeros(nu, 3)
+        assert time.perf_counter() - start < 1.0
+        assert len(ps) == 2 and ps[1] == math.ceil(1.5 * ps[0])
 
 
 def _engine_result(engine, nu, count):

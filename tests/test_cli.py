@@ -773,6 +773,45 @@ def test_unknown_arguments_are_usage_errors(capsys):
     assert run(capsys)[0] == 2
 
 
+# exact results past CPython's 4300-digit limit on int-str conversion, a
+# 10^6-digit flag, which must still be refused as it is parsed, and the edge
+# values of nu on each kind of subcommand: all cheap, about 0.2 s in all
+_EDGE_ARGVS = [
+    ["eval", "--p", "60", "--nu", "1e-20", "--exact"],
+    ["verify", "sigma", "--p", "60", "--nu", "1e-20", "--terms", "3"],
+    ["eval", "--p", "1" * 10**6, "--nu", "1"],
+] + [
+    argv
+    for nu in ("0", "5e-324", "1/3", "4999.5", "5000.0000001", "1e308", "1e309", "nan", "inf")
+    for argv in (
+        ["eval", "--p", "2", "--nu", nu],
+        ["eval", "--p", "2", "--nu", nu, "--exact"],
+        ["zeros", "--nu", nu, "--count", "2"],
+        ["verify", "ratio", "--p", "2", "--nu", nu, "--k", "1"],
+    )
+]
+
+
+def test_edge_argvs_exit_with_a_documented_code(capsys):
+    # no exception escapes main, exit 1 is only verify's FAIL, exit 0 writes
+    # nothing to stderr, and the caller's digit limit is kept
+    limit = sys.get_int_max_str_digits()
+    codes = []
+    for argv in _EDGE_ARGVS:
+        rc, out, err = run(capsys, *argv)
+        assert sys.get_int_max_str_digits() == limit
+        assert rc in (0, 1, 2, 3, 4), argv[:4]
+        if rc == 1:
+            assert argv[0] == "verify" and out.splitlines()[-1] == "result: FAIL", argv
+        if rc == 0:
+            assert err == "", argv
+        codes.append(rc)
+    # the two exact results past 4300 digits print in full
+    assert codes[:3] == [0, 0, 2]
+    assert len(run(capsys, *_EDGE_ARGVS[0])[1]) > 4300
+    assert run(capsys, *_EDGE_ARGVS[1])[1].endswith("result: PASS\n")
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "rayleigh_sums", "derive", "--p", "1"],

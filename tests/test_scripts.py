@@ -22,7 +22,8 @@ _LAYERS = {
     "zeta.zeta_even_s",
 }
 _CALLS = (
-    "derive_p1", "verify_residues_small", "verify_sigma_1e6", "verify_residues_1e6", "zeros_1e6"
+    "derive_p1", "verify_residues_small", "verify_sigma_1e6", "verify_residues_1e6", "zeros_1e6",
+    "zeros_nu4999_100",
 )
 
 
