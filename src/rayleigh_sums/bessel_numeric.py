@@ -579,12 +579,13 @@ def _check_index(nu: float, zeros: list[float], accuracy: list[float]) -> None:
     """Raise NumericError unless the first one or two zeros found (Python
     floats) are j_{nu,1} and j_{nu,2}, by sigma(p) = sum_k j_{nu,k}**(-2p).
 
-    With X_k = xi_k + acc_k, sigma(p) X_1**(2p) <= 2 leaves no room for a
-    zero below xi_1, and xi_2 - acc_2 > X_1 with (sigma(p) - X_1**(-2p))
-    X_2**(2p) <= 2 none between xi_1 and xi_2. Each j_{nu,k} grows with nu
-    (DLMF 10.21(iv)), so sigma at floor(256 nu)/256 bounds sigma at nu from
-    above. A wrong index fails these exact tests at every p; p starts where
-    the seeds' (xi_1/xi_2)**(2p) <= 1/e and is raised once, by half."""
+    With X_k = xi_k + acc_k, above the true zero near xi_k, sigma(p)
+    X_1**(2p) <= 2 leaves no room for a zero below xi_1, and xi_2 - acc_2 >
+    X_1 with (sigma(p) - X_1**(-2p)) X_2**(2p) <= 2 none between xi_1 and
+    xi_2. Each j_{nu,k} grows with nu (DLMF 10.21(iv)), so sigma at
+    floor(256 nu)/256 bounds sigma at nu from above. A wrong index fails
+    these exact tests at every p; p starts where the seeds'
+    (xi_1/xi_2)**(2p) <= 1/e and is raised once, by half."""
     lo = Fraction(math.floor(256.0 * nu), 256)
     x1 = Fraction(zeros[0]) + Fraction(accuracy[0])
     p = math.ceil(0.5 / math.log(_seeds(nu, 2.0) / _seeds(nu, 1.0)))

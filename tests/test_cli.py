@@ -796,7 +796,7 @@ def test_edge_argvs_exit_with_a_documented_code(capsys):
     # no exception escapes main, exit 1 is only verify's FAIL, exit 0 writes
     # nothing to stderr, and the caller's digit limit is kept
     limit = sys.get_int_max_str_digits()
-    codes = []
+    results = []
     for argv in _EDGE_ARGVS:
         rc, out, err = run(capsys, *argv)
         assert sys.get_int_max_str_digits() == limit
@@ -805,11 +805,11 @@ def test_edge_argvs_exit_with_a_documented_code(capsys):
             assert argv[0] == "verify" and out.splitlines()[-1] == "result: FAIL", argv
         if rc == 0:
             assert err == "", argv
-        codes.append(rc)
+        results.append((rc, out))
     # the two exact results past 4300 digits print in full
-    assert codes[:3] == [0, 0, 2]
-    assert len(run(capsys, *_EDGE_ARGVS[0])[1]) > 4300
-    assert run(capsys, *_EDGE_ARGVS[1])[1].endswith("result: PASS\n")
+    (rc0, out0), (rc1, out1), (rc2, _) = results[:3]
+    assert (rc0, rc1, rc2) == (0, 0, 2)
+    assert len(out0) > 4300 and out1.endswith("result: PASS\n")
 
 
 def test_module_entry_point():
