@@ -16,8 +16,9 @@ Every layer timing comes from this checkout's perfbench/layers.py
 per-layer names in BENCHMARK.json. Beside them each side has the wall time
 and peak RSS of three fresh ``python -m rayleigh_sums`` calls at 10^6 zeros,
 of one small call whose cost is interpreter start, imports and parsing, of
-a small ``verify residues`` call on the scalar zero finder, and of 100 zeros
-at order 4999, near the order limit, where the index check costs most (``CALLS``),
+a small ``verify residues`` call on the scalar zero finder, of 100 zeros
+at order 4999, near the order limit, where the index check costs most, and
+of ``verify ratio`` at p = 1000, whose two exact sums grow with p (``CALLS``),
 as ``fresh.<call>.wall_s`` and ``fresh.<call>.peak_rss_mb``. Each call is
 started from a small helper interpreter, since a child started by
 vfork/exec inherits its parent's RSS high-water mark: started from this
@@ -72,8 +73,8 @@ import scipy  # noqa: E402
 
 
 # the fresh-process calls: three at 10^6 zeros, the floor of any call, a
-# residue check small enough for the scalar zero finder, and zeros near the
-# largest order
+# residue check small enough for the scalar zero finder, zeros near the
+# largest order, and a ratio check at a large p on the scalar zero finder
 CALLS = {
     "derive_p1": ("derive", "--p", "1"),
     "verify_residues_small": ("verify", "residues", "--p", "1.5", "--nu", "2.7", "--terms", "10"),
@@ -83,6 +84,7 @@ CALLS = {
     ),
     "zeros_1e6": ("zeros", "--nu", "0", "--count", "1000000"),
     "zeros_nu4999_100": ("zeros", "--nu", "4999", "--count", "100"),
+    "verify_ratio_p1000": ("verify", "ratio", "--p", "1000", "--nu", "0", "--k", "2000"),
 }
 
 # the small helper: runs the call in argv[1:] with its stdout on /dev/null

@@ -62,7 +62,7 @@ from operator import truediv
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .exact_algebra import _Record
-from .rayleigh_core import build_ratio_expansion, sigma_value
+from .rayleigh_core import sigma_value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -929,43 +929,54 @@ def verify_ratio_formula(nu: float, p: int, k: int) -> float:
 
 def _ratio_check(nu: float, p: int, k: int) -> Check:
     """The ratio expansion at the k-th zero x of J_nu: lhs is ratio =
-    J_{nu+p}(x) / J_{nu+1}(x) from the kernel, rhs the expansion A_p exact at
-    the binary64 nu and x, and the residual |ratio - A_p(x)|, both rounded once.
+    J_{nu+p}(x) / J_{nu+1}(x) from the kernel, rhs the paper's expansion A_p
+    exact at the binary64 nu and x (`_lommel`), and the residual
+    |ratio - A_p(x)|, both rounded once.
 
-    The chain r_{n+1} = (2(nu+n)/x) r_n - r_{n-1} gives A_p from (r_0, r_1) =
-    (0, 1) and B_p from (1, 0), with J_{nu+p}/J_{nu+1} = A_p + B_p J_nu/J_{nu+1}
-    at every x (Lommel, DLMF 10.6(ii)). As J_{nu+1} = -J'_nu at a zero of
-    J_nu, A_p errs at x by at most |B_p(x)| times the zero's accuracy, to first
-    order; the budget adds `_kernel_ratio_error` and two roundings. Where it
-    reaches |ratio| no binary64 zero can check A_p, and NumericError is
-    raised before A_p is built (`verify ratio --p 170 --nu 2.5` exits 4 in
-    0.08 s as a fresh process on a 2-core x86-64).
-    Those two terms are known before B_p and are checked first, so where
-    J_{nu+p} underflows at x, and ratio is 0, the check refuses before B_p's
-    p exact steps too, which took 163 s at p = 4999, nu = 0, k = 1."""
+    J_{nu+p}/J_{nu+1} = A_p + B_p J_nu/J_{nu+1} at every x (Lommel, DLMF
+    10.6(ii)). As J_{nu+1} = -J'_nu at a zero of J_nu, A_p errs at x by at
+    most |B_p(x)| times the zero's accuracy, to first order; the budget adds
+    `_kernel_ratio_error` and two roundings. Where it reaches |ratio| no
+    binary64 zero can check A_p, and NumericError is raised (`verify ratio
+    --p 170 --nu 2.5` exits 4 in 0.08 s as a fresh process on a 2-core
+    x86-64). Those two terms are known before A_p and B_p and are checked
+    first, so where J_{nu+p} underflows at x, and ratio is 0, the check
+    refuses before their exact sums, which took 163 s at p = 4999, nu = 0."""
     if k < 1 or p < 1:
         raise NumericError(f"p and k must be >= 1, got p={p}, k={k}")
     pair_a, pair_b = _jv_pair_at(nu + p), _jv_pair_at(nu + 1.0)
     for zeros, accuracy in _zero_blocks(nu, k):
         x, acc = float(zeros[-1]), float(accuracy[-1])
     (a, a1), (b, b1) = pair_a(x), pair_b(x)
-    ratio, nu_q, x_q = a / b, Fraction(nu), Fraction(x)
+    ratio = a / b
     kernel, rounding = _kernel_ratio_error(math.hypot, a, a1, b, b1) / abs(b), 2 * _EPS * abs(ratio)
     check = f"the ratio expansion for p={p} cannot be checked in binary64 at x={x:.6f}"
     _require_budget_below(kernel + rounding, ratio, check, "ratio")
-    # B_p on integers: with nu = c/e, x = xn/xd and t = e xn, r_n = s_n / t**n
-    # and s_{n+1} = 2(c + n e) xd s_n - t**2 s_{n-1}, so no step takes a gcd
-    (c, e), (xn, xd) = nu_q.as_integer_ratio(), x_q.as_integer_ratio()
-    t = e * xn
-    t2, s0, s1 = t * t, 1, 0
-    for n in range(1, p):
-        s0, s1 = s1, 2 * (c + n * e) * xd * s1 - t2 * s0
+    expansion, lommel = _lommel(p, nu, x)
     # capped at |ratio|, which is refused anyway, so that a B_p past binary64
     # (p = 400 at nu = 2.5) never meets a float
-    lommel = float(min(abs(Fraction(s1, t**p)) * Fraction(acc), abs(ratio)))
-    budget = lommel + kernel + rounding
+    budget = float(min(abs(lommel) * Fraction(acc), abs(ratio))) + kernel + rounding
     _require_budget_below(budget, ratio, check, "ratio")
-    u = 2 / x_q
-    expansion = sum(coeff.evaluate(nu_q) * u**m for _, coeff, m in build_ratio_expansion(p).terms)
     residual = float(abs(Fraction(ratio) - expansion))
     return Check(ratio, float(expansion), residual, (("budget", budget),), budget)
+
+
+def _lommel(p: int, nu: float, x: float) -> tuple[Fraction, Fraction]:
+    """A_p(x) and B_p(x) exact at the binary64 nu = c/e and x = xn/xd, each one
+    integer over a power of t = e xn. Over t^(p-1) A_p's term q is (-1)^q
+    C(p-1-q, q) P_q (2 xd)^(p-1-2q) t^(2q), P_q = prod_{i=q+1}^{p-q-1} (c + i e):
+    as P_{q-1} = P_q (c + q e)(c + (p-q) e), one integer walked down from q_M
+    gives every P_q (2 xd)^(p-1-2q), and Horner in t^2 sums the terms. B_p's
+    chain r_{n+1} = (2(nu+n)/x) r_n - r_{n-1} from (1, 0) is r_n = s_n / t^n,
+    s_{n+1} = 2(c + n e) xd s_n - t^2 s_{n-1}, so no step takes a gcd."""
+    (c, e), (xn, xd) = nu.as_integer_ratio(), x.as_integer_ratio()
+    t = e * xn
+    t2, s, s0, s1 = t * t, 0, 1, 0
+    prod = 1 if p % 2 else 2 * xd * (c + p // 2 * e)
+    for q in range((p - 1) // 2, -1, -1):
+        term = math.comb(p - 1 - q, q) * prod
+        s = s * t2 + (-term if q % 2 else term)
+        prod *= 4 * xd * xd * (c + q * e) * (c + (p - q) * e)
+    for n in range(1, p):
+        s0, s1 = s1, 2 * (c + n * e) * xd * s1 - t2 * s0
+    return Fraction(s, t ** (p - 1)), Fraction(s1, t**p)

@@ -18,15 +18,15 @@ to a Gamma-function constant:
 Each new p introduces exactly one new unknown, so the system is triangular
 and solves iteratively (derive_sigma_triangular). That solve is kept as the
 reproduced method and as the oracle of the tests. build_ratio_expansion is
-the one place that builds the (-1)^q c_q(nu): the expansion, the solve and
-the identity check (sums_identity_defect) all take them from there. The
-products nest, c_q's being c_{q+1}'s times (nu+q+1)(nu+p-q-1), so one
-integer list walked down from q_M builds them all with fewer than p
-multiplications by a (nu+m). The solve and the check also share the
-identity's terms (_identity_terms) and their combination over the factored
-common denominator (_over_lcd): the check keeps the q = 0 term the solve
-isolates, so it costs about one solve step, not a product of every expanded
-denominator.
+the one place that builds the (-1)^q c_q(nu) polynomials: the solve and the
+identity check (sums_identity_defect) take them from there. The products
+nest, c_q's being c_{q+1}'s times (nu+q+1)(nu+p-q-1), so one integer list
+walked down from q_M builds them all with fewer than p multiplications by a
+(nu+m); bessel_numeric._lommel sums the same terms at a point on integers.
+The solve and the identity check share the identity's terms
+(_identity_terms) and their combination over the factored common denominator
+(_over_lcd): the check keeps the q = 0 term the solve isolates, so it costs
+about one solve step, not a product of every expanded denominator.
 
 Everything else runs one recurrence, Kishore's (N. Kishore, "The Rayleigh
 function", Proc. AMS 14 (1963) 527-533), over one known denominator:

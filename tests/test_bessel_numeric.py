@@ -3,6 +3,7 @@
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -17,6 +18,7 @@ from rayleigh_sums import (
     bessel_j,
     bessel_numeric,
     bessel_zeros,
+    build_ratio_expansion,
     cli,
     numeric_sigma,
     residue_identity_lhs,
@@ -28,6 +30,7 @@ from rayleigh_sums import (
 from rayleigh_sums.bessel_numeric import (
     _check_gaps,
     _check_index,
+    _lommel,
     _mcmahon,
     _seeds,
     _sigma_sum,
@@ -783,3 +786,20 @@ def test_verify_ratio_formula_residuals():
     for k in range(1, 6):
         assert verify_ratio_formula(0.0, 5, k) < 1e-8
     assert verify_ratio_formula(1.7, 3, 3) < 1e-9
+
+
+def test_lommel_sums_the_ratio_expansion_and_the_chain_exactly():
+    # A_p is the sum of build_ratio_expansion's terms at the exact nu and x,
+    # B_p the Fraction chain r_{n+1} = (2(nu+n)/x) r_n - r_{n-1} from (1, 0);
+    # 0.1, 7.3 and 5003.3 have a long binary64 denominator, 1000/3 a long
+    # numerator, and each nu takes one x to keep the Fraction sums short
+    ps = (*range(1, 61), 199)
+    terms = {p: build_ratio_expansion(p).terms for p in ps}
+    for nu, x in ((0.0, 0.1), (0.5, 7.3), (2.7, 2.5), (1000 / 3, 1234.5678), (4999.5, 5003.3)):
+        nu_q, x_q = Fraction(nu), Fraction(x)
+        r0, r1 = Fraction(1), Fraction(0)
+        for p in range(1, ps[-1] + 1):
+            if p in terms:
+                a = sum(c.evaluate(nu_q) * (2 / x_q) ** m for _, c, m in terms[p])
+                assert _lommel(p, nu, x) == (a, r1), (p, nu, x)
+            r0, r1 = r1, 2 * (nu_q + p) / x_q * r1 - r0

@@ -515,11 +515,18 @@ def test_verify_ratio_pass(capsys):
         (("--p", "100", "--nu", "0", "--k", "5000"),
          ("lhs = -0.31298110467306606", "rhs = -0.3129811046729503",
           "residual = 1.157210e-13", "budget = 1.338479e-11")),
+        (("--p", "1000", "--nu", "0", "--k", "2000"),
+         ("lhs = 0.9440789099489244", "rhs = 0.9440789099490392",
+          "residual = 1.148506e-13", "budget = 2.088479e-12")),
+        (("--p", "301", "--nu", "2.7", "--k", "3000"),
+         ("lhs = 0.1780951848018752", "rhs = 0.17809518480263706",
+          "residual = 7.618614e-13", "budget = 9.038491e-12")),
     ],
 )
 def test_verify_ratio_lines_are_pinned(capsys, argv, lines):
-    # both calls run on the scalar zero finder; the budget's |B_p| term comes
-    # from the Lommel chain, here with nu = 1000 and at the 5000th zero
+    # every call runs on the scalar zero finder; the budget's |B_p| term comes
+    # from the Lommel chain, here with nu = 1000, at the 5000th zero, at a
+    # large p and at an odd p with a non-dyadic nu
     assert run(capsys, "verify", "ratio", *argv) == (0, "\n".join((*lines, "result: PASS\n")), "")
 
 
@@ -528,21 +535,13 @@ def test_verify_ratio_budget_rejects_a_wrong_expansion(capsys, monkeypatch):
     # off by 1e-12 relative fails
     argv = ("verify", "ratio", "--p", "5", "--nu", "0", "--k", "3")
     assert run(capsys, *argv)[0] == 0
-    exact = bessel_numeric.build_ratio_expansion
+    exact = bessel_numeric._lommel
 
-    class Off:
-        def __init__(self, coefficient):
-            self.coefficient = coefficient
+    def wrong(p, nu, x):
+        a, b = exact(p, nu, x)
+        return a * (1 + Fraction(1, 10**12)), b
 
-        def evaluate(self, nu):
-            return self.coefficient.evaluate(nu) * (1 + Fraction(1, 10**12))
-
-    def wrong(p):
-        expansion = exact(p)
-        terms = tuple((q, Off(c), m) for q, c, m in expansion.terms)
-        return type(expansion)(p=p, terms=terms)
-
-    monkeypatch.setattr(bessel_numeric, "build_ratio_expansion", wrong)
+    monkeypatch.setattr(bessel_numeric, "_lommel", wrong)
     rc, out, _ = run(capsys, *argv)
     assert (rc, out.splitlines()[-1]) == (1, "result: FAIL")
 
