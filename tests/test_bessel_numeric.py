@@ -796,10 +796,10 @@ def test_lommel_sums_the_ratio_expansion_and_the_chain_exactly():
     ps = (*range(1, 61), 199)
     terms = {p: build_ratio_expansion(p).terms for p in ps}
     for nu, x in ((0.0, 0.1), (0.5, 7.3), (2.7, 2.5), (1000 / 3, 1234.5678), (4999.5, 5003.3)):
-        nu_q, x_q = Fraction(nu), Fraction(x)
+        nu_q, u = Fraction(nu), 2 / Fraction(x)
         r0, r1 = Fraction(1), Fraction(0)
         for p in range(1, ps[-1] + 1):
             if p in terms:
-                a = sum(c.evaluate(nu_q) * (2 / x_q) ** m for _, c, m in terms[p])
+                a = sum(c.evaluate(nu_q) * u**m for _, c, m in terms[p])
                 assert _lommel(p, nu, x) == (a, r1), (p, nu, x)
-            r0, r1 = r1, 2 * (nu_q + p) / x_q * r1 - r0
+            r0, r1 = r1, (nu_q + p) * u * r1 - r0
