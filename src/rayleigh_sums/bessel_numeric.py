@@ -789,8 +789,9 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
     - one rounding of the fsum.
     The terms and their error bounds (`_residue_terms`) are computed over
     the zero finder's blocks as they come, zero by zero on the scalar
-    engine's lists, and nothing is kept per zero. Both sums are exact
-    sums rounded once (`_add_exactly`), so neither depends on the block size.
+    engine's lists, and nothing is kept per zero. The terms' sum is exact,
+    rounded once. The bounds (>= 0) are summed once per block, then the block
+    sums: two roundings of eps/2, so times 1 + 2 eps it is at least their sum.
     Above an order of about 1000 rounding is not a bound, since the kernel's
     is not. An lhs below the smallest normal binary64 number raises
     NumericError, since no sum can be checked against it, and so does an
@@ -808,7 +809,7 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
         )
     term = partial(_residue_terms, _jv_pair_at(nu + p), _jv_pair_at(nu + 1.0), p)
     count = _summed_zeros(nu, terms, p * (2.0 * nu + p))
-    errors = []  # floats whose exact sum is that of the terms' error bounds so far
+    errors = []  # one sum of the terms' error bounds per block
 
     def values():
         for z, accuracy in _zero_blocks(nu, count):
@@ -818,24 +819,15 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
                 import numpy as np
 
                 v, err = map(memoryview, term(z, accuracy, np.hypot))
-            errors[:] = _add_exactly(errors, err)
+            errors.append(math.fsum(err))
             yield v
 
     total = math.fsum(chain.from_iterable(values()))
     exponent = abs(_lgamma(nu + 1.0)) + (p + 1.0) * math.log(2.0) + abs(_lgamma(nu + p + 1.0))
-    rounding = lhs * _EPS * (2.0 * exponent + 1.0) + errors[0] + _EPS * abs(total)
+    error = math.fsum(errors) * (1.0 + 2.0 * _EPS)
+    rounding = lhs * _EPS * (2.0 * exponent + 1.0) + error + _EPS * abs(total)
     tail = _residue_tail(nu, p, count)
     return ResidueReport(lhs, total, abs(lhs - total), *tail, rounding, count)
-
-
-def _add_exactly(total: list[float], values) -> list[float]:
-    """Floats whose exact sum is that of the floats `total` and `values`
-    (read more than once): each is the remainder the ones before it leave,
-    rounded once by math.fsum, so the first is the exact sum rounded once."""
-    parts = []
-    while not parts or parts[-1] != 0.0 and math.isfinite(parts[-1]):
-        parts.append(math.fsum(chain(total, values, (-x for x in parts))))
-    return parts
 
 
 def _residue_check(nu: float, p: float, terms: int) -> Check:

@@ -9,7 +9,9 @@ or indexed, or lies past x = 1.25e8, where binary64 cannot certify it, a value
 binary64 cannot carry, or a verify check whose error budget reaches its value).
 
 Each flag's range is checked by its argparse type, as the command line is
-parsed; only eval's nu >= 0 without --exact is a rule on two flags.
+parsed; only eval's nu >= 0 without --exact is a rule on two flags. Then
+each exact route refuses a p past its work limit (`_within_limit`), before
+any exact arithmetic.
 
 `derive` and `table` print closed forms from rayleigh_core.derive_sigma;
 `eval`, `zeta` and the exact side of `verify sigma` need sigma at one
@@ -48,6 +50,17 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_POLE = 3
 EXIT_NUMERIC = 4
+
+# The largest p each exact route takes, where one call takes about half a
+# minute; past it the time grows about as p**3.5 for sigma_value(p, 1/2)
+# (0.23 s at p = 300, 3.7 s at 600, 20 s at 1000) and as p**6 for
+# derive_sigma (2.6 s at p = 100, 7.5 s at 120, 29 s at 150), fresh
+# processes on a 2-core x86-64 with Python 3.11. Memory stays small (peak
+# RSS 2 and 11 MB above start at the limits); the check comes before
+# sigma_value's list of p + 1 shifts, which a p of 10**23 would fill until
+# memory ran out.
+_SIGMA_P_MAX = 1000  # eval --exact and zeta: sigma_value
+_DERIVE_P_MAX = 150  # derive and table: derive_sigma
 
 
 class UsageError(Exception):
@@ -131,6 +144,12 @@ def _sigma_underflows(p: int, nu: Fraction) -> bool:
     return p - 1 > (1073.0 - _log2(nu + 1)) / (2.0 * log2_r) + 1e-9
 
 
+def _within_limit(name: str, p: int, limit: int, route: str) -> None:
+    """Refuse a p past its route's work limit, before any exact arithmetic."""
+    if p > limit:
+        raise UsageError(f"{name} must be <= {limit} for {route}")
+
+
 def _sigma_binary64(p: int, nu: Fraction) -> Fraction:
     """sigma(p, nu) for nu >= 0, exactly, refusing a value whose float
     underflows binary64, and before any exact arithmetic (23 s at
@@ -151,6 +170,7 @@ def _render(f: FactoredRationalFn, fmt: str) -> str:
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
+    _within_limit("p", args.p, _DERIVE_P_MAX, "derive")
     print(_render(derive_sigma(SigmaTable(), args.p), args.format))
     return EXIT_OK
 
@@ -159,6 +179,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not args.exact and args.nu < 0:
         raise UsageError("nu must be >= 0 unless --exact is given")
     if args.exact:
+        _within_limit("p", args.p, _SIGMA_P_MAX, "eval --exact")
         print(sigma_value(args.p, args.nu))
     else:
         print(repr(float(_sigma_binary64(args.p, args.nu))))
@@ -189,6 +210,7 @@ def _format_zeta(z: ZetaValue) -> str:
 
 
 def cmd_zeta(args: argparse.Namespace) -> int:
+    _within_limit("p", args.p, _SIGMA_P_MAX, "zeta")
     z = zeta_even(args.p)
     print(_format_zeta(z))
     if args.float:
@@ -211,6 +233,7 @@ def cmd_zeros(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    _within_limit("pmax", args.pmax, _DERIVE_P_MAX, "table")
     table = SigmaTable()
     derive_sigma(table, args.pmax)
     if args.format == "json":

@@ -558,6 +558,40 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, nu):
     assert results() == blocked
 
 
+@pytest.mark.parametrize("engine", list(_ENGINES))
+def test_residue_rounding_bounds_the_exact_error_sum(monkeypatch, engine):
+    # rounding sums the terms' error bounds per block, then the blocks' sums,
+    # and rounds up: the float expression with the exact sum of every zero's
+    # bound, rounded up, must not exceed it, at any block size
+    nu, p, count = 2.7, 1.46, 200
+    eps = np.finfo(float).eps
+    term = bessel_numeric._residue_terms
+    pairs = bessel_numeric._jv_pair_at(nu + p), bessel_numeric._jv_pair_at(nu + 1.0)
+    exponent = abs(math.lgamma(nu + 1.0)) + (p + 1.0) * math.log(2.0) + abs(
+        math.lgamma(nu + p + 1.0)
+    )
+    monkeypatch.setattr(bessel_numeric, "_SCALAR_WORK", _ENGINES[engine])
+    roundings = []
+    for block in (7, 64, 10**9):  # 29, 4 and 1 blocks of the 200 zeros
+        monkeypatch.setattr(bessel_numeric, "_BLOCK", block)
+        report = verify_residue_identity(nu, p, count)
+        assert report.count == count
+        exact = Fraction(0)
+        for z, acc in _zero_blocks(nu, count):
+            if isinstance(z, list):
+                err = [term(*pairs, p, x, a, math.hypot)[1] for x, a in zip(z, acc)]
+            else:
+                err = term(*pairs, p, z, acc, np.hypot)[1].tolist()
+            exact += sum(map(Fraction, err))
+        up = float(exact)
+        if Fraction(up) < exact:
+            up = math.nextafter(up, math.inf)
+        floor = report.lhs * eps * (2.0 * exponent + 1.0) + up + eps * abs(report.partial_rhs)
+        assert report.rounding >= floor, block
+        roundings.append(report.rounding)
+    assert roundings == pytest.approx([roundings[-1]] * 3, rel=4 * eps)
+
+
 def test_certificate_failure_names_the_global_index(monkeypatch):
     # zero _B + 6, in the second block, fails its certificate, and zero
     # 2 _B + 2, in the third, fails it by more; the second block raises, and

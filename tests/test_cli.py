@@ -17,6 +17,7 @@ from rayleigh_sums import (
     cli,
     derive_sigma,
     eval_sigma_exact,
+    rayleigh_core,
     sigma_value,
     zeta,
 )
@@ -179,6 +180,33 @@ def test_eval_pole_exit_code(capsys):
         assert run(capsys, "eval", "--p", p, f"--nu={nu}", "--exact") == (
             3, "", f"pole at nu={nu}\n"
         )
+
+
+def test_exact_routes_refuse_a_p_past_their_limit_before_any_step(capsys, monkeypatch):
+    # a p past a route's limit exits 2 before Kishore's loop runs (at p = 10**23
+    # sigma_value's list of shifts alone would not fit); at the limit the loop
+    # is reached; float eval keeps its underflow refusal past the limit
+    def no_step(n):
+        raise AssertionError(f"step {n} ran")
+
+    monkeypatch.setattr(rayleigh_core, "_term_shares", no_step)
+    routes = (
+        (("derive", "--p"), (), cli._DERIVE_P_MAX, "p", "derive"),
+        (("table", "--pmax"), (), cli._DERIVE_P_MAX, "pmax", "table"),
+        (("eval", "--p"), ("--nu", "2.7", "--exact"), cli._SIGMA_P_MAX, "p", "eval --exact"),
+        (("zeta", "--p"), ("--float",), cli._SIGMA_P_MAX, "p", "zeta"),
+    )
+    for head, tail, limit, name, route in routes:
+        assert run(capsys, *head, str(limit + 1), *tail) == (
+            2, "", f"error: {name} must be <= {limit} for {route}\n"
+        )
+        with pytest.raises(AssertionError, match="^step [12] ran$"):
+            main([*head, str(limit), *tail])
+    assert (cli._DERIVE_P_MAX, cli._SIGMA_P_MAX) == (150, 1000)
+    p = str(cli._SIGMA_P_MAX + 1)
+    assert run(capsys, "eval", "--p", p, "--nu", "2.7") == (
+        4, "", f"numeric breakdown: sigma(p={p}, nu=2.7) underflows binary64\n"
+    )
 
 
 def test_point_values_do_not_derive_closed_forms(capsys, monkeypatch):
@@ -528,6 +556,29 @@ def test_verify_ratio_lines_are_pinned(capsys, argv, lines):
     # from the Lommel chain, here with nu = 1000, at the 5000th zero, at a
     # large p and at an odd p with a non-dyadic nu
     assert run(capsys, "verify", "ratio", *argv) == (0, "\n".join((*lines, "result: PASS\n")), "")
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (("--p", "1.46", "--nu", "2.7", "--terms", "100000"),
+         ("lhs = 0.02475067309371875", "rhs = 0.024750673093718752",
+          "residual = 3.469447e-18", "tail_bound = 1.487947e-23", "rounding = 1.163092e-15")),
+        (("--p", "0.5", "--nu", "0", "--terms", "10"),
+         ("lhs = 0.3989422804014328", "rhs = 0.3989422804014317",
+          "residual = 1.110223e-15", "tail_bound = 4.608317e-13", "rounding = 1.657662e-14")),
+        (("--p", "3", "--nu", "50", "--terms", "1000"),
+         ("lhs = 4.446626255727321e-07", "rhs = 4.4466262557272546e-07",
+          "residual = 6.617445e-21", "tail_bound = 1.008733e-22", "rounding = 1.275505e-19")),
+    ],
+)
+def test_verify_residues_lines_are_pinned(capsys, argv, lines):
+    # 10^5 zeros run on the block engine, 13 blocks; the other two on the
+    # scalar zero finder, the last at an integer p, where the tail's cos and
+    # sin are exact
+    assert run(capsys, "verify", "residues", *argv) == (
+        0, "\n".join((*lines, "result: PASS\n")), ""
+    )
 
 
 def test_verify_ratio_budget_rejects_a_wrong_expansion(capsys, monkeypatch):
