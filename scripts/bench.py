@@ -17,9 +17,10 @@ per-layer names in BENCHMARK.json. Beside them each side has the wall time
 and peak RSS of three fresh ``python -m rayleigh_sums`` calls at 10^6 zeros,
 of one small call whose cost is interpreter start, imports and parsing, of
 a small ``verify residues`` call on the scalar zero finder, of 100 zeros
-at order 4999, near the order limit, where the index check costs most, and
-of ``verify ratio`` at p = 1000, whose two exact sums grow with p (``CALLS``),
-as ``fresh.<call>.wall_s`` and ``fresh.<call>.peak_rss_mb``. Each call is
+at order 4999, near the order limit, where the index check costs most, of
+``verify ratio`` at p = 1000, whose two exact sums grow with p, and of two
+float ``eval`` calls, at a 20-digit nu and at p = 424 (``CALLS``), as
+``fresh.<call>.wall_s`` and ``fresh.<call>.peak_rss_mb``. Each call is
 started from a small helper interpreter, since a child started by
 vfork/exec inherits its parent's RSS high-water mark: started from this
 script, whose numpy and perfbench imports take more, its ``ru_maxrss``
@@ -74,7 +75,8 @@ import scipy  # noqa: E402
 
 # the fresh-process calls: three at 10^6 zeros, the floor of any call, a
 # residue check small enough for the scalar zero finder, zeros near the
-# largest order, and a ratio check at a large p on the scalar zero finder
+# largest order, a ratio check at a large p on the scalar zero finder, and
+# float eval where nu has many digits and where p is the largest it takes
 CALLS = {
     "derive_p1": ("derive", "--p", "1"),
     "verify_residues_small": ("verify", "residues", "--p", "1.5", "--nu", "2.7", "--terms", "10"),
@@ -85,6 +87,8 @@ CALLS = {
     "zeros_1e6": ("zeros", "--nu", "0", "--count", "1000000"),
     "zeros_nu4999_100": ("zeros", "--nu", "4999", "--count", "100"),
     "verify_ratio_p1000": ("verify", "ratio", "--p", "1000", "--nu", "0", "--k", "2000"),
+    "eval_p330_nu1e-20": ("eval", "--p", "330", "--nu", "1e-20"),
+    "eval_p424_nu0": ("eval", "--p", "424", "--nu", "0"),
 }
 
 # the small helper: runs the call in argv[1:] with its stdout on /dev/null

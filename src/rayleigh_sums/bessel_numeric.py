@@ -62,7 +62,7 @@ from operator import truediv
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .exact_algebra import _Record
-from .rayleigh_core import sigma_value
+from .rayleigh_core import _sigma_enclosure
 
 if TYPE_CHECKING:
     import numpy as np
@@ -582,16 +582,15 @@ def _check_index(nu: float, zeros: list[float], accuracy: list[float]) -> None:
     With X_k = xi_k + acc_k, above the true zero near xi_k, sigma(p)
     X_1**(2p) <= 2 leaves no room for a zero below xi_1, and xi_2 - acc_2 >
     X_1 with (sigma(p) - X_1**(-2p)) X_2**(2p) <= 2 none between xi_1 and
-    xi_2. Each j_{nu,k} grows with nu (DLMF 10.21(iv)), so sigma at
-    floor(256 nu)/256 bounds sigma at nu from above. A wrong index fails
-    these exact tests at every p; p starts where the seeds'
-    (xi_1/xi_2)**(2p) <= 1/e and is raised once, by half."""
-    lo = Fraction(math.floor(256.0 * nu), 256)
+    xi_2, with the upper end of rayleigh_core._sigma_enclosure at nu for
+    sigma. A wrong index fails these exact tests at every p; p starts where
+    the seeds' (xi_1/xi_2)**(2p) <= 1/e and is raised once, by half."""
     x1 = Fraction(zeros[0]) + Fraction(accuracy[0])
     p = math.ceil(0.5 / math.log(_seeds(nu, 2.0) / _seeds(nu, 1.0)))
     for p in (p, math.ceil(1.5 * p)):
+        _, hi, e = _sigma_enclosure(p, nu)
         w1 = x1 ** (2 * p)
-        rest = sigma_value(p, lo) * w1 - 1  # (sigma(p) - X_1**(-2p)) X_1**(2p)
+        rest = hi * Fraction(2) ** e * w1 - 1  # (sigma(p) - X_1**(-2p)) X_1**(2p), or more
         if rest > 1:
             k = 1
         elif zeros[1:] and not (
@@ -748,6 +747,16 @@ def residue_identity_lhs(nu: float, p: float) -> float:
     return math.exp(_lgamma(nu + 1.0) - (p + 1.0) * math.log(2.0) - _lgamma(nu + p + 1.0))
 
 
+def _lhs_error(nu: float, p: float, lhs: float) -> float:
+    """A first-order bound on the error of lhs = residue_identity_lhs(nu, p):
+    eps (4 |lgamma(x)| + 10) for each lgamma, at least 1.24 times its error
+    plus eps x |psi(x)| for two roundings of x, on 141203 points x in [1, 5002]
+    against mpmath; three roundings of (p+1) log 2; eps E for each subtraction,
+    E = |lgamma(nu+1)| + (p+1) log 2 + |lgamma(nu+p+1)|; and one for exp."""
+    logs = abs(_lgamma(nu + 1.0)) + abs(_lgamma(nu + p + 1.0))
+    return lhs * _EPS * (5.0 * logs + 2.5 * (p + 1.0) * math.log(2.0) + 21.0)
+
+
 def residue_tail_scale(nu: float, p: float, terms: int) -> float:
     """Scale of the neglected remainder after `terms` zeros in the residue
     sum: the terms behave like xi**-(p+1) with |ratio factor| <= 1, and
@@ -778,9 +787,7 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
     p (2 nu + p), and `_residue_tail` gives the sum past them.
 
     rounding adds up, to first order:
-    - lhs: eps * (2 E + 1) relative, E = |lgamma(nu+1)| + (p+1) log 2 +
-      |lgamma(nu+p+1)|: an ulp of each of the three parts of the exponent,
-      as much again for the two subtractions, and one rounding of exp;
+    - lhs: `_lhs_error`;
     - each term t = xi**-(p+1) A/B, A = J_{nu+p}(xi), B = J_{nu+1}(xi):
       the kernel's error on A/B (`_kernel_ratio_error`, with
       A1 = J_{nu+p+1}(xi), B1 = J_{nu+2}(xi)); the zero's accuracy times
@@ -790,8 +797,8 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
     The terms and their error bounds (`_residue_terms`) are computed over
     the zero finder's blocks as they come, zero by zero on the scalar
     engine's lists, and nothing is kept per zero. The terms' sum is exact,
-    rounded once. The bounds (>= 0) are summed once per block, then the block
-    sums: two roundings of eps/2, so times 1 + 2 eps it is at least their sum.
+    rounded once, and so is the bounds' sum, rounded up, whatever the blocks:
+    `_exact_sum` per block, or fsum over the scalar engine's one block.
     Above an order of about 1000 rounding is not a bound, since the kernel's
     is not. An lhs below the smallest normal binary64 number raises
     NumericError, since no sum can be checked against it, and so does an
@@ -813,21 +820,40 @@ def verify_residue_identity(nu: float, p: float, terms: int) -> ResidueReport:
 
     def values():
         for z, accuracy in _zero_blocks(nu, count):
-            if isinstance(z, list):
+            if isinstance(z, list):  # the scalar engine's one block
                 v, err = zip(*map(term, z, accuracy, repeat(math.hypot)))
+                errors.append(math.fsum(err))
             else:
                 import numpy as np
 
-                v, err = map(memoryview, term(z, accuracy, np.hypot))
-            errors.append(math.fsum(err))
+                v, err = term(z, accuracy, np.hypot)
+                errors.append(_exact_sum(err))
+                v = memoryview(v)
             yield v
 
     total = math.fsum(chain.from_iterable(values()))
-    exponent = abs(_lgamma(nu + 1.0)) + (p + 1.0) * math.log(2.0) + abs(_lgamma(nu + p + 1.0))
-    error = math.fsum(errors) * (1.0 + 2.0 * _EPS)
-    rounding = lhs * _EPS * (2.0 * exponent + 1.0) + error + _EPS * abs(total)
+    error = math.nextafter(float(sum(errors)), math.inf)
+    rounding = _lhs_error(nu, p, lhs) + error + _EPS * abs(total)
     tail = _residue_tail(nu, p, count)
     return ResidueReport(lhs, total, abs(lhs - total), *tail, rounding, count)
+
+
+def _exact_sum(x: np.ndarray) -> Fraction | float:
+    """The exact sum of a float64 array >= 0: each x = q 2**(e - 53), q < 2**53
+    an integer, and each 18-bit slice of q sums by exponent exactly in floats.
+    An inf or nan gives its fsum, a float."""
+    import numpy as np
+
+    if not np.isfinite(x).all():
+        return math.fsum(x)
+    m, e = np.frexp(x)
+    q = (m * 2.0**53).astype(np.int64)
+    low = int(e.min())
+    total = 0
+    for shift in (36, 18, 0):
+        part = np.bincount(e - low, weights=(q >> shift) & 0x3FFFF)
+        total += sum(int(part[k]) << (k + shift) for k in np.flatnonzero(part).tolist())
+    return total * Fraction(2) ** (low - 53)
 
 
 def _residue_check(nu: float, p: float, terms: int) -> Check:

@@ -14,8 +14,8 @@ each exact route refuses a p past its work limit (`_within_limit`), before
 any exact arithmetic.
 
 `derive` and `table` print closed forms from rayleigh_core.derive_sigma;
-`eval`, `zeta` and the exact side of `verify sigma` need sigma at one
-rational nu only and take it from rayleigh_core.sigma_value.
+`eval --exact`, `zeta` and `verify sigma`'s lhs take sigma at one rational
+nu from rayleigh_core.sigma_value, and float `eval` from `_sigma_binary64`.
 
 The three `verify` commands are one, `cmd_verify`, over the checks in
 bessel_numeric (`_sigma_check`, `_residue_check`, `_ratio_check`), where
@@ -30,6 +30,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from collections.abc import Callable
 from fractions import Fraction
@@ -42,7 +43,7 @@ from .bessel_numeric import (
     _zero_blocks,
 )
 from .exact_algebra import FactoredRationalFn, PoleError
-from .rayleigh_core import SigmaTable, derive_sigma, sigma_value
+from .rayleigh_core import SigmaTable, _sigma_enclosure, derive_sigma, sigma_value
 from .zeta import ZetaValue, zeta_even, zeta_float_str
 
 EXIT_OK = 0
@@ -61,6 +62,7 @@ EXIT_NUMERIC = 4
 # memory ran out.
 _SIGMA_P_MAX = 1000  # eval --exact and zeta: sigma_value
 _DERIVE_P_MAX = 150  # derive and table: derive_sigma
+_FLOAT_P_MAX = 425  # float eval and verify sigma refuse any p past it (exit 4)
 
 
 class UsageError(Exception):
@@ -103,8 +105,13 @@ class _Typed(Fraction):
 
 def _rational(s: str) -> Fraction:
     """Exact rational from 'a/b' or a decimal string (scaled integer, never
-    a binary float), printed as typed."""
+    a binary float), printed as typed. CPython's int-str limit bounds the
+    mantissa's digits plus |exponent|, read before Fraction builds 10**e."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
+        e = re.search(r"e([-+]?\d+(_\d+)*)\s*\Z", s, re.IGNORECASE)
+        if e and limit and abs(int(e[1])) + sum(map(str.isdigit, s[: e.start()])) > limit:
+            raise ValueError(f"past {limit} digits with its exponent")
         return _Typed(s)
     except (ValueError, ZeroDivisionError) as e:
         raise UsageError(f"cannot parse rational {s!r}: {e}") from None
@@ -122,43 +129,31 @@ def _sigma_nu(s: str) -> Fraction:
     return nu
 
 
-def _log2(x: Fraction) -> float:
-    """log2 of a positive rational, also one beyond binary64's range."""
-    return math.log2(x.numerator) - math.log2(x.denominator)
-
-
-def _sigma_underflows(p: int, nu: Fraction) -> bool:
-    """Whether sigma(p, nu), nu >= 0, is surely below 2**-1075, where
-    binary64 rounds it to 0.
-
-    Every zero is at least j_{nu,1}, which exceeds nu (DLMF 10.21(i)) and
-    j_{0,1} > 2.4, and j_{nu,1}**-4 <= sigma(2, nu) = 1 / (16(nu+1)^2(nu+2))
-    (Euler-Rayleigh), so with r = max(nu, 2.4, (16(nu+1)^2(nu+2))**(1/4))
-        sigma(p, nu) <= sigma(1, nu) j_{nu,1}**(-2(p-1)) < r**(-2(p-1)) / (4(nu+1)),
-    and that bound is below 2**-1075 where
-        p - 1 > (1073 - log2(nu+1)) / (2 log2 r).
-    The logs are taken of the numerator and denominator apart, and the
-    right side, at most 425, is compared with a margin of 1e-9, far above
-    their rounding."""
-    log2_r = max(_log2(max(nu, Fraction(12, 5))), 1.0 + (2.0 * _log2(nu + 1) + _log2(nu + 2)) / 4.0)
-    return p - 1 > (1073.0 - _log2(nu + 1)) / (2.0 * log2_r) + 1e-9
-
-
 def _within_limit(name: str, p: int, limit: int, route: str) -> None:
     """Refuse a p past its route's work limit, before any exact arithmetic."""
     if p > limit:
         raise UsageError(f"{name} must be <= {limit} for {route}")
 
 
-def _sigma_binary64(p: int, nu: Fraction) -> Fraction:
-    """sigma(p, nu) for nu >= 0, exactly, refusing a value whose float
-    underflows binary64, and before any exact arithmetic (23 s at
-    p = 1000) wherever the bound of `_sigma_underflows` shows it must."""
-    if not _sigma_underflows(p, nu):
-        exact = sigma_value(p, nu)
-        if float(exact) != 0.0:
-            return exact
-    raise NumericError(f"sigma(p={p}, nu={nu}) underflows binary64")
+def _sigma_binary64(p: int, nu: Fraction, exact: bool = False) -> float | Fraction:
+    """float(sigma(p, nu)), or sigma if exact, for nu >= 0; a float 0 is refused.
+
+    Ziv's test: where both ends of _sigma_enclosure round to one float, sigma
+    does too. Else the precision doubles, twice, and then sigma_value decides.
+    An upper end that rounds to 0 refuses before any exact arithmetic, as does
+    a p past _FLOAT_P_MAX: sigma(p, nu) <= sigma(p, 0), float(sigma(425, 0)) = 0."""
+    value = 0.0
+    if p <= _FLOAT_P_MAX:
+        for doublings in range(3):
+            lo, hi, e = _sigma_enclosure(p, nu, doublings)  # e < 0, since sigma < 1/4
+            value = hi / (1 << -e)
+            if not value or lo / (1 << -e) == value:
+                break
+        else:
+            value = float(sigma_value(p, nu))
+    if not value:
+        raise NumericError(f"sigma(p={p}, nu={nu}) underflows binary64")
+    return sigma_value(p, nu) if exact else value
 
 
 def _render(f: FactoredRationalFn, fmt: str) -> str:
@@ -182,7 +177,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         _within_limit("p", args.p, _SIGMA_P_MAX, "eval --exact")
         print(sigma_value(args.p, args.nu))
     else:
-        print(repr(float(_sigma_binary64(args.p, args.nu))))
+        print(repr(_sigma_binary64(args.p, args.nu)))
     return EXIT_OK
 
 
@@ -295,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     v_sigma.add_argument("--nu", type=_sigma_nu, required=True, help=rational)
     v_sigma.add_argument("--terms", type=terms_type, default=10000)
     v_sigma.set_defaults(
-        check=lambda a: _sigma_check(a.nu, a.p, a.terms, _sigma_binary64(a.p, a.nu))
+        check=lambda a: _sigma_check(a.nu, a.p, a.terms, _sigma_binary64(a.p, a.nu, exact=True))
     )
 
     p_zeta = sub.add_parser("zeta", help="exact zeta(2p)")

@@ -36,15 +36,17 @@ function", Proc. AMS 14 (1963) 527-533), over one known denominator:
 
 derive_sigma runs it on integer polynomials in nu for `derive` and `table`,
 in about a fifth of the triangular solve's time to p = 60 (0.32 s against
-1.51 s). sigma_value runs it on integers for `eval`, `verify sigma` and zeta:
-about 2 ms for sigma(60, 17/3), against 0.29-0.35 s for one
+1.51 s). sigma_value runs it on integers for `eval --exact`, `verify sigma`
+and zeta: about 2 ms for sigma(60, 17/3), against 0.29-0.35 s for one
 derive_sigma(SigmaTable(), 60) call (degree 142, 186-digit coefficients; in
 process, 2-core x86-64, Python 3.11). The benchmark layer
 rayleigh_core.derive_p60_s, one call per p from an empty table, reads
-0.31-0.35 s (BENCH_35.json). Both solvers end in one normalisation, and the
-reduced denominator is 2**a times that product of shifts (checked to p = 80
-by the tests). So nu alone decides whether sigma(p, nu) has a pole, at nu in
-{-1..-p}, and sigma_value refuses one before any arithmetic.
+0.31-0.35 s (BENCH_35.json). _sigma_enclosure runs it on intervals rounded
+outward, for float `eval` and the zeros' index check. Both solvers end in
+one normalisation, and the reduced denominator is 2**a times that product
+of shifts (checked to p = 80 by the tests). So nu alone decides whether
+sigma(p, nu) has a pole, at nu in {-1..-p}, and sigma_value refuses one
+before any arithmetic.
 
 Every polynomial loop here, the solvers' and the ratio routes', runs on plain
 integer coefficient lists with the kernels of exact_algebra, multiplying by
@@ -301,6 +303,33 @@ def sigma_value(p: int, nu: Fraction | int) -> Fraction:
     for m in range(1, p + 1):
         den *= c[m] ** (p // m)
     return Fraction(b**p * x[p], den)
+
+
+def _sigma_enclosure(p: int, nu: Fraction | float, doublings: int = 0) -> tuple[int, int, int]:
+    """Integers (lo, hi, e) with lo 2**e <= sigma(p, nu) <= hi 2**e, nu = a/b > -1.
+
+    Kishore's recurrence on s_n = 4**n sigma(n): s_1 = b/(a + b), (a + n b) s_n
+    = b sum_{k<n} s_k s_{n-k}. All s_k > 0, so it runs on each end alone, exact
+    but for a floor (lo) or ceiling (hi) at the division, which also scales hi_n
+    to (64 + bit_length(p)) 2**doublings bits; the ends stay a few p units apart.
+    16 ms at p = 330, nu = 1e-20, where sigma_value takes 18 s (in process)."""
+    a, b = nu.as_integer_ratio()
+    bits = (64 + p.bit_length()) << doublings
+    lo, hi, ex = [0], [0], [0]
+    for n in range(1, p + 1):
+        half = range(1, n // 2 + 1)
+        low = min((ex[k] + ex[n - k] for k in half), default=0)
+        slo = shi = int(n == 1)
+        for k in half:
+            w = (1 if 2 * k == n else 2) << ex[k] + ex[n - k] - low
+            slo += w * lo[k] * lo[n - k]
+            shi += w * hi[k] * hi[n - k]
+        t = bits - (shi * b).bit_length() + (a + n * b).bit_length()
+        num, den = (b << t, a + n * b) if t >= 0 else (b, (a + n * b) << -t)
+        lo.append(slo * num // den)
+        hi.append(-(-shi * num // den))
+        ex.append(low - t)
+    return lo[p], hi[p], ex[p] - 2 * p
 
 
 # ---------------------------------------------------------------------------

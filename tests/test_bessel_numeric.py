@@ -320,7 +320,7 @@ def test_first_zero_is_anchored(monkeypatch):
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 2.7, 50.0, 1000.0, 4999.0, 4999.7])
 def test_index_check_passes_on_the_finders_zeros(monkeypatch, nu):
-    # sigma(p) at floor(256 nu)/256 proves the first one or two indices,
+    # an upper bound on sigma(p) at nu proves the first one or two indices,
     # and no J is evaluated to do so
     zs = bessel_zeros(nu, 2)
     assert bessel_zeros(nu, 1).zeros[0] == zs.zeros[0]
@@ -334,13 +334,14 @@ def test_index_check_passes_on_the_finders_zeros(monkeypatch, nu):
 def test_index_check_refuses_a_wrong_index_in_time(monkeypatch, engine, k0):
     # the zeros pass certification and the gaps, and a wrong index fails
     # both sigma tests at every p, so the check refuses after sigma at its
-    # first p and at its one retry: 0.1-0.2 s at nu = 4999 (p = 130 and 195,
-    # 2-core x86-64), where a second retry, at p = 293, would add 0.3-0.7 s
-    seeds, sigma_value = bessel_numeric._seeds, bessel_numeric.sigma_value
+    # first p and at its one retry (p = 130 and 195 at nu = 4999)
+    seeds, enclosure = bessel_numeric._seeds, bessel_numeric._sigma_enclosure
     monkeypatch.setattr(bessel_numeric, "_seeds", lambda nu, k: seeds(nu, k + (k >= k0)))
     monkeypatch.setattr(bessel_numeric, "_SCALAR_WORK", _ENGINES[engine])
     ps = []  # the p of each sigma taken
-    monkeypatch.setattr(bessel_numeric, "sigma_value", lambda p, v: ps.append(p) or sigma_value(p, v))
+    monkeypatch.setattr(
+        bessel_numeric, "_sigma_enclosure", lambda p, v: ps.append(p) or enclosure(p, v)
+    )
     for nu in (2.7, 1000.0, 4999.0):
         ps.clear()
         start = time.perf_counter()
@@ -560,16 +561,13 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, nu):
 
 @pytest.mark.parametrize("engine", list(_ENGINES))
 def test_residue_rounding_bounds_the_exact_error_sum(monkeypatch, engine):
-    # rounding sums the terms' error bounds per block, then the blocks' sums,
-    # and rounds up: the float expression with the exact sum of every zero's
-    # bound, rounded up, must not exceed it, at any block size
+    # rounding sums the terms' error bounds exactly and rounds up: the float
+    # expression with the exact sum of every zero's bound, rounded up, must
+    # not exceed it, and it is the same at every block size
     nu, p, count = 2.7, 1.46, 200
     eps = np.finfo(float).eps
     term = bessel_numeric._residue_terms
     pairs = bessel_numeric._jv_pair_at(nu + p), bessel_numeric._jv_pair_at(nu + 1.0)
-    exponent = abs(math.lgamma(nu + 1.0)) + (p + 1.0) * math.log(2.0) + abs(
-        math.lgamma(nu + p + 1.0)
-    )
     monkeypatch.setattr(bessel_numeric, "_SCALAR_WORK", _ENGINES[engine])
     roundings = []
     for block in (7, 64, 10**9):  # 29, 4 and 1 blocks of the 200 zeros
@@ -586,10 +584,24 @@ def test_residue_rounding_bounds_the_exact_error_sum(monkeypatch, engine):
         up = float(exact)
         if Fraction(up) < exact:
             up = math.nextafter(up, math.inf)
-        floor = report.lhs * eps * (2.0 * exponent + 1.0) + up + eps * abs(report.partial_rhs)
+        floor = bessel_numeric._lhs_error(nu, p, report.lhs) + up + eps * abs(report.partial_rhs)
         assert report.rounding >= floor, block
         roundings.append(report.rounding)
-    assert roundings == pytest.approx([roundings[-1]] * 3, rel=4 * eps)
+    assert roundings == [roundings[-1]] * 3
+
+
+def test_exact_sum_is_the_sum_of_its_floats():
+    # over twenty binades, with zeros and subnormals, and on many equal
+    # terms, whose float sum rounds
+    rng = np.random.default_rng(7)
+    for x in (
+        rng.random(8192) * 2.0 ** rng.integers(-60, -40, 8192),
+        np.array([0.0, 5e-324, 2.5e-310, 1.0, 0.0]),
+    ):
+        assert bessel_numeric._exact_sum(x) == sum(map(Fraction, x.tolist())), x
+    x = np.full(10**5, 1.0 - 2.0**-53)
+    assert bessel_numeric._exact_sum(x) == 10**5 * Fraction(x[0]) != Fraction(x.sum())
+    assert bessel_numeric._exact_sum(np.array([1.0, np.inf])) == math.inf
 
 
 def test_certificate_failure_names_the_global_index(monkeypatch):

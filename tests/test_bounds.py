@@ -13,11 +13,13 @@ import pytest
 from rayleigh_sums import bessel_zeros, numeric_sigma, sigma_value
 from rayleigh_sums.bessel_numeric import (
     NumericError,
+    _lhs_error,
     _ratio_check,
     _residue_check,
     _sigma_sum,
     _summed_zeros,
     _zero_blocks,
+    residue_identity_lhs,
 )
 
 NUS = (Fraction(0), Fraction(1, 2), Fraction(27, 10), Fraction(50), Fraction(600), Fraction(1000))
@@ -104,3 +106,16 @@ def test_residue_budget_holds(p, nu, terms):
         # built on floats inflates its own bound 70-fold at nu = 2000
         named = dict(check.terms)
         assert named["tail_bound"] <= named["rounding"], check
+
+
+@pytest.mark.parametrize(
+    "nu, p", [(1.5205884373228686, 0.5), (1.0000000000000004, 1.0000000000000002)]
+)
+def test_residue_lhs_error_holds(nu, p):
+    # where math.lgamma errs most against the ulps of its value: the lhs's own
+    # share of rounding must cover its distance from the Gamma ratio
+    lhs = residue_identity_lhs(nu, p)
+    with mpmath.workdps(50):
+        nu_m, p_m = mpmath.mpf(nu), mpmath.mpf(p)
+        truth = mpmath.gamma(nu_m + 1) / (2 ** (p_m + 1) * mpmath.gamma(nu_m + p_m + 1))
+        assert abs(lhs - truth) <= _lhs_error(nu, p, lhs)

@@ -94,11 +94,10 @@ def test_eval_float_underflow_is_numeric_breakdown(capsys):
 
 
 def test_float_sigma_that_must_underflow_fails_fast(capsys):
-    # for nu >= 0, sigma(p, nu) <= max(nu, 2.4)**(-2(p-1)) / (4(nu+1)), which
-    # is below 2**-1075 from p = 426 on at nu = 0, so the float is refused
-    # before the exact value is computed
+    # sigma(p, nu) <= sigma(p, 0) for nu >= 0, and float(sigma(425, 0)) is
+    # already 0, so a p past 425 is refused before any arithmetic
     assert float(sigma_value(426, 0)) == 0.0
-    assert cli._sigma_underflows(426, Fraction(0)) and not cli._sigma_underflows(425, Fraction(0))
+    assert cli._FLOAT_P_MAX == 425
     assert run(capsys, "eval", "--p", "300", "--nu", "0") == (0, "2.237962041795577e-229\n", "")
     rc, out, err = run(capsys, "verify", "sigma", "--p", "1000", "--nu", "1", "--terms", "2")
     assert (rc, out) == (4, "")
@@ -114,9 +113,10 @@ def test_float_sigma_that_must_underflow_fails_fast(capsys):
 
 
 def test_float_sigma_underflow_bound_follows_nu(capsys, monkeypatch):
-    # at nu = 1000 the bound is below 2**-1075 from p = 55 on, since
-    # j_{nu,1} > nu; p = 53 is a subnormal
+    # the interval's upper end rounds to 0 from p = 54 on at nu = 1000, and
+    # from p = 228 on at nu = 2; p = 53 and 227 are subnormals
     assert run(capsys, "eval", "--p", "53", "--nu", "1000") == (0, "1.8961e-319\n", "")
+    assert run(capsys, "eval", "--p", "227", "--nu", "2") == (0, "2.5e-323\n", "")
 
     def refuse(*_):
         raise AssertionError("sigma_value called for a sigma that must underflow")
@@ -129,6 +129,8 @@ def test_float_sigma_underflow_bound_follows_nu(capsys, monkeypatch):
         ("eval", "--p", "426", "--nu", "0"),
         ("eval", "--p", "1000", "--nu", "2.7"),
         ("verify", "sigma", "--p", "1000", "--nu", "2.70", "--terms", "2"),
+        ("eval", "--p", "235", "--nu", "2"),
+        ("verify", "sigma", "--p", "235", "--nu", "2", "--terms", "2"),
     ):
         p = argv[argv.index("--p") + 1]
         nu = argv[argv.index("--nu") + 1]
@@ -136,42 +138,71 @@ def test_float_sigma_underflow_bound_follows_nu(capsys, monkeypatch):
             4, "", f"numeric breakdown: sigma(p={p}, nu={nu}) underflows binary64\n"
         )
     # an order beyond binary64's range, and one just below 2**1073 at p = 1
-    assert cli._sigma_underflows(1, Fraction(10**400))
-    assert cli._sigma_underflows(2, Fraction(2**1000))
-    assert not cli._sigma_underflows(1, Fraction(2**1072))
-
-
-def test_float_sigma_underflow_bound_uses_sigma_2(capsys, monkeypatch):
-    # j_{nu,1}**-4 <= sigma(2, nu) = 1/(16(nu+1)^2(nu+2)) puts j_{2,1} above
-    # 576**(1/4) = 4.90, where nu and 2.4 give only 2.4, so at nu = 2 the
-    # float is refused from p = 235 on, not from p = 426; p = 227 is a
-    # subnormal
-    assert run(capsys, "eval", "--p", "227", "--nu", "2") == (0, "2.5e-323\n", "")
-
-    def refuse(*_):
-        raise AssertionError("sigma_value called for a sigma that must underflow")
-
-    monkeypatch.setattr(cli, "sigma_value", refuse)
-    for argv in (
-        ("eval", "--p", "235", "--nu", "2"),
-        ("verify", "sigma", "--p", "235", "--nu", "2", "--terms", "2"),
-    ):
-        assert run(capsys, *argv) == (
-            4, "", "numeric breakdown: sigma(p=235, nu=2) underflows binary64\n"
-        )
+    for p, nu in ((1, 10**400), (2, 2**1000)):
+        with pytest.raises(bessel_numeric.NumericError, match="underflows binary64$"):
+            cli._sigma_binary64(p, Fraction(nu))
+    assert cli._sigma_binary64(1, Fraction(2**1072)) == 5e-324
 
 
 @pytest.mark.parametrize(
-    "nu, first",
+    "nu, refused",
     [("0", 426), ("1/2", 332), ("1", 284), ("2", 235), ("3", 209), ("4", 192), ("10", 149),
      ("16", 132), ("20", 125)],
 )
-def test_float_sigma_underflow_bound_is_sound(nu, first):
-    # the first p the bound refuses, and the two after it, really round to 0
+def test_float_sigma_underflow_bound_is_sound(nu, refused):
+    # sigma(p, nu) falls with p (j_{nu,1} > 1), so the float route must refuse
+    # from the first p whose float is 0 on, and only there; refused is one p
+    # past it, from which the first refused p is sought downwards
     nu = Fraction(nu)
-    assert next(p for p in itertools.count(1) if cli._sigma_underflows(p, nu)) == first
-    for p in range(first, first + 3):
-        assert float(sigma_value(p, nu)) == 0.0
+
+    def refuses(p):
+        try:
+            cli._sigma_binary64(p, nu)
+        except bessel_numeric.NumericError:
+            return True
+        return False
+
+    first = refused
+    while refuses(first - 1):
+        first -= 1
+    assert refuses(refused) and first < refused
+    assert float(sigma_value(first, nu)) == 0.0 < float(sigma_value(first - 1, nu))
+
+
+def test_float_sigma_falls_back_to_the_exact_value_where_the_ends_straddle_a_float(monkeypatch):
+    # ends that round to two floats at every precision: after two doublings
+    # the exact value decides
+    calls = []
+    exact = cli.sigma_value
+    monkeypatch.setattr(
+        cli, "_sigma_enclosure", lambda p, nu, doublings=0: calls.append(doublings) or (1, 3, -3)
+    )
+    monkeypatch.setattr(cli, "sigma_value", lambda p, nu: calls.append("exact") or exact(p, nu))
+    assert cli._sigma_binary64(1, Fraction(0)) == 0.25
+    assert calls == [0, 1, 2, "exact"]
+
+
+def test_float_eval_does_not_take_the_exact_route(tmp_path):
+    # sigma_value takes 3-18 s on each of these where nu has many digits, and
+    # 0.4 s at p = 424; one process that prints all five in 5 s must have read
+    # them off the interval (values from the exact route)
+    cases = [
+        (("--p", "300", "--nu", "1e-20"), "2.237962041795577e-229"),
+        (("--p", "330", "--nu", "1e-20"), "3.053781696814582e-252"),
+        (("--p", "300", "--nu", "123456789/1000000007"), "5.476899502003188e-249"),
+        (("--p", "100", "--nu", "0." + "3" * 200), "2.773149770322705e-93"),
+        (("--p", "424", "--nu", "0"), "5e-324"),
+    ]
+    code = (
+        "import sys; from rayleigh_sums.cli import main\n"
+        f"for argv in {[list(argv) for argv, _ in cases]!r}:\n"
+        "    assert main(['eval', *argv]) == 0\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=5
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == [value for _, value in cases]
 
 
 def test_eval_pole_exit_code(capsys):
@@ -563,13 +594,13 @@ def test_verify_ratio_lines_are_pinned(capsys, argv, lines):
     [
         (("--p", "1.46", "--nu", "2.7", "--terms", "100000"),
          ("lhs = 0.02475067309371875", "rhs = 0.024750673093718752",
-          "residual = 3.469447e-18", "tail_bound = 1.487947e-23", "rounding = 1.163092e-15")),
+          "residual = 3.469447e-18", "tail_bound = 1.487947e-23", "rounding = 1.357654e-15")),
         (("--p", "0.5", "--nu", "0", "--terms", "10"),
          ("lhs = 0.3989422804014328", "rhs = 0.3989422804014317",
-          "residual = 1.110223e-15", "tail_bound = 4.608317e-13", "rounding = 1.657662e-14")),
+          "residual = 1.110223e-15", "tail_bound = 4.608317e-13", "rounding = 1.842643e-14")),
         (("--p", "3", "--nu", "50", "--terms", "1000"),
          ("lhs = 4.446626255727321e-07", "rhs = 4.4466262557272546e-07",
-          "residual = 6.617445e-21", "tail_bound = 1.008733e-22", "rounding = 1.275505e-19")),
+          "residual = 6.617445e-21", "tail_bound = 1.008733e-22", "rounding = 2.211328e-19")),
     ],
 )
 def test_verify_residues_lines_are_pinned(capsys, argv, lines):

@@ -26,7 +26,7 @@ from rayleigh_sums import (
 
 from rayleigh_sums import exact_algebra, rayleigh_core
 from rayleigh_sums.exact_algebra import _imul
-from rayleigh_sums.rayleigh_core import _term_shares
+from rayleigh_sums.rayleigh_core import _sigma_enclosure, _term_shares
 
 from golden_forms import SIGMA9_AT_0, golden_frf
 
@@ -333,6 +333,26 @@ def test_sigma_at_minus_half_is_dirichlet_lambda():
     # (2/pi)^(2p) lambda(2p) = (4^p - 1) zeta(2p) / pi^(2p) = (4^p - 1) sigma(p, 1/2)
     for p in range(1, 61):
         assert sigma_value(p, Fraction(-1, 2)) == (4**p - 1) * sigma_value(p, Fraction(1, 2)), p
+
+
+@pytest.mark.parametrize(
+    "nu",
+    [Fraction(0), Fraction(1, 3), Fraction(27, 10), Fraction(1, 10**20), Fraction(10**6, 7), 4999.7,
+     Fraction(-1, 2), Fraction(-9, 10), Fraction(-999, 1000)],
+    ids=str,
+)
+def test_sigma_enclosure_holds_the_exact_value(nu):
+    # lo 2**e <= sigma <= hi 2**e at every precision, for nu on both sides of
+    # 0 (a float at its exact value), with the ends a few units of hi's last
+    # place apart, so that where they round to one float it is sigma's
+    for p in (1, 2, 3, 7, 30, 61, 120):
+        exact = sigma_value(p, Fraction(nu))
+        for doublings in (0, 1):
+            lo, hi, e = _sigma_enclosure(p, nu, doublings)
+            assert lo * Fraction(2) ** e <= exact <= hi * Fraction(2) ** e, (p, doublings)
+            assert hi - lo <= 4 * p and hi.bit_length() > 64 << doublings, (p, doublings)
+        if e < 0 and lo / (1 << -e) == hi / (1 << -e):
+            assert hi / (1 << -e) == float(exact), p
 
 
 def test_term_shares_follow_the_mod_rule():
