@@ -113,10 +113,9 @@ def test_float_sigma_that_must_underflow_fails_fast(capsys):
 
 
 def test_float_sigma_underflow_bound_follows_nu(capsys, monkeypatch):
-    # the interval's upper end rounds to 0 from p = 54 on at nu = 1000, and
-    # from p = 228 on at nu = 2; p = 53 and 227 are subnormals
+    # the interval's upper end rounds to 0 from p = 54 on at nu = 1000; p = 53
+    # is a subnormal
     assert run(capsys, "eval", "--p", "53", "--nu", "1000") == (0, "1.8961e-319\n", "")
-    assert run(capsys, "eval", "--p", "227", "--nu", "2") == (0, "2.5e-323\n", "")
 
     def refuse(*_):
         raise AssertionError("sigma_value called for a sigma that must underflow")
@@ -129,8 +128,6 @@ def test_float_sigma_underflow_bound_follows_nu(capsys, monkeypatch):
         ("eval", "--p", "426", "--nu", "0"),
         ("eval", "--p", "1000", "--nu", "2.7"),
         ("verify", "sigma", "--p", "1000", "--nu", "2.70", "--terms", "2"),
-        ("eval", "--p", "235", "--nu", "2"),
-        ("verify", "sigma", "--p", "235", "--nu", "2", "--terms", "2"),
     ):
         p = argv[argv.index("--p") + 1]
         nu = argv[argv.index("--nu") + 1]
@@ -142,6 +139,29 @@ def test_float_sigma_underflow_bound_follows_nu(capsys, monkeypatch):
         with pytest.raises(bessel_numeric.NumericError, match="underflows binary64$"):
             cli._sigma_binary64(p, Fraction(nu))
     assert cli._sigma_binary64(1, Fraction(2**1072)) == 5e-324
+
+
+def test_float_sigma_underflow_bound_uses_sigma_2(capsys, monkeypatch):
+    # the recurrence's second step is sigma(2, nu) = 1/(16(nu+1)^2(nu+2)) itself,
+    # so the bound falls with nu as sigma does: at nu = 2 the float is refused
+    # from p = 228 on, not from p = 426 as at nu = 0; p = 227 is a subnormal
+    lo, hi, e = rayleigh_core._sigma_enclosure(2, Fraction(2))
+    assert Fraction(lo) * Fraction(2) ** e <= Fraction(1, 576) <= Fraction(hi) * Fraction(2) ** e
+    assert run(capsys, "eval", "--p", "227", "--nu", "2") == (0, "2.5e-323\n", "")
+
+    def refuse(*_):
+        raise AssertionError("sigma_value called for a sigma that must underflow")
+
+    monkeypatch.setattr(cli, "sigma_value", refuse)
+    for argv in (
+        ("eval", "--p", "228", "--nu", "2"),
+        ("eval", "--p", "235", "--nu", "2"),
+        ("verify", "sigma", "--p", "235", "--nu", "2", "--terms", "2"),
+    ):
+        p = argv[argv.index("--p") + 1]
+        assert run(capsys, *argv) == (
+            4, "", f"numeric breakdown: sigma(p={p}, nu=2) underflows binary64\n"
+        )
 
 
 @pytest.mark.parametrize(
