@@ -18,8 +18,9 @@ and peak RSS of three fresh ``python -m rayleigh_sums`` calls at 10^6 zeros,
 of one small call whose cost is interpreter start, imports and parsing, of
 a small ``verify residues`` call on the scalar zero finder, of 100 zeros
 at order 4999, near the order limit, where the index check costs most, of
-``verify ratio`` at p = 1000, whose two exact sums grow with p, and of two
-float ``eval`` calls, at a 20-digit nu and at p = 424 (``CALLS``), as
+``verify ratio`` at p = 1000, whose two exact sums grow with p, of two
+float ``eval`` calls, at a 20-digit nu and at p = 424, and of ``eval
+--exact`` at a 100-digit nu, inside the exact work limit (``CALLS``), as
 ``fresh.<call>.wall_s`` and ``fresh.<call>.peak_rss_mb``. Each call is
 started from a small helper interpreter, since a child started by
 vfork/exec inherits its parent's RSS high-water mark: started from this
@@ -75,8 +76,9 @@ import scipy  # noqa: E402
 
 # the fresh-process calls: three at 10^6 zeros, the floor of any call, a
 # residue check small enough for the scalar zero finder, zeros near the
-# largest order, a ratio check at a large p on the scalar zero finder, and
-# float eval where nu has many digits and where p is the largest it takes
+# largest order, a ratio check at a large p on the scalar zero finder, float
+# eval where nu has many digits and where p is the largest it takes, and
+# exact eval at a long nu; each must exit 0, so no call past a limit is here
 CALLS = {
     "derive_p1": ("derive", "--p", "1"),
     "verify_residues_small": ("verify", "residues", "--p", "1.5", "--nu", "2.7", "--terms", "10"),
@@ -89,6 +91,7 @@ CALLS = {
     "verify_ratio_p1000": ("verify", "ratio", "--p", "1000", "--nu", "0", "--k", "2000"),
     "eval_p330_nu1e-20": ("eval", "--p", "330", "--nu", "1e-20"),
     "eval_p424_nu0": ("eval", "--p", "424", "--nu", "0"),
+    "eval_p60_nu1e-100_exact": ("eval", "--p", "60", "--nu", "1e-100", "--exact"),
 }
 
 # the small helper: runs the call in argv[1:] with its stdout on /dev/null

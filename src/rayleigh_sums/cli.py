@@ -10,8 +10,12 @@ binary64 cannot carry, or a verify check whose error budget reaches its value).
 
 Each flag's range is checked by its argparse type, as the command line is
 parsed; only eval's nu >= 0 without --exact is a rule on two flags. Then
-each exact route refuses a p past its work limit (`_within_limit`), before
-any exact arithmetic.
+each exact route refuses work past its limit, before any exact arithmetic:
+`derive` and `table` a p past 150, and `_admit` any sigma_value(p, a/b)
+whose p**4 B**3 passes its value at (1000, 1/2). B = 2p + p bits(b) +
+sum_{m<=p} floor(p/m) bits(|a + m b|), the bits of the known denominator,
+models a fresh call's time as 5.9e-12 p**1.98 B**1.42 s, within a factor of
+1.6 on 40 calls of 0.3-53 s (2-core x86-64, Python 3.11).
 
 `derive` and `table` print closed forms from rayleigh_core.derive_sigma;
 `eval --exact`, `zeta` and `verify sigma`'s lhs take sigma at one rational
@@ -52,17 +56,9 @@ EXIT_USAGE = 2
 EXIT_POLE = 3
 EXIT_NUMERIC = 4
 
-# The largest p each exact route takes, where one call takes about half a
-# minute; past it the time grows about as p**3.5 for sigma_value(p, 1/2)
-# (0.23 s at p = 300, 3.7 s at 600, 20 s at 1000) and as p**6 for
-# derive_sigma (2.6 s at p = 100, 7.5 s at 120, 29 s at 150), fresh
-# processes on a 2-core x86-64 with Python 3.11. Memory stays small (peak
-# RSS 2 and 11 MB above start at the limits); the check comes before
-# sigma_value's list of p + 1 shifts, which a p of 10**23 would fill until
-# memory ran out.
-_SIGMA_P_MAX = 1000  # eval --exact and zeta: sigma_value
-_DERIVE_P_MAX = 150  # derive and table: derive_sigma
+_DERIVE_P_MAX = 150  # derive and table: a fresh call takes 29 s there, growing as p**6
 _FLOAT_P_MAX = 425  # float eval and verify sigma refuse any p past it (exit 4)
+_SIGMA_WORK = 1000**4 * 46358**3  # _admit: p**4 B**3 at (p, nu) = (1000, 1/2), B = 46358
 
 
 class UsageError(Exception):
@@ -135,8 +131,22 @@ def _within_limit(name: str, p: int, limit: int, route: str) -> None:
         raise UsageError(f"{name} must be <= {limit} for {route}")
 
 
-def _sigma_binary64(p: int, nu: Fraction, exact: bool = False) -> float | Fraction:
-    """float(sigma(p, nu)), or sigma if exact, for nu >= 0; a float 0 is refused.
+def _admit(p: int, nu: Fraction) -> Fraction:
+    """nu, once sigma_value(p, nu) is within the work limit (module docstring).
+    A pole raises PoleError first; B is summed only until it passes the limit."""
+    a, b = nu.as_integer_ratio()
+    if b == 1 and -p <= a < 0:
+        raise PoleError(nu)
+    room, bits = _SIGMA_WORK // p**4, 2 * p + p * b.bit_length()
+    for m in range(1, p + 1):
+        bits += p // m * abs(a + m * b).bit_length()
+        if bits**3 > room:
+            raise UsageError(f"exact sigma(p={p}, nu={nu}) is past the work limit")
+    return nu
+
+
+def _sigma_binary64(p: int, nu: Fraction) -> float:
+    """float(sigma(p, nu)) for nu >= 0; a float 0 is refused.
 
     Ziv's test: where both ends of _sigma_enclosure round to one float, sigma
     does too. Else the precision doubles, twice, and then sigma_value decides.
@@ -150,10 +160,10 @@ def _sigma_binary64(p: int, nu: Fraction, exact: bool = False) -> float | Fracti
             if not value or lo / (1 << -e) == value:
                 break
         else:
-            value = float(sigma_value(p, nu))
+            value = float(sigma_value(p, _admit(p, nu)))
     if not value:
         raise NumericError(f"sigma(p={p}, nu={nu}) underflows binary64")
-    return sigma_value(p, nu) if exact else value
+    return value
 
 
 def _render(f: FactoredRationalFn, fmt: str) -> str:
@@ -174,8 +184,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not args.exact and args.nu < 0:
         raise UsageError("nu must be >= 0 unless --exact is given")
     if args.exact:
-        _within_limit("p", args.p, _SIGMA_P_MAX, "eval --exact")
-        print(sigma_value(args.p, args.nu))
+        print(sigma_value(args.p, _admit(args.p, args.nu)))
     else:
         print(repr(_sigma_binary64(args.p, args.nu)))
     return EXIT_OK
@@ -194,6 +203,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
+def _verify_sigma(args: argparse.Namespace):
+    """verify sigma's Check, which refuses an underflowing sigma (exit 4) first."""
+    _sigma_binary64(args.p, args.nu)
+    return _sigma_check(args.nu, args.p, args.terms, sigma_value(args.p, _admit(args.p, args.nu)))
+
+
 def _format_zeta(z: ZetaValue) -> str:
     num = z.coefficient.numerator
     pi_part = f"pi^{z.two_p}" if num == 1 else f"{num} * pi^{z.two_p}"
@@ -205,7 +220,7 @@ def _format_zeta(z: ZetaValue) -> str:
 
 
 def cmd_zeta(args: argparse.Namespace) -> int:
-    _within_limit("p", args.p, _SIGMA_P_MAX, "zeta")
+    _admit(args.p, Fraction(1, 2))
     z = zeta_even(args.p)
     print(_format_zeta(z))
     if args.float:
@@ -289,9 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     v_sigma.add_argument("--p", type=p_type, required=True)
     v_sigma.add_argument("--nu", type=_sigma_nu, required=True, help=rational)
     v_sigma.add_argument("--terms", type=terms_type, default=10000)
-    v_sigma.set_defaults(
-        check=lambda a: _sigma_check(a.nu, a.p, a.terms, _sigma_binary64(a.p, a.nu, exact=True))
-    )
+    v_sigma.set_defaults(check=_verify_sigma)
 
     p_zeta = sub.add_parser("zeta", help="exact zeta(2p)")
     p_zeta.add_argument("--p", type=p_type, required=True)
@@ -348,7 +361,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = EXIT_OK  # where the reader closed the pipe, as head does, before main returned
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # Python's recipe: so that the final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -34,14 +34,10 @@ function", Proc. AMS 14 (1963) 527-533), over one known denominator:
     (nu+n) sigma(n, nu) = sum_{k=1}^{n-1} sigma(k, nu) sigma(n-k, nu),
     sigma(n, nu) = x_n / (4**n prod_{m<=n} (nu+m)**floor(n/m)), x_n integral.
 
-derive_sigma runs it on integer polynomials in nu for `derive` and `table`,
-in about a fifth of the triangular solve's time to p = 60 (0.32 s against
-1.51 s). sigma_value runs it on integers for `eval --exact`, `verify sigma`
-and zeta: about 2 ms for sigma(60, 17/3), against 0.29-0.35 s for one
-derive_sigma(SigmaTable(), 60) call (degree 142, 186-digit coefficients; in
-process, 2-core x86-64, Python 3.11). The benchmark layer
-rayleigh_core.derive_p60_s, one call per p from an empty table, reads
-0.31-0.35 s (BENCH_35.json). _sigma_enclosure runs it on intervals rounded
+derive_sigma runs it on integer polynomials in nu for `derive` and `table`
+(the layer rayleigh_core.derive_p60_s reads DERIVE60 in BENCH_54.json), and
+sigma_value on integers for `eval --exact`, `verify sigma` and zeta (about
+2 ms for sigma(60, 17/3)). _sigma_enclosure runs it on intervals rounded
 outward, for float `eval` and the zeros' index check. Both solvers end in
 one normalisation, and the reduced denominator is 2**a times that product
 of shifts (checked to p = 80 by the tests). So nu alone decides whether

@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -125,6 +126,8 @@ def test_float_sigma_underflow_bound_follows_nu(capsys, monkeypatch):
     for argv in (
         ("eval", "--p", "55", "--nu", "1000"),
         ("verify", "sigma", "--p", "425", "--nu", "1000", "--terms", "2"),
+        # past the exact work limit too, but the underflow is refused first
+        ("verify", "sigma", "--p", "400", "--nu", "1000.000000000000000001", "--terms", "2"),
         ("eval", "--p", "426", "--nu", "0"),
         ("eval", "--p", "1000", "--nu", "2.7"),
         ("verify", "sigma", "--p", "1000", "--nu", "2.70", "--terms", "2"),
@@ -227,16 +230,17 @@ def test_float_eval_does_not_take_the_exact_route(tmp_path):
 
 def test_eval_pole_exit_code(capsys):
     # the message names nu as it was typed, unreduced
-    for p, nu in (("1", "-1"), ("3", "-4/2"), ("3", "-2.0")):
+    # (1000, -999) is past the exact work limit, but a pole is refused first
+    for p, nu in (("1", "-1"), ("3", "-4/2"), ("3", "-2.0"), ("1000", "-999")):
         assert run(capsys, "eval", "--p", p, f"--nu={nu}", "--exact") == (
             3, "", f"pole at nu={nu}\n"
         )
 
 
 def test_exact_routes_refuse_a_p_past_their_limit_before_any_step(capsys, monkeypatch):
-    # a p past a route's limit exits 2 before Kishore's loop runs (at p = 10**23
-    # sigma_value's list of shifts alone would not fit); at the limit the loop
-    # is reached; float eval keeps its underflow refusal past the limit
+    # past a route's limit the call exits 2 before Kishore's loop runs (at p =
+    # 10**23 sigma_value's list of shifts alone would not fit); at the limit the
+    # loop is reached; float eval keeps its underflow refusal past the limit
     def no_step(n):
         raise AssertionError(f"step {n} ran")
 
@@ -244,8 +248,6 @@ def test_exact_routes_refuse_a_p_past_their_limit_before_any_step(capsys, monkey
     routes = (
         (("derive", "--p"), (), cli._DERIVE_P_MAX, "p", "derive"),
         (("table", "--pmax"), (), cli._DERIVE_P_MAX, "pmax", "table"),
-        (("eval", "--p"), ("--nu", "2.7", "--exact"), cli._SIGMA_P_MAX, "p", "eval --exact"),
-        (("zeta", "--p"), ("--float",), cli._SIGMA_P_MAX, "p", "zeta"),
     )
     for head, tail, limit, name, route in routes:
         assert run(capsys, *head, str(limit + 1), *tail) == (
@@ -253,11 +255,74 @@ def test_exact_routes_refuse_a_p_past_their_limit_before_any_step(capsys, monkey
         )
         with pytest.raises(AssertionError, match="^step [12] ran$"):
             main([*head, str(limit), *tail])
-    assert (cli._DERIVE_P_MAX, cli._SIGMA_P_MAX) == (150, 1000)
-    p = str(cli._SIGMA_P_MAX + 1)
-    assert run(capsys, "eval", "--p", p, "--nu", "2.7") == (
-        4, "", f"numeric breakdown: sigma(p={p}, nu=2.7) underflows binary64\n"
+    assert cli._DERIVE_P_MAX == 150
+    # exact sigma's work limit is its work at (p, nu) = (1000, 1/2), zeta's nu
+    for argv in (("eval", "--p", "1000", "--nu", "1/2", "--exact"), ("zeta", "--p", "1000")):
+        with pytest.raises(AssertionError, match="^step 2 ran$"):
+            main(list(argv))
+    for p, nu, argv in (
+        (1001, "1/2", ("eval", "--p", "1001", "--nu", "1/2", "--exact")),
+        (1001, "1/2", ("zeta", "--p", "1001")),
+        (10**23, "1/2", ("eval", "--p", str(10**23), "--nu", "1/2", "--exact")),
+        (500, "1e-20", ("eval", "--p", "500", "--nu", "1e-20", "--exact")),
+        (300, "1e-4000", ("verify", "sigma", "--p", "300", "--nu", "1e-4000", "--terms", "2")),
+    ):
+        assert run(capsys, *argv) == (
+            2, "", f"error: exact sigma(p={p}, nu={nu}) is past the work limit\n"
+        )
+    assert run(capsys, "eval", "--p", "1001", "--nu", "2.7") == (
+        4, "", "numeric breakdown: sigma(p=1001, nu=2.7) underflows binary64\n"
     )
+
+
+def test_exact_sigma_past_the_work_limit_fails_fast():
+    # each of these passed every check before the work limit saw nu's digits,
+    # and ran 82-85 s (the first two) or far longer; one process that refuses
+    # all four in 10 s must refuse them before any exact arithmetic
+    cases = [
+        (500, "1e-20", ["eval", "--p", "500", "--nu", "1e-20", "--exact"]),
+        (100, "1e-1000", ["verify", "sigma", "--p", "100", "--nu", "1e-1000", "--terms", "2"]),
+        (1000, "1e-20", ["eval", "--p", "1000", "--nu", "1e-20", "--exact"]),
+        (300, "1e-4000", ["verify", "sigma", "--p", "300", "--nu", "1e-4000", "--terms", "2"]),
+    ]
+    code = (
+        "from rayleigh_sums.cli import main\n"
+        f"for argv in {[argv for _, _, argv in cases]!r}:\n"
+        "    assert main(argv) == 2\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=10
+    )
+    assert (proc.returncode, proc.stdout) == (0, "")
+    assert proc.stderr.splitlines() == [
+        f"error: exact sigma(p={p}, nu={nu}) is past the work limit" for p, nu, _ in cases
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (("zeros", "--nu", "0", "--count", "100000"), 1),
+        (("table", "--pmax", "60", "--format", "json"), 1),
+        # closed before the output, still in stdout's buffer, is flushed
+        (("derive", "--p", "20"), 0),
+    ],
+)
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(argv, lines):
+    # as `| head -1` does: the call exits 0, and stderr stays empty
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rayleigh_sums", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    for _ in range(lines):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == cli.EXIT_OK
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_point_values_do_not_derive_closed_forms(capsys, monkeypatch):

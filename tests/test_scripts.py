@@ -24,6 +24,7 @@ _LAYERS = {
 _CALLS = (
     "derive_p1", "verify_residues_small", "verify_sigma_1e6", "verify_residues_1e6", "zeros_1e6",
     "zeros_nu4999_100", "verify_ratio_p1000", "eval_p330_nu1e-20", "eval_p424_nu0",
+    "eval_p60_nu1e-100_exact",
 )
 
 
