@@ -35,7 +35,7 @@ function", Proc. AMS 14 (1963) 527-533), over one known denominator:
     sigma(n, nu) = x_n / (4**n prod_{m<=n} (nu+m)**floor(n/m)), x_n integral.
 
 derive_sigma runs it on integer polynomials in nu for `derive` and `table`
-(the layer rayleigh_core.derive_p60_s reads DERIVE60 in BENCH_54.json), and
+(the layer rayleigh_core.derive_p60_s reads 0.28-0.32 s in BENCH_54.json), and
 sigma_value on integers for `eval --exact`, `verify sigma` and zeta (about
 2 ms for sigma(60, 17/3)). _sigma_enclosure runs it on intervals rounded
 outward, for float `eval` and the zeros' index check. Both solvers end in
