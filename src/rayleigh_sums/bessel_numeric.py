@@ -561,7 +561,7 @@ def _gap_breaks(nu: float, change, a0, a1, a2):
     return abs(change) > tol
 
 
-def _check_gaps(nu: float, zeros: np.ndarray, accuracy: np.ndarray, offset: int = 0) -> None:
+def _check_gaps(nu: float, zeros: np.ndarray, accuracy: np.ndarray, offset: int) -> None:
     """Raise NumericError unless the gaps between consecutive zeros change
     monotonically in the direction Sturm comparison fixes for this order,
     to within a tolerance built from the accuracy of the three zeros that

@@ -145,23 +145,23 @@ def _admit(p: int, nu: Fraction) -> Fraction:
     return nu
 
 
-def _sigma_binary64(p: int, nu: Fraction) -> float:
-    """float(sigma(p, nu)) for nu >= 0; a float 0 is refused.
+def _sigma_binary64(p: int, nu: Fraction, least: float = math.ulp(0.0)) -> float:
+    """float(sigma(p, nu)) for nu >= 0; a float below least (0 by default) is refused.
 
     Ziv's test: where both ends of _sigma_enclosure round to one float, sigma
     does too. Else the precision doubles, twice, and then sigma_value decides.
-    An upper end that rounds to 0 refuses before any exact arithmetic, as does
-    a p past _FLOAT_P_MAX: sigma(p, nu) <= sigma(p, 0), float(sigma(425, 0)) = 0."""
+    An upper end that rounds below least refuses before any exact arithmetic,
+    as does a p past _FLOAT_P_MAX: sigma(p, nu) <= sigma(p, 0), float(sigma(425, 0)) = 0."""
     value = 0.0
     if p <= _FLOAT_P_MAX:
         for doublings in range(3):
             lo, hi, e = _sigma_enclosure(p, nu, doublings)  # e < 0, since sigma < 1/4
             value = hi / (1 << -e)
-            if not value or lo / (1 << -e) == value:
+            if value < least or lo / (1 << -e) == value:
                 break
         else:
             value = float(sigma_value(p, _admit(p, nu)))
-    if not value:
+    if value < least:
         raise NumericError(f"sigma(p={p}, nu={nu}) underflows binary64")
     return value
 
@@ -204,8 +204,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _verify_sigma(args: argparse.Namespace):
-    """verify sigma's Check, which refuses an underflowing sigma (exit 4) first."""
-    _sigma_binary64(args.p, args.nu)
+    """verify sigma's Check, refused first (exit 4) where sigma, so its budget, is subnormal."""
+    _sigma_binary64(args.p, args.nu, sys.float_info.min)
     return _sigma_check(args.nu, args.p, args.terms, sigma_value(args.p, _admit(args.p, args.nu)))
 
 
@@ -233,11 +233,9 @@ def cmd_zeros(args: argparse.Namespace) -> int:
     # prints nothing
     blocks = [zeros for zeros, _ in _zero_blocks(args.nu, args.count)]
     spec = f"%.{args.digits}f\n"
-    # a list from the scalar zero finder, else arrays; one write per block,
-    # since an unbuffered stdout makes a system call of every write
+    # one write per block, since an unbuffered stdout makes a system call of
+    # every write
     for block in blocks:
-        if not isinstance(block, list):
-            block = block.tolist()
         sys.stdout.write("".join(map(spec.__mod__, block)))
     return EXIT_OK
 

@@ -88,6 +88,10 @@ def test_orders_past_the_limit_are_refused_before_any_zero(monkeypatch):
             bessel_numeric._jv_pair_at(nu)
         with pytest.raises(NumericError, match="measured to order 5000 only"):
             bessel_zeros(nu, 3)
+    # K0 passes binary64 above nu = 1.4e307, where verify sigma refuses the
+    # subnormal sigma first; the check itself names the order
+    with pytest.raises(NumericError, match=r"^J_1e\+308: the kernel's error"):
+        bessel_numeric._sigma_check(Fraction(10**308), 1, 2, Fraction(1, 4 * 10**308 + 4))
 
 
 def test_bessel_j_half_order_is_sine():
@@ -299,7 +303,7 @@ def test_mis_indexed_zeros_raise():
     zs = bessel_zeros(1000.0, 1010)
     keep = np.arange(1010) != 9
     with pytest.raises(NumericError, match="zero 10 of J_1000.0 failed the index check"):
-        _check_gaps(1000.0, zs.zeros[keep], zs.accuracy[keep])
+        _check_gaps(1000.0, zs.zeros[keep], zs.accuracy[keep], 0)
 
 
 # thresholds that force each zero engine whatever the count and order

@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -126,6 +127,10 @@ def test_float_sigma_underflow_bound_follows_nu(capsys, monkeypatch):
     for argv in (
         ("eval", "--p", "55", "--nu", "1000"),
         ("verify", "sigma", "--p", "425", "--nu", "1000", "--terms", "2"),
+        # a subnormal sigma, whose relative budget underflows: 0 at p = 409,
+        # and at nu = 1e308, where K0 passes binary64
+        ("verify", "sigma", "--p", "409", "--nu", "0", "--terms", "2"),
+        ("verify", "sigma", "--p", "1", "--nu", "1e308", "--terms", "2"),
         # past the exact work limit too, but the underflow is refused first
         ("verify", "sigma", "--p", "400", "--nu", "1000.000000000000000001", "--terms", "2"),
         ("eval", "--p", "426", "--nu", "0"),
@@ -493,6 +498,9 @@ _USAGE_MESSAGES = {
     ),
     "eval --p 0 --nu 1": "error: p must be >= 1\n",
     "eval --p 1 --nu 1/0": "error: cannot parse rational '1/0': Fraction(1, 0)\n",
+    "eval --p 2 --nu 1e-4301": (
+        "error: cannot parse rational '1e-4301': past 4300 digits with its exponent\n"
+    ),
     "eval --p 1 --nu -0.5": "error: nu must be >= 0 unless --exact is given\n",
     "verify sigma --p 0 --nu 1": "error: p must be >= 1\n",
     "verify sigma --p 1 --nu -1": "error: nu must be >= 0\n",
@@ -827,17 +835,15 @@ def test_zeros_past_binary64_print_only_the_breakdown():
         (("verify", "sigma", "--p", "1", "--nu", "30000", "--terms", "2"), "30000.0"),
         (("verify", "residues", "--p", "1", "--nu", "30000", "--terms", "2"), "30001.0"),
         (("verify", "sigma", "--p", "1", "--nu", "1e8", "--terms", "2"), "100000000.0"),
-        (("verify", "sigma", "--p", "1", "--nu", "1e308", "--terms", "2"), "1e+308"),
     ],
     ids=[
         "zeros", "residues-nu-plus-p", "residues-nu-plus-1", "ratio-nu-plus-p", "sigma",
-        "sigma-k0", "residues-k0", "sigma-nu-1e8", "sigma-k0-past-binary64",
+        "sigma-k0", "residues-k0", "sigma-nu-1e8",
     ],
 )
 def test_orders_past_the_limit_exit_4(capsys, argv, order):
     # the order of J each call would first evaluate past 5000 is named, also
     # where K0 = 12.2 nu would take hours of zero finding (nu = 30000, 1e8)
-    # or pass binary64 (nu = 1e308)
     assert run(capsys, *argv) == (
         4, "", f"numeric breakdown: J_{order}: the kernel's error is measured to order 5000 only\n"
     )
@@ -885,14 +891,25 @@ class _CountingStdout(io.StringIO):
         return super().write(s)
 
 
-@pytest.mark.parametrize("count", [20, 2 * bessel_numeric._BLOCK + 5], ids=["scalar", "blocks"])
-def test_zeros_writes_once_per_block(monkeypatch, count):
+# each count with the _SCALAR_WORK that forces the other engine
+@pytest.mark.parametrize(
+    "count, other", [(20, -1.0), (2 * bessel_numeric._BLOCK + 5, math.inf)], ids=["scalar", "blocks"]
+)
+def test_zeros_writes_once_per_block(monkeypatch, count, other):
     # an unbuffered stdout makes a system call of every write
     out = _CountingStdout()
     monkeypatch.setattr(sys, "stdout", out)
-    assert main(["zeros", "--nu", "0", "--count", str(count)]) == 0
+    argv = ["zeros", "--nu", "0", "--count", str(count), "--digits", "17"]
+    assert main(argv) == 0
     assert len(out.getvalue().splitlines()) == count
     assert out.writes <= -(-count // bessel_numeric._BLOCK)
+    # the other engine's blocks, lists or arrays, print the same text
+    again = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", again)
+    monkeypatch.setattr(bessel_numeric, "_SCALAR_WORK", other)
+    assert main(argv) == 0
+    same = again.getvalue() == out.getvalue()  # a bool: pytest would diff 0.4 MB of text
+    assert same
 
 
 def test_table_text(capsys):
