@@ -6,7 +6,8 @@ table. Text output is UTF-8, one result per line; closed forms render with
 0 success or verification pass, 1 verification failure, 2 usage error,
 3 evaluation at a pole, 4 numeric breakdown (a zero that cannot be certified
 or indexed, or lies past x = 1.25e8, where binary64 cannot certify it, a value
-binary64 cannot carry, or a verify check whose error budget reaches its value).
+binary64 cannot carry, a verify sigma value it carries only as a subnormal, or
+a verify check whose error budget reaches its value).
 
 Each flag's range is checked by its argparse type, as the command line is
 parsed; only eval's nu >= 0 without --exact is a rule on two flags. Then

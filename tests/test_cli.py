@@ -904,7 +904,7 @@ def test_zeros_writes_once_per_block(monkeypatch, count, other):
     assert len(out.getvalue().splitlines()) == count
     assert out.writes <= -(-count // bessel_numeric._BLOCK)
     # the other engine's blocks, lists or arrays, print the same text
-    again = _CountingStdout()
+    again = io.StringIO()
     monkeypatch.setattr(sys, "stdout", again)
     monkeypatch.setattr(bessel_numeric, "_SCALAR_WORK", other)
     assert main(argv) == 0
